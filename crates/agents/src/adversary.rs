@@ -34,13 +34,12 @@
 use crate::behavior::ExchangeBehavior;
 use crate::profile::{AgentProfile, PopulationMix};
 use crate::reporting::ReportingBehavior;
-use serde::{Deserialize, Serialize};
 
 /// Coordinated-campaign membership attached to an [`AgentProfile`].
 ///
 /// `Faction::None` (the default) marks every pre-zoo profile; the
 /// simulation's campaign hooks are inert for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Faction {
     /// No coordinated affiliation.
     #[default]
@@ -68,7 +67,7 @@ pub enum Faction {
 }
 
 /// The composable coordinated-attack archetypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Adversary {
     /// Collusion-ring member (cross-vouching).
     Colluder,

@@ -4,7 +4,6 @@
 //! execution engine; the market simulation instantiates one oracle per
 //! exchange from the agent's [`ExchangeBehavior`].
 
-use serde::{Deserialize, Serialize};
 use trustex_core::execute::{max_future_temptation, DefectionOracle};
 use trustex_core::money::Money;
 use trustex_core::sequence::Action;
@@ -12,7 +11,7 @@ use trustex_core::state::{Role, StateView};
 use trustex_netsim::rng::SimRng;
 
 /// How an agent behaves inside exchanges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExchangeBehavior {
     /// Always completes.
     Honest,

@@ -7,11 +7,10 @@
 use crate::adversary::Faction;
 use crate::behavior::ExchangeBehavior;
 use crate::reporting::ReportingBehavior;
-use serde::{Deserialize, Serialize};
 use trustex_netsim::rng::SimRng;
 
 /// One agent's complete behavioural profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentProfile {
     /// Behaviour inside exchanges.
     pub exchange: ExchangeBehavior,
@@ -58,7 +57,7 @@ impl AgentProfile {
 /// let population = mix.sample(100, &mut rng);
 /// assert_eq!(population.len(), 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationMix {
     entries: Vec<(f64, AgentProfile)>,
 }

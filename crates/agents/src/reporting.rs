@@ -7,12 +7,11 @@
 //! publishes whatever comes back.
 
 use crate::adversary::Faction;
-use serde::{Deserialize, Serialize};
 use trustex_netsim::rng::SimRng;
 use trustex_trust::model::Conduct;
 
 /// How an agent reports interaction outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReportingBehavior {
     /// Reports the truth.
     Truthful,

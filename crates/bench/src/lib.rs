@@ -1,16 +1,13 @@
-//! # trustex-bench — benchmarks and experiment reproduction
+//! # trustex-bench — experiment reproduction
 //!
-//! This crate carries:
+//! This crate carries the `repro` binary, which regenerates every
+//! table/figure of `EXPERIMENTS.md` (`cargo run --release -p trustex-bench
+//! --bin repro`), optionally a single experiment by id (`… -- e4`) and at
+//! smoke scale (`… -- --smoke`), and records each experiment's wall clock.
+//! The closed-loop performance benchmark lives in `perfbench/`.
 //!
-//! * the `repro` binary — regenerates every table/figure of
-//!   `EXPERIMENTS.md` (`cargo run --release -p trustex-bench --bin repro`),
-//!   optionally a single experiment by id (`… -- e4`) and at smoke scale
-//!   (`… -- --smoke`);
-//! * one Criterion bench per experiment (`benches/e*.rs`) measuring the
-//!   experiment's characteristic operation.
-//!
-//! The library portion only re-exports a tiny helper shared by the
-//! benches.
+//! The library portion holds the small helpers the binary shares with
+//! its tests.
 
 pub use trustex_market::experiments::{find, Scale, ALL};
 pub use trustex_market::table::Table;
@@ -25,8 +22,8 @@ pub fn render_block(table: &Table) -> String {
 /// Serializes per-experiment wall-clock timings as the `BENCH_repro.json`
 /// document: a flat JSON object mapping experiment id → milliseconds.
 ///
-/// Hand-rolled because the workspace's vendored `serde` is a no-op stub;
-/// ids are bare `[a-z0-9]+` so no string escaping is needed.
+/// Hand-rolled because the workspace has no serialization library; ids
+/// are bare `[a-z0-9]+` so no string escaping is needed.
 ///
 /// # Examples
 ///

@@ -8,10 +8,9 @@
 
 use crate::goods::{Goods, GoodsError};
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
 
 /// Named valuation-curve families used across the experiment suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CurveShape {
     /// All items identical: cost `c`, value `v` scaled to the deal size.
     Uniform,
@@ -52,7 +51,7 @@ impl CurveShape {
 }
 
 /// Parameters for generating a goods set from a [`CurveShape`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveParams {
     /// Number of items to generate (must be ≥ 1).
     pub n_items: usize,

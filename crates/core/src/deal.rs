@@ -9,7 +9,6 @@
 
 use crate::goods::Goods;
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing a [`Deal`].
@@ -67,7 +66,7 @@ impl std::error::Error for DealError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deal {
     goods: Goods,
     price: Money,

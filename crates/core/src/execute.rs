@@ -15,7 +15,6 @@ use crate::deal::Deal;
 use crate::money::Money;
 use crate::sequence::{Action, ExchangeSequence};
 use crate::state::{Progress, Role, StateView};
-use serde::{Deserialize, Serialize};
 
 /// Decides whether a party walks away at the current state.
 ///
@@ -137,7 +136,7 @@ where
 }
 
 /// Terminal status of an executed exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStatus {
     /// Every action executed; goods fully delivered and price fully paid.
     Completed,
@@ -160,7 +159,7 @@ impl ExchangeStatus {
 }
 
 /// The realized result of executing an exchange sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExchangeOutcome {
     /// How the exchange ended.
     pub status: ExchangeStatus,

@@ -20,11 +20,10 @@ use crate::deal::Deal;
 use crate::money::Money;
 use crate::sequence::{Action, ExchangeSequence};
 use crate::state::{Progress, Role};
-use serde::{Deserialize, Serialize};
 
 /// Outside stakes: the value each party forfeits by defecting
 /// (discounted future business, reputation, bond…).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stakes {
     /// Value the supplier forfeits on defection.
     pub supplier: Money,
@@ -57,7 +56,7 @@ impl Stakes {
 }
 
 /// The subgame-perfect outcome of an exchange game.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Equilibrium {
     /// Whether rational parties complete the exchange.
     pub completes: bool,

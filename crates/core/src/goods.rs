@@ -8,14 +8,13 @@
 //! provides shape generators used by workloads.
 
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an item within one [`Goods`] set.
 ///
 /// Ids are dense indices assigned by [`Goods::new`]; they are only
 /// meaningful relative to their owning `Goods`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub(crate) u32);
 
 impl ItemId {
@@ -32,7 +31,7 @@ impl fmt::Display for ItemId {
 }
 
 /// One indivisible item: the supplier's cost and the consumer's value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Item {
     id: ItemId,
     supplier_cost: Money,
@@ -109,7 +108,7 @@ impl std::error::Error for GoodsError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Goods {
     items: Vec<Item>,
     total_cost: Money,

@@ -9,7 +9,6 @@
 //! `Money` is signed because temptations, exposure bounds and gains are
 //! naturally signed quantities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -28,9 +27,7 @@ pub const MICROS_PER_UNIT: i64 = 1_000_000;
 /// assert_eq!(price * 2, Money::from_units(25));
 /// assert!(Money::ZERO < price);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Money(i64);
 
 impl Money {

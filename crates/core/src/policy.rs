@@ -15,10 +15,9 @@
 //! Experiment E10 ablates the three policies.
 
 use crate::money::Money;
-use serde::{Deserialize, Serialize};
 
 /// Strategy for choosing the outstanding balance within `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PaymentPolicy {
     /// Pay the minimum required now (keep the outstanding balance high).
     #[default]

@@ -30,7 +30,6 @@
 
 use crate::money::Money;
 use crate::state::{Role, StateView};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The exposure bounds each party accepts, derived from trust.
@@ -51,7 +50,7 @@ use std::fmt;
 /// let relaxed = SafetyMargins::new(Money::from_units(2), Money::from_units(1)).unwrap();
 /// assert_eq!(relaxed.total(), Money::from_units(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyMargins {
     eps_supplier: Money,
     eps_consumer: Money,
@@ -162,7 +161,7 @@ impl fmt::Display for SafetyMargins {
 }
 
 /// The admissible window for the outstanding payment `R` at one state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyWindow {
     /// `Pmin − ε_c`: smallest admissible outstanding payment.
     pub min_outstanding: Money,
@@ -191,7 +190,7 @@ pub fn window_at(view: &StateView<'_>, margins: SafetyMargins) -> SafetyWindow {
 }
 
 /// The result of checking one state against the safety conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SafetyCheck {
     /// Both temptations within the tolerated bounds.
     Safe,

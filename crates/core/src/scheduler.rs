@@ -63,13 +63,12 @@ use crate::money::Money;
 use crate::policy::PaymentPolicy;
 use crate::safety::SafetyMargins;
 use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 
 /// Which scheduling algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
     /// Optimal `O(n log n)` sort (default).
     #[default]

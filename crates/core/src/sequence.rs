@@ -12,11 +12,10 @@ use crate::goods::ItemId;
 use crate::money::Money;
 use crate::safety::{check, SafetyCheck, SafetyMargins};
 use crate::state::{Progress, Role, StateError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One atomic step of an exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// The supplier delivers the identified item.
     Deliver(ItemId),
@@ -47,7 +46,7 @@ impl fmt::Display for Action {
 ///
 /// Construction does not validate anything; validation is the verifier's
 /// job so that tests can build intentionally broken sequences.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExchangeSequence {
     actions: Vec<Action>,
 }
@@ -234,7 +233,7 @@ impl std::error::Error for VerifyError {
 /// The exposure profile records the worst temptation each party was
 /// subjected to along the way — the realized counterpart of the ε bounds
 /// (exposed per C-INTERMEDIATE so callers don't recompute it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedSequence {
     sequence: ExchangeSequence,
     max_consumer_temptation: Money,

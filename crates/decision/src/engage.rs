@@ -5,14 +5,13 @@
 //! completion gain on honest behaviour, worst-case exposure loss on
 //! defection — must clear a threshold.
 
-use serde::{Deserialize, Serialize};
 use trustex_core::money::Money;
 use trustex_trust::model::TrustEstimate;
 
 use crate::exposure::effective_dishonesty;
 
 /// Why an exchange was declined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeclineReason {
     /// Expected gain below the configured threshold.
     ExpectedGainTooLow,
@@ -21,7 +20,7 @@ pub enum DeclineReason {
 }
 
 /// Outcome of the engagement decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Engagement {
     /// Proceed to scheduling; the expected gain is attached.
     Engage {
@@ -43,7 +42,7 @@ impl Engagement {
 }
 
 /// Parameters of the engagement rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngagementRule {
     /// Minimum acceptable expected gain (often zero).
     pub min_expected_gain: Money,

@@ -17,12 +17,11 @@
 //! confidence are blended towards the ignorant prior `0.5` before use.
 
 use crate::risk::RiskProfile;
-use serde::{Deserialize, Serialize};
 use trustex_core::money::Money;
 use trustex_trust::model::TrustEstimate;
 
 /// Parameters of the exposure computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExposurePolicy {
     /// Base fraction of the completion gain put at risk (the paper's
     /// "decrease of the expected gains"), in `[0, 1]`.

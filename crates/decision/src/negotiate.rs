@@ -9,7 +9,6 @@
 
 use crate::engage::{decide, Engagement, EngagementRule};
 use crate::exposure::{exposure_bound, ExposurePolicy};
-use serde::{Deserialize, Serialize};
 use trustex_core::deal::Deal;
 use trustex_core::policy::PaymentPolicy;
 use trustex_core::safety::SafetyMargins;
@@ -18,7 +17,7 @@ use trustex_core::sequence::VerifiedSequence;
 use trustex_trust::model::TrustEstimate;
 
 /// One party's inputs to the negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartyInputs {
     /// The party's trust estimate of its *opponent*.
     pub trust_in_opponent: TrustEstimate,
@@ -29,7 +28,7 @@ pub struct PartyInputs {
 }
 
 /// Why planning failed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The supplier declined to engage.
     SupplierDeclined,

@@ -6,10 +6,8 @@
 //! averseness half: it scales the fraction of the completion gain a party
 //! is willing to put at risk.
 
-use serde::{Deserialize, Serialize};
-
 /// A party's attitude towards exposure risk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RiskProfile {
     /// Accepts a risk budget equal to the base fraction of its gain.
     #[default]

@@ -13,6 +13,11 @@
 //! replays them after the heal and evaluators fall back to
 //! direct-evidence-only prediction while the witness quorum is
 //! unreachable. Every row reports its distance to the clean arm.
+//!
+//! The plane's `delay` knob acts on the overlay half only. Market
+//! gossip ignores a fate's extra delay (see [`ChaosConfig::fault`]):
+//! a report delivered on its first attempt lands in its emission round,
+//! so the market arms configure no delay.
 
 use super::community::run_arms;
 use super::storage::build_base;

@@ -5,7 +5,6 @@
 //! the witness-corroboration bookkeeping that lets the beta model grade
 //! its informants.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use trustex_agents::profile::{AgentProfile, PopulationMix};
 use trustex_netsim::rng::SimRng;
@@ -18,7 +17,7 @@ use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessRe
 ///
 /// Both default to off so every existing experiment replays unchanged;
 /// experiment E11 sweeps them against the adversary zoo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DefenseConfig {
     /// Scorer-weighted witness aggregation: every model additionally
     /// weighs (or gates) witness reports by the evaluator's own honesty
@@ -33,7 +32,7 @@ pub struct DefenseConfig {
 }
 
 /// Which trust model every agent runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Bayesian beta posterior (Mui et al.).
     Beta,
@@ -312,12 +311,12 @@ pub struct Community {
     pending: PendingIndex,
     /// Active community-level defenses.
     defense: DefenseConfig,
-    /// Witness-report deliveries per reporter in `rate_round`; only
-    /// consulted when `defense.report_rate_cap` is set.
+    /// Witness-report deliveries per reporter since the last
+    /// [`Community::begin_round`]; only consulted when
+    /// `defense.report_rate_cap` is set. Counted per delivery round,
+    /// not per round of origin, so retransmissions of older reports
+    /// share the current round's budget.
     witness_filed: Vec<u32>,
-    /// The round `witness_filed` counts; lazily reset when a report from
-    /// a different round arrives.
-    rate_round: u64,
     /// Per-(evaluator, subject) direct-experience ledger backing the
     /// degraded-mode fallback; only allocated for chaos runs.
     direct: Option<Arc<DirectLedger>>,
@@ -449,7 +448,6 @@ impl Community {
             pending: PendingIndex::new(n),
             defense,
             witness_filed: vec![0; n],
-            rate_round: 0,
             direct: None,
             degraded: false,
         }
@@ -587,15 +585,20 @@ impl Community {
         }
     }
 
+    /// Opens a delivery round: every reporter's rate-cap budget (see
+    /// [`DefenseConfig`]) starts afresh. Call it once per round, before
+    /// the round's first witness delivery.
+    pub fn begin_round(&mut self) {
+        self.witness_filed.fill(0);
+    }
+
     /// Delivers a witness report to `target`'s model and queues it for
     /// corroboration. Returns whether the report was delivered — `false`
     /// when the per-reporter rate cap (see [`DefenseConfig`]) dropped it.
+    /// The cap counts deliveries in the round opened by
+    /// [`Community::begin_round`], whatever round the report was issued in.
     pub fn deliver_witness_report(&mut self, target: PeerId, report: WitnessReport) -> bool {
         if let Some(cap) = self.defense.report_rate_cap {
-            if report.round != self.rate_round {
-                self.witness_filed.fill(0);
-                self.rate_round = report.round;
-            }
             let filed = &mut self.witness_filed[report.witness.index()];
             if *filed >= cap {
                 return false;
@@ -883,8 +886,40 @@ mod tests {
                 round: 0,
             }
         ));
-        // A new round resets the budget.
+        // A new delivery round resets the budget.
+        c.begin_round();
         assert!(c.deliver_witness_report(PeerId(13), report(4, 1)));
+    }
+
+    /// Retransmitted reports keep their origin round, so one delivery
+    /// round can carry reports from several origin rounds. They must
+    /// all draw on the delivery round's budget: alternating origin
+    /// rounds may not reset it.
+    #[test]
+    fn report_rate_cap_counts_delivery_round_not_origin_round() {
+        let mut rng = SimRng::new(1);
+        let mix = PopulationMix::standard(0.5, 0.0);
+        let cap = 3;
+        let defense = DefenseConfig {
+            report_rate_cap: Some(cap),
+            ..DefenseConfig::default()
+        };
+        let mut c = Community::with_defense(20, &mix, ModelKind::Mean, defense, &mut rng);
+        c.begin_round();
+        let admitted = (0..3 * cap)
+            .filter(|&i| {
+                c.deliver_witness_report(
+                    PeerId(10 + i % 10),
+                    WitnessReport {
+                        witness: PeerId(0),
+                        subject: PeerId(1 + i % 9),
+                        conduct: Conduct::Dishonest,
+                        round: if i % 2 == 0 { 4 } else { 5 },
+                    },
+                )
+            })
+            .count();
+        assert_eq!(admitted, cap as usize);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::metrics::{accuracy_metrics, cooperation_truth, trust_mae_with_truth_t
 use crate::population::{Community, CommunitySnapshot, DefenseConfig, ModelKind};
 use crate::strategy::{plan, Strategy};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use trustex_agents::adversary::Faction;
 use trustex_agents::profile::PopulationMix;
@@ -74,10 +73,14 @@ const RETX_QUEUE_CAP: usize = 65_536;
 /// Chaos knobs for a market run: witness gossip is delivered through a
 /// seeded fault plane, with optional bounded retransmission of lost
 /// reports and optional quorum-gated graceful degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// The fault plane's knobs (loss, duplication, delay, partitions);
-    /// the plane itself is seeded from the market seed.
+    /// the plane itself is seeded from the market seed. Gossip reads
+    /// only a fate's kind (delivered, lost or blocked) and its
+    /// duplicates: `extra_delay_max_us` has no effect here, and a
+    /// report delivered on its first attempt lands in the round it was
+    /// emitted in whatever delay is configured.
     pub fault: FaultConfig,
     /// Retransmit lost/blocked reports on a bounded backoff schedule.
     pub retry: bool,
@@ -146,7 +149,7 @@ impl Default for MarketConfig {
 }
 
 /// Per-round aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundStats {
     /// Round index.
     pub round: u64,
@@ -167,7 +170,7 @@ pub struct RoundStats {
 }
 
 /// Whole-run aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketReport {
     /// Per-round statistics.
     pub per_round: Vec<RoundStats>,
@@ -560,6 +563,8 @@ impl MarketSim {
     fn run_round(&mut self, round: u64, threads: usize) -> RoundStats {
         // Retransmissions scheduled by earlier rounds whose backoff has
         // elapsed go out before this round's sessions read trust state.
+        // They count against this round's rate-cap budget.
+        self.community.begin_round();
         self.pump_retx(round);
         let n = self.community.len();
         let mut stats = RoundStats {

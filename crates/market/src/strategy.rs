@@ -10,7 +10,6 @@
 //! * [`Strategy::UnsafePayFirst`] — consumer prepays everything
 //!   (maximal consumer exposure).
 
-use serde::{Deserialize, Serialize};
 use trustex_core::deal::Deal;
 use trustex_core::money::Money;
 use trustex_core::policy::PaymentPolicy;
@@ -23,7 +22,7 @@ use trustex_decision::negotiate::{plan_exchange, PartyInputs, PlanError};
 use trustex_trust::model::TrustEstimate;
 
 /// A scheduling strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Only fully safe sequences (ε = 0).
     SafeOnly,
@@ -56,7 +55,7 @@ impl Strategy {
 }
 
 /// Why no exchange was scheduled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NoTrade {
     /// A party declined on its trust estimate (trust-aware only).
     Declined,

@@ -4,11 +4,10 @@
 //! to aligned text (and CSV) so the tables/figures of `EXPERIMENTS.md`
 //! can be regenerated with one command.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One table cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// A text label.
     Text(String),
@@ -55,7 +54,7 @@ impl From<f64> for Cell {
 }
 
 /// A titled table with named columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     columns: Vec<String>,

@@ -10,14 +10,13 @@
 //!   environment": few tasks, mixed surplus (some tasks individually
 //!   unprofitable but bundled).
 
-use serde::{Deserialize, Serialize};
 use trustex_core::deal::Deal;
 use trustex_core::goods::Goods;
 use trustex_core::money::Money;
 use trustex_netsim::rng::SimRng;
 
 /// A deal generator for one application scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Auction-style: 3–8 items, heavy-tailed values.
     Ebay,

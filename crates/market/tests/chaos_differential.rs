@@ -156,10 +156,11 @@ fn e14_table_identical_across_thread_counts() {
     set_default_threads(0);
 }
 
-/// Overlay differential: routing queries through a zero plane with the
-/// retry machinery armed returns hop-for-hop, answer-for-answer the
-/// same results as the plain plane-less query path, and consumes an
-/// identical RNG stream.
+/// Overlay differential: routing queries through a differently seeded
+/// zero plane with the retry machinery armed returns hop-for-hop,
+/// answer-for-answer the same results as the plain query path (the
+/// default `Network::new` plane, no retry), and consumes an identical
+/// RNG stream.
 #[test]
 fn zero_plane_grid_queries_with_retry_equal_plain_queries() {
     let n = 64;

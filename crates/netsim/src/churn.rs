@@ -7,7 +7,6 @@
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Alternating-renewal churn model: nodes are up for an exponential
 /// duration with mean `mean_up`, then down with mean `mean_down`
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `initial_up_prob` gives the probability that a node starts in the up
 /// state; the stationary choice is `mean_up / (mean_up + mean_down)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {
     /// Mean duration of an up period, in seconds.
     pub mean_up: f64,

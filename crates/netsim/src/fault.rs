@@ -18,7 +18,6 @@
 
 use crate::backoff::splitmix64;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 const SALT_LOSS: u64 = 0x4C4F_5353_4C4F_5353; // "LOSSLOSS"
 const SALT_DUP: u64 = 0x4455_5044_5550_4455; // "DUPDUPDU"
@@ -26,7 +25,7 @@ const SALT_DELAY: u64 = 0x4445_4C41_5944_4C59; // "DELAYDLY"
 const SALT_GROUP: u64 = 0x4752_4F55_5047_5250; // "GROUPGRP"
 
 /// A named partition episode with a scheduled heal time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionSpec {
     /// No partition; every link is up.
     #[default]
@@ -60,7 +59,7 @@ impl PartitionSpec {
 
 /// Knobs of a [`FaultPlane`]. The default is the zero plane: no loss,
 /// no duplication, no extra delay, no partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Independent per-message loss probability in `[0, 1]`.
     pub loss: f64,
@@ -125,7 +124,7 @@ impl FaultFate {
 /// // Pure function: the same (src, dst, seq) always gets the same fate.
 /// assert_eq!(fate, plane.decide(1, 2, 0, SimTime::ZERO));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlane {
     seed: u64,
     cfg: FaultConfig,

@@ -8,7 +8,6 @@
 use crate::fault::{FaultFate, FaultPlane};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -16,9 +15,7 @@ use std::fmt;
 ///
 /// A plain newtype over `u32`; the reputation layer maps its own peer
 /// identifiers onto these.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -34,7 +31,7 @@ impl From<u32> for NodeId {
 }
 
 /// One-way message latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Latency {
     /// Every message takes exactly this long (microseconds).
     Constant(u64),
@@ -93,7 +90,7 @@ impl Latency {
 }
 
 /// Static configuration of a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// One-way latency model.
     pub latency: Latency,
@@ -130,12 +127,13 @@ pub enum Delivery {
 /// # Examples
 ///
 /// ```
-/// use trustex_netsim::net::{Network, NetConfig, Latency, Delivery};
+/// use trustex_netsim::net::{Delivery, Latency, NetConfig, Network, NodeId};
 /// use trustex_netsim::rng::SimRng;
+/// use trustex_netsim::time::SimTime;
 ///
 /// let mut rng = SimRng::new(1);
 /// let mut net = Network::new(NetConfig { latency: Latency::Constant(500), drop_prob: 0.0 });
-/// match net.send("query", &mut rng) {
+/// match net.send_link("query", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng) {
 ///     Delivery::Delivered(d) => assert_eq!(d.as_micros(), 500),
 ///     Delivery::Dropped => unreachable!(),
 /// }
@@ -144,7 +142,7 @@ pub enum Delivery {
 #[derive(Debug, Clone)]
 pub struct Network {
     cfg: NetConfig,
-    plane: Option<FaultPlane>,
+    plane: FaultPlane,
     /// Monotone per-network message sequence; together with the link
     /// endpoints it keys every fault-plane decision.
     next_seq: u64,
@@ -153,28 +151,26 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with the given configuration.
+    /// Creates a network with the given configuration and a transparent
+    /// fault plane (only the base `drop_prob`/latency model applies).
     pub fn new(cfg: NetConfig) -> Self {
+        Network::with_fault_plane(cfg, FaultPlane::transparent(0))
+    }
+
+    /// Creates a network whose sends pass through a fault plane.
+    pub fn with_fault_plane(cfg: NetConfig, plane: FaultPlane) -> Self {
         Network {
             cfg,
-            plane: None,
+            plane,
             next_seq: 0,
             sent: BTreeMap::new(),
             dropped: BTreeMap::new(),
         }
     }
 
-    /// Creates a network whose link-level sends ([`Network::send_link`])
-    /// pass through a fault plane.
-    pub fn with_fault_plane(cfg: NetConfig, plane: FaultPlane) -> Self {
-        let mut net = Network::new(cfg);
-        net.plane = Some(plane);
-        net
-    }
-
-    /// The fault plane, if one is installed.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.plane.as_ref()
+    /// The installed fault plane.
+    pub fn fault_plane(&self) -> &FaultPlane {
+        &self.plane
     }
 
     /// Messages assigned a fault-plane sequence number so far.
@@ -187,29 +183,15 @@ impl Network {
         self.cfg
     }
 
-    /// Attempts to send a message of the given kind, returning its fate.
-    ///
-    /// Every call counts as one sent message of `kind`; drops are counted
-    /// separately.
-    pub fn send(&mut self, kind: &'static str, rng: &mut SimRng) -> Delivery {
-        *self.sent.entry(kind).or_insert(0) += 1;
-        if rng.chance(self.cfg.drop_prob) {
-            *self.dropped.entry(kind).or_insert(0) += 1;
-            Delivery::Dropped
-        } else {
-            Delivery::Delivered(self.cfg.latency.sample(rng))
-        }
-    }
-
     /// Attempts to send a message of `kind` on the link `src → dst` at
-    /// virtual time `at`, consulting the fault plane if one is installed.
+    /// virtual time `at`, returning its fate.
     ///
-    /// Without a plane this is exactly [`Network::send`] — same RNG
-    /// draws, same counters — so routing code can migrate to the link
-    /// API without perturbing existing replays. With a plane, each call
-    /// consumes one monotone sequence number and the plane's pure
-    /// `(seed, src, dst, seq)` decision is layered on top of the base
-    /// `drop_prob`/latency model:
+    /// Every call counts as one sent message of `kind` and consumes one
+    /// monotone sequence number. The base model draws from `rng` first
+    /// (a `drop_prob` drop, then the latency sample); the fault plane's
+    /// pure `(seed, src, dst, seq)` decision is layered on top and draws
+    /// nothing, so a transparent plane leaves the base model's draws and
+    /// counters exactly as they are:
     ///
     /// * `Lost`/`Blocked` count as a drop of `kind`;
     /// * injected duplicates count as extra sent messages of `kind`
@@ -223,10 +205,6 @@ impl Network {
         at: SimTime,
         rng: &mut SimRng,
     ) -> Delivery {
-        let plane = match self.plane {
-            None => return self.send(kind, rng),
-            Some(plane) => plane,
-        };
         let seq = self.next_seq;
         self.next_seq += 1;
         *self.sent.entry(kind).or_insert(0) += 1;
@@ -235,7 +213,7 @@ impl Network {
             return Delivery::Dropped;
         }
         let base = self.cfg.latency.sample(rng);
-        match plane.decide(src.0, dst.0, seq, at) {
+        match self.plane.decide(src.0, dst.0, seq, at) {
             FaultFate::Lost | FaultFate::Blocked => {
                 *self.dropped.entry(kind).or_insert(0) += 1;
                 Delivery::Dropped
@@ -346,7 +324,9 @@ mod tests {
         });
         let mut delivered = 0;
         for _ in 0..1000 {
-            if let Delivery::Delivered(_) = net.send("q", &mut rng) {
+            if let Delivery::Delivered(_) =
+                net.send_link("q", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng)
+            {
                 delivered += 1;
             }
         }
@@ -360,9 +340,9 @@ mod tests {
     fn kinds_are_separate() {
         let mut rng = SimRng::new(6);
         let mut net = Network::new(NetConfig::default());
-        net.send("a", &mut rng);
-        net.send("a", &mut rng);
-        net.send("b", &mut rng);
+        net.send_link("a", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
+        net.send_link("a", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
+        net.send_link("b", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
         assert_eq!(net.sent("a"), 2);
         assert_eq!(net.sent("b"), 1);
         assert_eq!(net.sent("c"), 0);
@@ -379,51 +359,42 @@ mod tests {
             drop_prob: 0.25,
         };
         let mut net = Network::new(cfg);
-        net.send("x", &mut rng);
+        net.send_link("x", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
         net.reset_counters();
         assert_eq!(net.total_sent(), 0);
         assert_eq!(net.config(), cfg);
     }
 
+    /// `Network::new` installs a transparent plane, so a link send must
+    /// follow the base model alone: replayed here independently as one
+    /// `drop_prob` chance, then (if it survives) one latency sample,
+    /// with the sent/dropped counters and sequence numbers to match.
     #[test]
-    fn send_link_without_plane_matches_send_exactly() {
+    fn new_network_link_send_replays_base_model() {
         let cfg = NetConfig {
             latency: Latency::Uniform { lo: 100, hi: 900 },
             drop_prob: 0.2,
         };
-        let mut a = Network::new(cfg);
-        let mut b = Network::new(cfg);
-        let mut rng_a = SimRng::new(42);
-        let mut rng_b = SimRng::new(42);
+        let mut net = Network::new(cfg);
+        let mut rng = SimRng::new(42);
+        let mut replay = SimRng::new(42);
+        let mut dropped = 0u64;
         for i in 0..500u32 {
-            let da = a.send("q", &mut rng_a);
-            let db = b.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng_b);
-            assert_eq!(da, db);
+            let got = net.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng);
+            let want = if replay.chance(cfg.drop_prob) {
+                dropped += 1;
+                Delivery::Dropped
+            } else {
+                Delivery::Delivered(cfg.latency.sample(&mut replay))
+            };
+            assert_eq!(got, want, "message {i}");
         }
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-        assert_eq!(a.sent("q"), b.sent("q"));
-        assert_eq!(a.dropped("q"), b.dropped("q"));
-        assert_eq!(b.link_messages(), 0, "no plane, no sequence numbers");
-    }
-
-    #[test]
-    fn zero_plane_send_link_matches_send_exactly() {
-        let cfg = NetConfig {
-            latency: Latency::Uniform { lo: 100, hi: 900 },
-            drop_prob: 0.1,
-        };
-        let mut plain = Network::new(cfg);
-        let mut chaos = Network::with_fault_plane(cfg, FaultPlane::transparent(7));
-        let mut rng_a = SimRng::new(9);
-        let mut rng_b = SimRng::new(9);
-        for i in 0..500u32 {
-            let da = plain.send("q", &mut rng_a);
-            let db = chaos.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_b);
-            assert_eq!(da, db);
-        }
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-        assert_eq!(plain.sent("q"), chaos.sent("q"));
-        assert_eq!(plain.dropped("q"), chaos.dropped("q"));
+        assert_eq!(rng.next_u64(), replay.next_u64(), "RNG streams diverged");
+        assert!(dropped > 0 && dropped < 500);
+        assert_eq!(net.sent("q"), 500);
+        assert_eq!(net.dropped("q"), dropped);
+        assert_eq!(net.link_messages(), 500);
+        assert_eq!(*net.fault_plane(), FaultPlane::transparent(0));
     }
 
     /// Satellite check: with a faulty plane installed, the per-kind

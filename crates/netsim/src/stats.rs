@@ -5,7 +5,6 @@
 //! * [`Histogram`] — fixed-width bucket counts for report rendering.
 //! * [`Counters`] — named event counters.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -139,7 +138,7 @@ impl fmt::Display for OnlineStats {
 /// A stored sample supporting exact quantiles.
 ///
 /// Keeps all values; intended for experiment-scale data (≤ millions).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sample {
     values: Vec<f64>,
     sorted: bool,
@@ -235,7 +234,7 @@ impl Extend<f64> for Sample {
 }
 
 /// Fixed-width histogram over `[lo, hi)` with out-of-range clamping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -298,7 +297,7 @@ impl Histogram {
 }
 
 /// Named monotonic counters, ordered by name for stable reporting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Counters {
     map: BTreeMap<String, u64>,
 }

@@ -4,7 +4,6 @@
 //! All latency models and churn timelines in this workspace are expressed
 //! in `SimTime`; nothing in the simulator reads the wall clock.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_micros(), 2_500);
 /// assert_eq!(format!("{t}"), "2.500ms");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -4,8 +4,8 @@
 //! peer restarts: a trust service that loses its tables on crash
 //! re-opens every whitewashing attack the reputation layer just closed.
 //! This crate is the zero-dependency persistence layer of the
-//! reproduction — a hand-rolled binary codec (the vendored `serde` is a
-//! no-op stand-in, so nothing here goes through a registry dependency):
+//! reproduction — a hand-rolled binary codec (the workspace has no
+//! serialization library, and builds offline from path dependencies):
 //!
 //! * [`codec`] — little-endian primitive readers/writers
 //!   ([`codec::ByteWriter`], [`codec::ByteReader`]) with

@@ -15,12 +15,11 @@
 //! built through it stay bit-identical across thread counts.
 
 use crate::pgrid::PGrid;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use trustex_netsim::rng::SimRng;
 
 /// Pacing policy for joins and staleness-driven leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleConfig {
     /// Newcomers admitted per tick at most.
     pub max_admissions_per_tick: usize,
@@ -60,7 +59,7 @@ fn backoff_delay(cfg: &LifecycleConfig, attempts: u32) -> u64 {
 }
 
 /// A queued join request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JoinTicket {
     id: u64,
     attempts: u32,

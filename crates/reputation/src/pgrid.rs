@@ -74,7 +74,6 @@
 //! eviction) lives one layer up, in [`crate::lifecycle`].
 
 use crate::record::{BitPath, Complaint, Key};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use trustex_netsim::backoff::RetryPolicy;
 use trustex_netsim::net::{Delivery, Network, NodeId};
@@ -97,7 +96,7 @@ const ARENA_DEPTH_LIMIT: u8 = 20;
 const REFS_LIMIT: usize = 256;
 
 /// Configuration of a [`PGrid`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PGridConfig {
     /// Width of the key space in bits (1..=32).
     pub key_bits: u8,
@@ -157,7 +156,7 @@ impl PGridConfig {
 /// One bounded-bucket reference entry: a peer and the meeting tick that
 /// last confirmed it (higher = fresher). 8 bytes, so a whole bucket of
 /// the default `max_refs = 4` is half a cache line in the flat arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RefEntry {
     peer: u32,
     stamp: u32,
@@ -174,7 +173,7 @@ fn link_salt(from: usize, to: usize) -> u64 {
 }
 
 /// Receipt for an insert: how it travelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsertReceipt {
     /// Routing hops to the first responsible replica.
     pub hops: u32,
@@ -185,7 +184,7 @@ pub struct InsertReceipt {
 }
 
 /// Result of a key query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Routing hops to the first responsible replica.
     pub hops: u32,

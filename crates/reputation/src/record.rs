@@ -5,12 +5,11 @@
 //! the subject `q` — so that both "complaints about q" and "complaints
 //! filed by q" can be retrieved with one key lookup each.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use trustex_trust::model::PeerId;
 
 /// A complaint: `by` reports that `about` misbehaved at `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Complaint {
     /// The filing peer.
     pub by: PeerId,
@@ -35,9 +34,7 @@ impl fmt::Display for Complaint {
 /// Keys are fixed-width bit strings (width set by the grid
 /// configuration, at most 32 bits); peers are responsible for all keys
 /// their binary *path* is a prefix of.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(u32);
 
 impl Key {
@@ -81,7 +78,7 @@ pub fn key_for_peer(peer: PeerId, width: u8) -> Key {
 /// Paths are totally ordered lexicographically (bit by bit, a prefix
 /// before its extensions), i.e. trie depth-first order — the order the
 /// P-Grid leaf directory keeps its entries in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BitPath {
     bits: u32, // left-aligned within `len` lowest-significance convention below
     len: u8,

@@ -8,11 +8,10 @@
 //! per-complaint **majority voting** and per-count **median** resolution.
 
 use crate::record::Complaint;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a storage peer answers queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageBehavior {
     /// Returns exactly what it stores.
     #[default]

@@ -8,7 +8,6 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
-use serde::{Deserialize, Serialize};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -16,7 +15,7 @@ use trustex_persist::PersistError;
 /// Arithmetic-mean trust: `p = honest / total`, 0.5 when unseen.
 /// Witness reports count exactly like direct experience (no
 /// discounting) — deliberately gullible.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MeanTrust {
     /// Dense `(honest, total)` counts indexed by [`PeerId::index`];
     /// `total == 0` marks a never-observed subject.
@@ -25,7 +24,6 @@ pub struct MeanTrust {
     /// whose own observed mean sits below coin-flip. The crudest form of
     /// the defense the principled models apply continuously — still a
     /// mean, but no longer gullible to known cheaters.
-    #[serde(default)]
     scorer_weighted: bool,
 }
 
@@ -120,7 +118,7 @@ impl TrustModel for MeanTrust {
 /// `p ← (1 − λ)·p + λ·outcome` per observation, starting from 0.5.
 /// Reacts quickly to behaviour changes but never converges, and treats
 /// witness reports at weight `λ/2`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EwmaTrust {
     /// Learning rate λ in `(0, 1]`.
     rate: f64,
@@ -131,7 +129,6 @@ pub struct EwmaTrust {
     /// Scorer-weighted aggregation: drop witness reports from reporters
     /// whose own EWMA score sits below coin-flip (see
     /// [`MeanTrust`]'s gate; cold reporters at 0.5 pass).
-    #[serde(default)]
     scorer_weighted: bool,
 }
 

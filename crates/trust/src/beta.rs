@@ -14,13 +14,12 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
-use serde::{Deserialize, Serialize};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
 
 /// Configuration of a [`BetaTrust`] model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BetaConfig {
     /// Prior pseudo-count of honest observations (α₀ > 0).
     pub prior_honest: f64,
@@ -44,7 +43,6 @@ pub struct BetaConfig {
     /// evaluator has watched cheat in exchanges — the natural defense
     /// against Sybil clones and collusion rings that never file a
     /// gradeable lie about the evaluator's own partners.
-    #[serde(default)]
     pub scorer_weighted: bool,
 }
 
@@ -91,7 +89,7 @@ impl BetaConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Evidence {
     honest: f64,
     dishonest: f64,
@@ -137,7 +135,7 @@ impl Evidence {
 /// witness gets [`BetaConfig::witness_prior`], which differs from the
 /// posterior of empty evidence — the dense table must keep the two
 /// apart just like a `HashMap` miss did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct WitnessSlot {
     evidence: Evidence,
     graded: bool,
@@ -162,7 +160,7 @@ struct WitnessSlot {
 /// assert!((est.p_honest - 9.0 / 11.0).abs() < 1e-9);
 /// assert!(est.confidence > 0.5);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BetaTrust {
     config: BetaConfig,
     /// Dense per-subject evidence, indexed by [`PeerId::index`]; ids

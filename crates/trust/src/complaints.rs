@@ -24,7 +24,6 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use trustex_persist::codec::{ByteReader, ByteWriter};
@@ -32,7 +31,7 @@ use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
 
 /// Configuration of the complaint-based model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplaintConfig {
     /// A peer is assessed dishonest when its complaint product exceeds
     /// `outlier_factor` times the population median product.
@@ -45,7 +44,6 @@ pub struct ComplaintConfig {
     /// complaint product already marks them as outliers — serial
     /// slanderers, heavily-complained-about cheaters — lose most of
     /// their power to pile further complaints onto victims.
-    #[serde(default)]
     pub scorer_weighted: bool,
 }
 
@@ -60,7 +58,7 @@ impl Default for ComplaintConfig {
 }
 
 /// Binary assessment in the style of the CIKM 2001 decision rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assessment {
     /// No evidence of misbehaviour beyond the population baseline.
     Trustworthy,
@@ -75,7 +73,7 @@ impl Assessment {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Tally {
     received: f64,
     filed: f64,
@@ -163,7 +161,7 @@ impl MedianCache {
 /// assert!(model.predict(cheater).p_honest < 0.5);
 /// assert_eq!(model.assess(PeerId(1)), Assessment::Trustworthy);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ComplaintTrust {
     config: ComplaintConfig,
     /// Dense per-peer tallies, indexed by [`PeerId::index`].

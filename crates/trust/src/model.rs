@@ -7,15 +7,12 @@
 //! probabilities that a subject will behave honestly in the next
 //! interaction, with an attached confidence.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a peer (community member).
 ///
 /// A dense newtype over `u32`; the market simulation assigns them.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PeerId(pub u32);
 
 impl PeerId {
@@ -38,7 +35,7 @@ impl From<u32> for PeerId {
 }
 
 /// Observed conduct in one interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Conduct {
     /// The subject honoured the exchange.
     Honest,
@@ -71,7 +68,7 @@ impl Conduct {
 }
 
 /// A probabilistic trust estimate for one subject.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrustEstimate {
     /// Estimated probability the subject behaves honestly next time,
     /// in `[0, 1]`.
@@ -109,7 +106,7 @@ impl TrustEstimate {
 
 /// A second-hand report: `witness` claims that `subject` behaved
 /// `conduct`-ly in an interaction at `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WitnessReport {
     /// Who relays the observation.
     pub witness: PeerId,
