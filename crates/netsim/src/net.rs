@@ -365,12 +365,13 @@ mod tests {
         assert_eq!(net.config(), cfg);
     }
 
-    /// `Network::new` installs a transparent plane, so a link send must
-    /// follow the base model alone: replayed here independently as one
-    /// `drop_prob` chance, then (if it survives) one latency sample,
-    /// with the sent/dropped counters and sequence numbers to match.
+    /// With no plane given, `Network::new` installs a transparent one, so
+    /// a link send must follow the base model alone: replayed here
+    /// independently as one `drop_prob` chance, then (if it survives) one
+    /// latency sample, with the sent/dropped counters and sequence
+    /// numbers to match.
     #[test]
-    fn new_network_link_send_replays_base_model() {
+    fn send_link_without_plane_matches_send_exactly() {
         let cfg = NetConfig {
             latency: Latency::Uniform { lo: 100, hi: 900 },
             drop_prob: 0.2,
@@ -395,6 +396,31 @@ mod tests {
         assert_eq!(net.dropped("q"), dropped);
         assert_eq!(net.link_messages(), 500);
         assert_eq!(*net.fault_plane(), FaultPlane::transparent(0));
+    }
+
+    /// A transparent plane under any seed draws no RNG and changes no
+    /// fate: a link send through it must equal a `Network::new` send
+    /// draw for draw, with the same counters and RNG stream afterwards.
+    #[test]
+    fn zero_plane_send_link_matches_send_exactly() {
+        let cfg = NetConfig {
+            latency: Latency::Uniform { lo: 100, hi: 900 },
+            drop_prob: 0.1,
+        };
+        let mut plain = Network::new(cfg);
+        let mut chaos = Network::with_fault_plane(cfg, FaultPlane::transparent(7));
+        let mut rng_a = SimRng::new(9);
+        let mut rng_b = SimRng::new(9);
+        for i in 0..500u32 {
+            let da = plain.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_a);
+            let db = chaos.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_b);
+            assert_eq!(da, db, "message {i}");
+        }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
+        assert!(plain.dropped("q") > 0);
+        assert_eq!(plain.sent("q"), chaos.sent("q"));
+        assert_eq!(plain.dropped("q"), chaos.dropped("q"));
+        assert_eq!(plain.link_messages(), chaos.link_messages());
     }
 
     /// Satellite check: with a faulty plane installed, the per-kind
