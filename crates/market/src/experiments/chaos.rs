@@ -102,7 +102,7 @@ fn overlay_arm(base: &PGrid, fault: FaultConfig, retry: bool, queries: usize) ->
 
 /// The market half's shared configuration: a 30%-dishonest community
 /// whose accuracy depends on the witness channel the plane disrupts.
-fn market_cfg(scale: Scale, model: ModelKind, chaos: Option<ChaosConfig>) -> MarketConfig {
+fn market_cfg(scale: Scale, model: ModelKind, chaos: ChaosConfig) -> MarketConfig {
     MarketConfig {
         n_agents: scale.pick(40, 150),
         rounds: scale.pick(10, 40),
@@ -121,16 +121,15 @@ fn market_cfg(scale: Scale, model: ModelKind, chaos: Option<ChaosConfig>) -> Mar
 /// hardest fault regimes, each with defenses off and on. (`retry: true`
 /// arms the whole defense pair — bounded retransmission *and*
 /// quorum-gated degradation — mirroring the e14 acceptance contract.)
-fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, Option<ChaosConfig>)> {
-    let mut arms: Vec<(f64, &'static str, bool, Option<ChaosConfig>)> =
-        vec![(0.0, "none", false, None)];
+fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, ChaosConfig)> {
+    let mut arms = vec![(0.0, "none", false, ChaosConfig::default())];
     for (loss, kind) in [(0.05, "bisect"), (0.20, "islands")] {
         for defended in [false, true] {
             arms.push((
                 loss,
                 kind,
                 defended,
-                Some(ChaosConfig {
+                ChaosConfig {
                     fault: FaultConfig {
                         loss,
                         duplicate: 0.01,
@@ -139,7 +138,7 @@ fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, Option<ChaosCo
                     },
                     retry: defended,
                     degrade: defended,
-                }),
+                },
             ));
         }
     }
@@ -355,9 +354,10 @@ mod tests {
         );
     }
 
-    /// Retransmission + delivery dedup keep the delivery-rate column
-    /// sane: within [0, 1], and the defended arm delivers strictly more
-    /// witness reports than the undefended one under the same faults.
+    /// Retransmission and at-most-once delivery keep the delivery-rate
+    /// column sane: within [0, 1], and the defended arm delivers
+    /// strictly more witness reports than the undefended one under the
+    /// same faults.
     #[test]
     fn e14_defended_arms_deliver_more_witness_reports() {
         let t = e14_chaos(Scale::Smoke);

@@ -299,14 +299,17 @@ impl PendingIndex {
 
 /// The community of agents.
 ///
-/// Each agent's model sits behind an [`Arc`] so [`Community::snapshot`]
-/// is one pointer clone per agent; writes go through `Arc::make_mut`,
-/// which mutates in place while no snapshot is outstanding and
-/// copy-on-writes exactly the models a retained snapshot still shares.
+/// The community reads through the same [`CommunitySnapshot`] it hands
+/// out: each agent's model sits behind an [`Arc`] in it, so
+/// [`Community::snapshot`] is one pointer clone per agent. Writes go
+/// through `Arc::make_mut`, which mutates in place while no snapshot is
+/// outstanding and copy-on-writes exactly the models a retained
+/// snapshot still shares.
 #[derive(Debug)]
 pub struct Community {
     profiles: Vec<AgentProfile>,
-    models: Vec<Arc<AnyModel>>,
+    /// The live models, direct ledger and degraded flag.
+    view: CommunitySnapshot,
     /// Witness reports awaiting corroboration.
     pending: PendingIndex,
     /// Active community-level defenses.
@@ -317,14 +320,6 @@ pub struct Community {
     /// not per round of origin, so retransmissions of older reports
     /// share the current round's budget.
     witness_filed: Vec<u32>,
-    /// Per-(evaluator, subject) direct-experience ledger backing the
-    /// degraded-mode fallback; only allocated for chaos runs.
-    direct: Option<Arc<DirectLedger>>,
-    /// When set, predictions use direct evidence only — the graceful
-    /// degradation the market engages while the witness quorum is
-    /// unreachable, instead of trusting estimates that silently read
-    /// lost gossip as absence of complaints.
-    degraded: bool,
 }
 
 /// Dense per-(evaluator, subject) counts of direct experiences —
@@ -392,7 +387,13 @@ fn degraded_estimate(
 #[derive(Debug, Clone)]
 pub struct CommunitySnapshot {
     models: Vec<Arc<AnyModel>>,
+    /// Per-(evaluator, subject) direct-experience ledger backing the
+    /// degraded-mode fallback; only allocated for chaos runs.
     direct: Option<Arc<DirectLedger>>,
+    /// When set, predictions use direct evidence only — the graceful
+    /// degradation the market engages while the witness quorum is
+    /// unreachable, instead of trusting estimates that silently read
+    /// lost gossip as absence of complaints.
     degraded: bool,
 }
 
@@ -444,12 +445,14 @@ impl Community {
             .collect();
         Community {
             profiles,
-            models,
+            view: CommunitySnapshot {
+                models,
+                direct: None,
+                degraded: false,
+            },
             pending: PendingIndex::new(n),
             defense,
             witness_filed: vec![0; n],
-            direct: None,
-            degraded: false,
         }
     }
 
@@ -460,8 +463,8 @@ impl Community {
     /// model cannot separate direct evidence degrade all the way to
     /// [`TrustEstimate::UNKNOWN`].
     pub fn enable_direct_ledger(&mut self) {
-        if self.direct.is_none() {
-            self.direct = Some(Arc::new(DirectLedger::new(self.len())));
+        if self.view.direct.is_none() {
+            self.view.direct = Some(Arc::new(DirectLedger::new(self.len())));
         }
     }
 
@@ -473,12 +476,12 @@ impl Community {
     /// undelivered complaints as evidence of good behaviour, evaluators
     /// stop consuming the witness channel until it heals.
     pub fn set_degraded(&mut self, on: bool) {
-        self.degraded = on;
+        self.view.degraded = on;
     }
 
     /// Whether degraded (direct-only) prediction is active.
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.view.degraded
     }
 
     /// Takes an immutable snapshot of every agent's model: one `Arc`
@@ -486,11 +489,7 @@ impl Community {
     /// writes copy-on-write only the models the snapshot still shares —
     /// and none at all once the snapshot is dropped.
     pub fn snapshot(&self) -> CommunitySnapshot {
-        CommunitySnapshot {
-            models: self.models.clone(),
-            direct: self.direct.clone(),
-            degraded: self.degraded,
-        }
+        self.view.clone()
     }
 
     /// Number of agents.
@@ -514,21 +513,13 @@ impl Community {
 
     /// Read access to an agent's trust model.
     pub fn model(&self, agent: PeerId) -> &AnyModel {
-        &self.models[agent.index()]
+        &self.view.models[agent.index()]
     }
 
     /// `evaluator`'s trust estimate of `subject`; direct evidence only
     /// while degraded mode is active (see [`Community::set_degraded`]).
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
-        if self.degraded {
-            return degraded_estimate(
-                &self.models[evaluator.index()],
-                self.direct.as_deref(),
-                evaluator,
-                subject,
-            );
-        }
-        self.models[evaluator.index()].predict(subject)
+        self.view.predict(evaluator, subject)
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
@@ -540,13 +531,7 @@ impl Community {
     ///
     /// Panics if `evaluator` is out of range.
     pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        if self.degraded {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict(evaluator, PeerId(i as u32));
-            }
-            return;
-        }
-        self.models[evaluator.index()].predict_row_into(out);
+        self.view.predict_row_into(evaluator, out);
     }
 
     /// Ground truth cooperation probability of an agent.
@@ -572,10 +557,10 @@ impl Community {
         conduct: Conduct,
         round: u64,
     ) {
-        if let Some(ledger) = &mut self.direct {
+        if let Some(ledger) = &mut self.view.direct {
             Arc::make_mut(ledger).observe(evaluator, subject, conduct);
         }
-        let model = Arc::make_mut(&mut self.models[evaluator.index()]);
+        let model = Arc::make_mut(&mut self.view.models[evaluator.index()]);
         model.record_direct(subject, conduct, round);
         if let Some(reports) = self.pending.take(evaluator, subject) {
             for &(witness, claimed) in &reports {
@@ -605,7 +590,7 @@ impl Community {
             }
             *filed += 1;
         }
-        Arc::make_mut(&mut self.models[target.index()]).record_witness(report);
+        Arc::make_mut(&mut self.view.models[target.index()]).record_witness(report);
         self.pending
             .push(target, report.subject, report.witness, report.conduct);
         true
@@ -617,7 +602,7 @@ impl Community {
     /// untouched — the operator behind the identity keeps what it knows
     /// about the rest of the community.
     pub fn whitewash(&mut self, agent: PeerId) {
-        for (i, model) in self.models.iter_mut().enumerate() {
+        for (i, model) in self.view.models.iter_mut().enumerate() {
             if i != agent.index() {
                 Arc::make_mut(model).forget_peer(agent);
             }

@@ -30,7 +30,6 @@ use crate::metrics::{accuracy_metrics, cooperation_truth, trust_mae_with_truth_t
 use crate::population::{Community, CommunitySnapshot, DefenseConfig, ModelKind};
 use crate::strategy::{plan, Strategy};
 use crate::workload::Workload;
-use std::collections::HashSet;
 use trustex_agents::adversary::Faction;
 use trustex_agents::profile::PopulationMix;
 use trustex_agents::reporting::Campaign;
@@ -72,8 +71,10 @@ const RETX_QUEUE_CAP: usize = 65_536;
 
 /// Chaos knobs for a market run: witness gossip is delivered through a
 /// seeded fault plane, with optional bounded retransmission of lost
-/// reports and optional quorum-gated graceful degradation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// reports and optional quorum-gated graceful degradation. The default
+/// is a zero-fault plane with both defenses off, which delivers every
+/// report exactly once.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChaosConfig {
     /// The fault plane's knobs (loss, duplication, delay, partitions);
     /// the plane itself is seeded from the market seed. Gossip reads
@@ -117,10 +118,9 @@ pub struct MarketConfig {
     pub defense: DefenseConfig,
     /// Record O(n²) trust metrics every round (else only at the end).
     pub track_trust_per_round: bool,
-    /// Message-level chaos: deliver witness gossip through a fault
-    /// plane. `None` (the default) bypasses the plane entirely and is
-    /// bit-identical to the pre-chaos delivery path.
-    pub chaos: Option<ChaosConfig>,
+    /// Message-level chaos: the fault plane witness gossip crosses.
+    /// The default plane is transparent: every report arrives once.
+    pub chaos: ChaosConfig,
     /// Worker threads for the sharded session executor (0 = auto via
     /// [`trustex_netsim::pool::default_threads`]). Any value yields the
     /// same report; only wall-clock time changes.
@@ -142,7 +142,7 @@ impl Default for MarketConfig {
             seed: 42,
             defense: DefenseConfig::default(),
             track_trust_per_round: false,
-            chaos: None,
+            chaos: ChaosConfig::default(),
             threads: 0,
         }
     }
@@ -341,8 +341,8 @@ fn pick_other(pool: &[PeerId], exclude: PeerId, rng: &mut SimRng) -> Option<Peer
 /// One lost witness report awaiting retransmission.
 #[derive(Debug, Clone, Copy)]
 struct RetxEntry {
-    /// The original emission's sequence number — the dedup key, so a
-    /// retransmission can never double-deliver.
+    /// The original emission's sequence number, which keys the
+    /// backoff jitter of every retransmission.
     emission: u64,
     target: PeerId,
     report: WitnessReport,
@@ -363,14 +363,10 @@ pub struct MarketSim {
     /// Ground-truth cooperation probabilities, fixed at construction and
     /// reused by every per-round MAE evaluation.
     truth: Vec<f64>,
-    /// The witness-gossip fault plane, when chaos is configured.
-    plane: Option<FaultPlane>,
-    /// Monotone per-emission sequence; keys every fault decision and,
-    /// paired with the issuer, the `(issuer, seq)` delivery dedup.
+    /// The witness-gossip fault plane (transparent without chaos).
+    plane: FaultPlane,
+    /// Monotone per-wire-attempt sequence keying every fault decision.
     gossip_seq: u64,
-    /// Emissions whose report already reached its target — duplicates
-    /// and late retransmissions of these are suppressed.
-    seen: HashSet<(u32, u64)>,
     /// Bounded retransmission queue for lost/blocked reports, drained
     /// on the virtual clock at each round boundary.
     retx: EventQueue<RetxEntry>,
@@ -403,13 +399,11 @@ impl MarketSim {
         // The plane seed derives from the run seed through a fixed salt
         // (a pure hash, no draw), so chaos runs replay bit-for-bit and
         // chaos-free runs consume an unchanged RNG stream.
-        let plane = cfg.chaos.map(|chaos| {
-            FaultPlane::new(
-                trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
-                chaos.fault,
-            )
-        });
-        if cfg.chaos.is_some_and(|c| c.degrade) {
+        let plane = FaultPlane::new(
+            trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
+            cfg.chaos.fault,
+        );
+        if cfg.chaos.degrade {
             community.enable_direct_ledger();
         }
         let coordination = Coordination::scan(&community);
@@ -424,7 +418,6 @@ impl MarketSim {
             truth,
             plane,
             gossip_seq: 0,
-            seen: HashSet::new(),
             retx: EventQueue::new(),
             retx_overflow: 0,
             witness_attempted: 0,
@@ -747,7 +740,7 @@ impl MarketSim {
         // Graceful degradation: when this round's witness gossip fell
         // below the delivery quorum, the *next* round's predictions use
         // direct evidence only — silence must not read as absence.
-        if self.cfg.chaos.is_some_and(|c| c.degrade) {
+        if self.cfg.chaos.degrade {
             let degraded = self.round_attempted > 0
                 && (self.round_delivered as f64) < WITNESS_QUORUM * self.round_attempted as f64;
             self.community.set_degraded(degraded);
@@ -876,32 +869,23 @@ impl MarketSim {
         targets
     }
 
-    /// Sends one witness-report emission over the (possibly faulty)
-    /// wire. Without a chaos plane this is a plain delivery — the exact
-    /// pre-chaos path, no extra RNG draws, no sequence numbers burned.
+    /// Sends one witness-report emission over the fault plane, which is
+    /// transparent (every emission arrives) when no chaos is configured.
+    ///
+    /// Each emission reaches its target at most once by construction:
+    /// wire duplicates of a `Deliver` fate collapse into one delivery,
+    /// a lost or blocked emission sits in the retransmission queue at
+    /// most once, and a delivered retransmission is never re-queued.
     fn transmit_report(&mut self, target: PeerId, report: WitnessReport) {
         self.witness_attempted += 1;
         self.round_attempted += 1;
-        let Some(plane) = self.plane else {
-            if self.community.deliver_witness_report(target, report) {
-                self.witness_delivered += 1;
-                self.round_delivered += 1;
-            }
-            return;
-        };
         let emission = self.gossip_seq;
         self.gossip_seq += 1;
         let at = Self::round_time(report.round);
-        match plane.decide(report.witness.0, target.0, emission, at) {
-            FaultFate::Deliver { duplicates, .. } => {
-                // Every wire copy arrives; the (issuer, seq) dedup
-                // admits only the first into the target's model.
-                for _ in 0..=duplicates {
-                    self.deliver_once(emission, target, report);
-                }
-            }
+        match self.plane.decide(report.witness.0, target.0, emission, at) {
+            FaultFate::Deliver { .. } => self.deliver(target, report),
             FaultFate::Lost | FaultFate::Blocked => {
-                if self.cfg.chaos.is_some_and(|c| c.retry) {
+                if self.cfg.chaos.retry {
                     self.schedule_retx(
                         RetxEntry {
                             emission,
@@ -916,13 +900,8 @@ impl MarketSim {
         }
     }
 
-    /// Delivers one wire copy, deduplicated on `(issuer, emission)` so
-    /// plane duplicates and late retransmissions never double-count a
-    /// report's feedback effects.
-    fn deliver_once(&mut self, emission: u64, target: PeerId, report: WitnessReport) {
-        if !self.seen.insert((report.witness.0, emission)) {
-            return;
-        }
+    /// Hands one arrived report to its target's model.
+    fn deliver(&mut self, target: PeerId, report: WitnessReport) {
         if self.community.deliver_witness_report(target, report) {
             self.witness_delivered += 1;
             self.round_delivered += 1;
@@ -945,16 +924,16 @@ impl MarketSim {
     /// gets a fresh wire attempt through the plane, re-queueing on
     /// failure until the policy's attempt budget runs out.
     fn pump_retx(&mut self, round: u64) {
-        let Some(plane) = self.plane else { return };
         let now = Self::round_time(round);
         while self.retx.peek_time().is_some_and(|t| t <= now) {
             let (due, mut entry) = self.retx.pop().expect("peeked entry");
             let wire_seq = self.gossip_seq;
             self.gossip_seq += 1;
-            match plane.decide(entry.report.witness.0, entry.target.0, wire_seq, due) {
-                FaultFate::Deliver { .. } => {
-                    self.deliver_once(entry.emission, entry.target, entry.report);
-                }
+            match self
+                .plane
+                .decide(entry.report.witness.0, entry.target.0, wire_seq, due)
+            {
+                FaultFate::Deliver { .. } => self.deliver(entry.target, entry.report),
                 FaultFate::Lost | FaultFate::Blocked => {
                     entry.attempts += 1;
                     if RETX_POLICY.allows(entry.attempts) {
@@ -1376,19 +1355,20 @@ mod tests {
         assert_eq!(zoo, baseline);
     }
 
-    /// A zero-fault chaos plane must be a perfect no-op: the report —
-    /// counters, welfare, accuracy, every per-round row — is bit-equal
-    /// to the plane-absent run, with retry and degradation both armed.
+    /// Arming the defenses on a zero-fault plane must be a perfect
+    /// no-op: the report — counters, welfare, accuracy, every per-round
+    /// row — is bit-equal to the default (clean) run, with either
+    /// defense or both armed.
     #[test]
     fn zero_fault_plane_is_bit_identical_to_no_plane() {
         let clean = MarketSim::new(smoke_cfg(Strategy::TrustAware)).run();
-        for (retry, degrade) in [(false, false), (true, true)] {
+        for (retry, degrade) in [(true, false), (false, true), (true, true)] {
             let chaotic = MarketSim::new(MarketConfig {
-                chaos: Some(ChaosConfig {
+                chaos: ChaosConfig {
                     fault: FaultConfig::default(),
                     retry,
                     degrade,
-                }),
+                },
                 ..smoke_cfg(Strategy::TrustAware)
             })
             .run();
@@ -1401,29 +1381,28 @@ mod tests {
 
     /// A report blocked by a live partition is retransmitted on the
     /// backoff schedule and lands exactly once after the heal — never
-    /// zero times (the retry straddles the heal) and never twice (the
-    /// emission dedup suppresses late copies).
+    /// zero times (the retry straddles the heal) and never twice (a
+    /// delivered retransmission is not re-queued).
     #[test]
     fn retransmission_straddles_a_partition_heal_and_delivers_once() {
         let heal_at = SimTime::from_millis(5);
         let cfg = MarketConfig {
             n_agents: 8,
-            chaos: Some(ChaosConfig {
+            chaos: ChaosConfig {
                 fault: FaultConfig {
                     partition: trustex_netsim::fault::PartitionSpec::Bisect { heal_at },
                     ..FaultConfig::default()
                 },
                 retry: true,
                 degrade: false,
-            }),
+            },
             ..MarketConfig::default()
         };
         let mut sim = MarketSim::new(cfg);
-        let plane = sim.plane.expect("chaos configured");
         // Find a cross-partition pair: blocked now, open after the heal.
         let (witness, target) = (0..8u32)
             .flat_map(|a| (0..8u32).map(move |b| (a, b)))
-            .find(|&(a, b)| a != b && plane.blocked(a, b, SimTime::ZERO))
+            .find(|&(a, b)| a != b && sim.plane.blocked(a, b, SimTime::ZERO))
             .expect("a bisection always splits 8 peers");
         let report = WitnessReport {
             witness: PeerId(witness),
@@ -1447,20 +1426,19 @@ mod tests {
         assert_eq!(sim.community.pending_report_count(), 1);
     }
 
-    /// Wire duplication delivers extra copies of the same emission; the
-    /// `(issuer, emission)` dedup admits exactly one into the model.
+    /// Wire duplication puts extra copies of an emission on the wire;
+    /// they collapse at the fate, so exactly one reaches the model.
     #[test]
     fn duplicated_wire_copies_are_suppressed_by_dedup() {
         let cfg = MarketConfig {
             n_agents: 6,
-            chaos: Some(ChaosConfig {
+            chaos: ChaosConfig {
                 fault: FaultConfig {
                     duplicate: 1.0,
                     ..FaultConfig::default()
                 },
-                retry: false,
-                degrade: false,
-            }),
+                ..ChaosConfig::default()
+            },
             ..MarketConfig::default()
         };
         let mut sim = MarketSim::new(cfg);

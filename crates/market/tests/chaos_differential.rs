@@ -6,7 +6,8 @@
 //!    a perfect no-op: every experiment table the plane can touch (e6's
 //!    P-Grid overlay, e8's marketplace, e11's adversary frontier)
 //!    replays bit-for-bit against the seed's committed behaviour, and a
-//!    zero-plane market run equals the plane-absent run field-for-field.
+//!    zero-plane market run with the defenses armed equals the default
+//!    clean run field-for-field.
 //! 2. **Faulty determinism** — a *faulty* plane is still a pure function
 //!    of `(seed, src, dst, seq)`: chaos runs and the e14 table are
 //!    bit-identical for threads ∈ {1, 2, 8}.
@@ -62,16 +63,16 @@ fn base_cfg(model: ModelKind, seed: u64) -> MarketConfig {
     }
 }
 
-/// A zero-fault plane (with retry and degradation armed in every
-/// combination) produces a bit-identical `MarketReport` to the
-/// plane-absent run, for all four trust models.
+/// A zero-fault plane with retry and degradation armed in every
+/// combination produces a bit-identical `MarketReport` to the default
+/// clean run, for all four trust models.
 #[test]
 fn zero_plane_market_runs_equal_plane_absent_runs() {
     for model in ModelKind::ALL {
         let clean = MarketSim::new(base_cfg(model, 0xD1FF)).run();
-        for (retry, degrade) in [(false, false), (true, false), (false, true), (true, true)] {
+        for (retry, degrade) in [(true, false), (false, true), (true, true)] {
             let chaotic = MarketSim::new(MarketConfig {
-                chaos: Some(zero_chaos(retry, degrade)),
+                chaos: zero_chaos(retry, degrade),
                 ..base_cfg(model, 0xD1FF)
             })
             .run();
@@ -117,7 +118,7 @@ fn faulty_market_runs_identical_across_thread_counts() {
     for model in ModelKind::ALL {
         let make = |threads: usize| {
             MarketSim::new(MarketConfig {
-                chaos: Some(faulty_chaos()),
+                chaos: faulty_chaos(),
                 threads,
                 ..base_cfg(model, 0xC405)
             })

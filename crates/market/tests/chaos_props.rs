@@ -2,11 +2,12 @@
 //!
 //! The load-bearing invariant: **no fault mechanism may double-count a
 //! report's feedback effects**. Wire duplication and bounded
-//! retransmission both produce extra copies of an emission on the wire;
-//! the `(issuer, seq)` dedup must make every extra copy invisible to
-//! the trust models — so a run with duplication is *bit-identical* to
-//! the same run without it, and a zero-fault plane is bit-identical to
-//! no plane at all, across arbitrary small configurations.
+//! retransmission both produce extra copies of an emission on the wire,
+//! yet each emission reaches a model at most once by construction — so
+//! a run with duplication is *bit-identical* to the same run without
+//! it, and arming the defenses on a zero-fault plane is bit-identical to
+//! the default clean run, across arbitrary small configurations. The
+//! per-reporter rate cap holds under every fault mix as well.
 
 use proptest::prelude::any;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -32,9 +33,9 @@ proptest! {
 
     /// Wire duplication (any probability, with loss, a partition and
     /// retransmission active at the same time) never changes the
-    /// report: every duplicate copy of an emission is suppressed by the
-    /// `(issuer, seq)` dedup before it can touch a model, and deciding
-    /// a duplicate consumes no RNG.
+    /// report: the duplicate copies of an emission collapse at its fate
+    /// before they can touch a model, and deciding a fate consumes no
+    /// RNG.
     #[test]
     fn duplication_never_duplicates_feedback_effects(
         n_agents in 3usize..30,
@@ -59,12 +60,12 @@ proptest! {
             degrade: retry,
         };
         let with_dups = MarketSim::new(MarketConfig {
-            chaos: Some(chaos(duplicate)),
+            chaos: chaos(duplicate),
             ..base(n_agents, rounds, sessions, seed, dishonest)
         })
         .run();
         let without = MarketSim::new(MarketConfig {
-            chaos: Some(chaos(0.0)),
+            chaos: chaos(0.0),
             ..base(n_agents, rounds, sessions, seed, dishonest)
         })
         .run();
@@ -72,8 +73,8 @@ proptest! {
     }
 
     /// A zero-fault plane is a perfect no-op for arbitrary small
-    /// configurations and any defense combination: the chaos run's
-    /// report equals the plane-absent run bit-for-bit.
+    /// configurations and any defense combination: the run with the
+    /// defenses armed equals the default clean run bit-for-bit.
     #[test]
     fn zero_fault_plane_equals_no_plane(
         n_agents in 3usize..30,
@@ -86,11 +87,11 @@ proptest! {
     ) {
         let clean = MarketSim::new(base(n_agents, rounds, sessions, seed, dishonest)).run();
         let chaotic = MarketSim::new(MarketConfig {
-            chaos: Some(ChaosConfig {
+            chaos: ChaosConfig {
                 fault: FaultConfig::default(),
                 retry,
                 degrade,
-            }),
+            },
             ..base(n_agents, rounds, sessions, seed, dishonest)
         })
         .run();
@@ -98,11 +99,11 @@ proptest! {
     }
 
     /// Retransmissions never double-count: `witness_delivered` counts
-    /// *unique logical emissions* accepted by a model (the `(issuer,
-    /// seq)` dedup admits each emission at most once), so under any mix
-    /// of loss, duplication, partitions and aggressive retransmission
-    /// the delivered count can never exceed the attempted count — a
-    /// double-delivered retry or duplicate would push it past. (Runs
+    /// *unique logical emissions* accepted by a model (each emission
+    /// arrives at most once), so under any mix of loss, duplication,
+    /// partitions and aggressive retransmission the delivered count can
+    /// never exceed the attempted count — a double-delivered retry or
+    /// duplicate would push it past. (Runs
     /// with retry on and off are *not* compared: delivered reports feed
     /// back into trust state and legitimately change trade volume.)
     #[test]
@@ -115,7 +116,7 @@ proptest! {
         retry in any::<bool>(),
     ) {
         let report = MarketSim::new(MarketConfig {
-            chaos: Some(ChaosConfig {
+            chaos: ChaosConfig {
                 fault: FaultConfig {
                     loss,
                     duplicate: 0.1,
@@ -127,12 +128,59 @@ proptest! {
                 },
                 retry,
                 degrade: false,
-            }),
+            },
             ..base(n_agents, rounds, sessions, seed, 0.3)
         })
         .run();
         prop_assert!(report.witness_delivered <= report.witness_attempted);
         let rate = report.witness_delivery_rate();
         prop_assert!((0.0..=1.0).contains(&rate));
+    }
+
+    /// The report rate cap holds under chaos: each reporter gets at most
+    /// `cap` deliveries per delivery round, retransmissions included, so
+    /// no mix of loss, duplication, partition and retry can push the
+    /// delivered count past `rounds · n_agents · cap` — a bound of zero,
+    /// so nothing at all is admitted, when the cap is zero.
+    #[test]
+    fn rate_cap_bounds_deliveries_under_chaos(
+        n_agents in 3usize..30,
+        rounds in 1u64..6,
+        sessions in 1usize..40,
+        seed in 0u64..1_000_000,
+        cap in 0u32..4,
+        loss in 0.0f64..0.3,
+        duplicate in 0.0f64..1.0,
+        partitioned in any::<bool>(),
+        retry in any::<bool>(),
+    ) {
+        let heal_at = SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros());
+        let report = MarketSim::new(MarketConfig {
+            defense: DefenseConfig {
+                report_rate_cap: Some(cap),
+                ..DefenseConfig::default()
+            },
+            chaos: ChaosConfig {
+                fault: FaultConfig {
+                    loss,
+                    duplicate,
+                    extra_delay_max_us: 0,
+                    partition: if partitioned {
+                        PartitionSpec::Bisect { heal_at }
+                    } else {
+                        PartitionSpec::None
+                    },
+                },
+                retry,
+                degrade: false,
+            },
+            ..base(n_agents, rounds, sessions, seed, 0.3)
+        })
+        .run();
+        let bound = rounds * n_agents as u64 * u64::from(cap);
+        prop_assert!(
+            report.witness_delivered <= bound,
+            "delivered {} > bound {}", report.witness_delivered, bound
+        );
     }
 }

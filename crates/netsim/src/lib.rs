@@ -18,8 +18,8 @@
 //!   lifecycle rejoin scheduler and fault-plane retries.
 //! * [`churn`] — node availability timelines (alternating exponential
 //!   up/down periods), used for the churn experiments.
-//! * [`stats`] — small online statistics helpers (Welford mean/variance,
-//!   quantile samples, counters) shared by the experiment harness.
+//! * [`stats`] — small statistics helpers (quantile samples, fixed-width
+//!   histograms) shared by the experiment harness.
 //! * [`crc`] — CRC-32C checksums backing the durable-evidence codec in
 //!   `trustex-persist` (snapshot sections, evidence-log frames).
 //!
@@ -69,5 +69,5 @@ pub use fault::{FaultConfig, FaultFate, FaultPlane, PartitionSpec};
 pub use net::{Latency, NetConfig, Network, NodeId};
 pub use pool::{parallel_map, resolve_threads, set_default_threads};
 pub use rng::SimRng;
-pub use stats::{Counters, Histogram, OnlineStats, Sample};
+pub use stats::{Histogram, Sample};
 pub use time::SimTime;

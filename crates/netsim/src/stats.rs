@@ -1,139 +1,7 @@
 //! Small statistics helpers used throughout the experiment harness.
 //!
-//! * [`OnlineStats`] — streaming mean/variance/min/max (Welford).
 //! * [`Sample`] — stored samples with exact quantiles.
 //! * [`Histogram`] — fixed-width bucket counts for report rendering.
-//! * [`Counters`] — named event counters.
-
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// Streaming mean and variance via Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use trustex_netsim::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance with Bessel's correction (0 when fewer than 2 obs).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl fmt::Display for OnlineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            if self.count == 0 { 0.0 } else { self.min },
-            if self.count == 0 { 0.0 } else { self.max },
-        )
-    }
-}
 
 /// A stored sample supporting exact quantiles.
 ///
@@ -296,104 +164,9 @@ impl Histogram {
     }
 }
 
-/// Named monotonic counters, ordered by name for stable reporting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Counters {
-    map: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_owned()).or_insert(0) += n;
-    }
-
-    /// Increments the named counter by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of the named counter (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_known_values() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.population_variance() - 1.25).abs() < 1e-12);
-        assert!((s.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let empty = OnlineStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-    }
 
     #[test]
     fn sample_quantiles() {
@@ -462,38 +235,5 @@ mod tests {
         let h = Histogram::new(0.0, 4.0, 4);
         let lows: Vec<f64> = h.iter().map(|(lo, _)| lo).collect();
         assert_eq!(lows, vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn counters_basic() {
-        let mut c = Counters::new();
-        c.incr("a");
-        c.add("a", 2);
-        c.incr("b");
-        assert_eq!(c.get("a"), 3);
-        assert_eq!(c.get("b"), 1);
-        assert_eq!(c.get("missing"), 0);
-        let items: Vec<_> = c.iter().collect();
-        assert_eq!(items, vec![("a", 3), ("b", 1)]);
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        let mut b = Counters::new();
-        b.add("x", 2);
-        b.add("y", 5);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 5);
-    }
-
-    #[test]
-    fn online_stats_display() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        let txt = format!("{s}");
-        assert!(txt.contains("n=1"), "{txt}");
     }
 }

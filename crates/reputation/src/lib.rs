@@ -15,7 +15,7 @@
 //!   bounded admission rate, stale-peer eviction.
 //! * [`resolve`] — majority/median resolution against lying replicas.
 //! * [`system`] — the facade the market simulation uses
-//!   ([`system::ReputationSystem`]), plus the centralized baseline.
+//!   ([`system::ReputationSystem`]).
 //!
 //! ```
 //! use trustex_reputation::prelude::*;
@@ -42,5 +42,5 @@ pub mod prelude {
     pub use crate::pgrid::{InsertReceipt, PGrid, PGridConfig, QueryResult};
     pub use crate::record::{key_for_peer, BitPath, Complaint, Key};
     pub use crate::resolve::{majority_vote, median_count, StorageBehavior};
-    pub use crate::system::{CentralStore, ReputationConfig, ReputationSystem, TallyReport};
+    pub use crate::system::{ReputationConfig, ReputationSystem, TallyReport};
 }
