@@ -3,17 +3,30 @@
 //! # Batched evaluation
 //!
 //! All three accuracy metrics walk every ordered (evaluator, subject)
-//! pair. The batched engine here asks each evaluator's model for its
-//! whole prediction row at once
+//! pair, and all of them run through one private row kernel. It fans
+//! chunks of consecutive evaluators across
+//! [`parallel_map`][trustex_netsim::pool::parallel_map]; each chunk
+//! asks every evaluator's model for its whole prediction row at once
 //! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
-//! — a single dense-table sweep that hoists the per-call work, notably
-//! the complaint model's population median, out of the loop), fans the
-//! evaluator rows across
-//! [`parallel_map`][trustex_netsim::pool::parallel_map], and folds the
-//! per-evaluator partials **in evaluator order**. The float
-//! accumulation replays the exact association of the retained naive
-//! pair walks ([`naive`]), so every metric is bit-identical to the
-//! unbatched sequential code for any thread count.
+//! — a single dense-table sweep that hoists per-call work, notably the
+//! complaint model's population median, out of the loop) and makes one
+//! sweep over the row in subject order:
+//!
+//! - `|p − truth|` goes into the chunk's error buffer, in pair order;
+//! - the thresholded prediction is tallied against a class mask built
+//!   once per call;
+//! - an order-preserving integer key of `p` goes into the honest or the
+//!   dishonest key buffer.
+//!
+//! Sorting both key buffers and merging them once counts the row's
+//! Mann–Whitney wins and ties. Every buffer is reused across the
+//! chunk's rows, so the kernel allocates nothing per row.
+//!
+//! The chunks come back in evaluator order. MAE folds their error
+//! buffers with one running accumulator, replaying the float
+//! association of the naive pair walk exactly; rank and decision
+//! accuracy fold exact integer tallies. Every metric is therefore
+//! bit-identical to the unbatched sequential walk for any thread count.
 
 use crate::population::Community;
 use trustex_netsim::pool::{parallel_map, resolve_threads};
@@ -23,7 +36,7 @@ use trustex_trust::model::{PeerId, TrustEstimate};
 ///
 /// The truth vector is static over a simulation run, so per-round metric
 /// tracking computes it once and reuses the buffer via
-/// [`trust_mae_with_truth`] instead of re-deriving it every round.
+/// [`accuracy_metrics`] instead of re-deriving it every round.
 pub fn cooperation_truth(community: &Community) -> Vec<f64> {
     community
         .agent_ids()
@@ -43,151 +56,96 @@ pub struct AccuracyMetrics {
     pub decision_accuracy: f64,
 }
 
-/// Runs `f` over every evaluator's full prediction row, fanning chunks
-/// of consecutive evaluators across the worker pool (`threads` as in
-/// [`resolve_threads`]), and returns the per-evaluator outputs in
-/// evaluator order. Each worker reuses one row buffer across its
-/// evaluators; `predict_row_into` overwrites every slot.
-fn map_evaluator_rows<T, F>(community: &Community, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(PeerId, &[TrustEstimate]) -> T + Sync,
-{
-    let n = community.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = resolve_threads(threads);
-    // ~4 chunks per worker so uneven row costs balance without paying
-    // queue traffic per row.
-    let chunk_len = n.div_ceil(workers.max(1) * 4).max(1);
-    let chunks: Vec<(u32, u32)> = (0..n as u32)
-        .step_by(chunk_len)
-        .map(|start| (start, ((start as usize + chunk_len).min(n)) as u32))
-        .collect();
-    parallel_map(workers, chunks, |_, (start, end)| {
-        let mut row = vec![TrustEstimate::UNKNOWN; n];
-        (start..end)
-            .map(|e| {
-                let evaluator = PeerId(e);
-                community.predict_row_into(evaluator, &mut row);
-                f(evaluator, &row)
-            })
-            .collect::<Vec<T>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+/// One chunk of evaluator rows, reduced.
+struct ChunkTally {
+    /// `|p − truth|` for every pair of the chunk, in pair order.
+    abs_err: Vec<f64>,
+    /// Mann–Whitney U in half-units (a win is 2, a tie 1).
+    rank_half_units: u64,
+    /// (honest, dishonest) subject pairs ranked.
+    rank_pairs: u64,
+    /// Pairs classified correctly by thresholding at 0.5.
+    correct: u64,
 }
 
-/// `|estimate − truth|` for every subject other than the evaluator, in
-/// subject order — the per-evaluator slice of the MAE pair walk.
-fn abs_errors(evaluator: PeerId, row: &[TrustEstimate], truth: &[f64]) -> Vec<f64> {
-    row.iter()
-        .enumerate()
-        .filter(|(subject, _)| *subject != evaluator.index())
-        .map(|(subject, est)| (est.p_honest - truth[subject]).abs())
-        .collect()
+/// A `u64` whose unsigned order is [`f64::total_cmp`]'s order: the
+/// same bit flip `total_cmp` applies, then the sign bit flipped so the
+/// signed order becomes the unsigned one.
+fn total_order_key(p: f64) -> u64 {
+    let bits = p.to_bits() as i64;
+    let signed = bits ^ (((bits >> 63) as u64 >> 1) as i64);
+    (signed as u64) ^ (1 << 63)
 }
 
-/// One evaluator's Mann–Whitney U tally over its prediction row:
-/// `(half_units, pairs)` in exact half-unit integers (associative, so
-/// the parallel fold is bit-identical to the sequential accumulation).
-fn rank_partial(
-    evaluator: PeerId,
-    row: &[TrustEstimate],
-    honest: &[PeerId],
-    dishonest: &[PeerId],
-) -> (u64, u64) {
-    let mut honest_scores: Vec<f64> = honest
-        .iter()
-        .filter(|&&h| h != evaluator)
-        .map(|&h| row[h.index()].p_honest)
-        .collect();
-    if honest_scores.is_empty() {
-        return (0, 0);
-    }
-    honest_scores.sort_unstable_by(f64::total_cmp);
-    let mut half_units: u64 = 0;
-    let mut pairs: u64 = 0;
+/// Mann–Whitney U of one row in half-units: for every dishonest key,
+/// 2 per honest key above it and 1 per honest key equal to it. Both
+/// slices must be sorted ascending.
+fn mann_whitney_half_units(honest: &[u64], dishonest: &[u64]) -> u64 {
+    let (mut below, mut below_or_tied) = (0, 0);
+    let mut total = 0;
     for &d in dishonest {
-        if d == evaluator {
-            continue;
+        while below < honest.len() && honest[below] < d {
+            below += 1;
         }
-        let pd = row[d.index()].p_honest;
-        let below = honest_scores.partition_point(|&ph| ph.total_cmp(&pd).is_lt());
-        let below_or_tied = honest_scores.partition_point(|&ph| ph.total_cmp(&pd).is_le());
-        let wins = (honest_scores.len() - below_or_tied) as u64;
-        let ties = (below_or_tied - below) as u64;
-        half_units += 2 * wins + ties;
-        pairs += honest_scores.len() as u64;
-    }
-    (half_units, pairs)
-}
-
-/// One evaluator's `(correct, pairs)` classification tally.
-fn decision_partial(community: &Community, evaluator: PeerId, row: &[TrustEstimate]) -> (u64, u64) {
-    let mut correct: u64 = 0;
-    let mut pairs: u64 = 0;
-    for subject in community.agent_ids() {
-        if subject == evaluator {
-            continue;
+        below_or_tied = below_or_tied.max(below);
+        while below_or_tied < honest.len() && honest[below_or_tied] == d {
+            below_or_tied += 1;
         }
-        let predicted_honest = row[subject.index()].p_honest >= 0.5;
-        if predicted_honest == community.is_honest(subject) {
-            correct += 1;
+        total += 2 * (honest.len() - below_or_tied) as u64 + (below_or_tied - below) as u64;
+    }
+    total
+}
+
+/// The row kernel behind every accuracy metric (see the module docs):
+/// reduces the evaluator rows `start..end` with one row buffer and two
+/// key buffers reused across rows, and one pre-sized error buffer.
+fn chunk_tally(
+    community: &Community,
+    truth: &[f64],
+    honest: &[bool],
+    (start, end): (usize, usize),
+) -> ChunkTally {
+    let n = community.len();
+    let mut row = vec![TrustEstimate::UNKNOWN; n];
+    let mut honest_keys = Vec::with_capacity(n);
+    let mut dishonest_keys = Vec::with_capacity(n);
+    let mut tally = ChunkTally {
+        abs_err: Vec::with_capacity((end - start) * n.saturating_sub(1)),
+        rank_half_units: 0,
+        rank_pairs: 0,
+        correct: 0,
+    };
+    for evaluator in start..end {
+        community.predict_row_into(PeerId(evaluator as u32), &mut row);
+        honest_keys.clear();
+        dishonest_keys.clear();
+        for (subject, ((est, &t), &is_honest)) in row.iter().zip(truth).zip(honest).enumerate() {
+            if subject == evaluator {
+                continue;
+            }
+            let p = est.p_honest;
+            tally.abs_err.push((p - t).abs());
+            tally.correct += u64::from((p >= 0.5) == is_honest);
+            let keys = if is_honest {
+                &mut honest_keys
+            } else {
+                &mut dishonest_keys
+            };
+            keys.push(total_order_key(p));
         }
-        pairs += 1;
-    }
-    (correct, pairs)
-}
-
-/// Ground-truth class split, in id order.
-fn truth_classes(community: &Community) -> (Vec<PeerId>, Vec<PeerId>) {
-    community.agent_ids().partition(|&a| community.is_honest(a))
-}
-
-/// Sequential pair-order MAE fold: one running accumulator over the
-/// per-evaluator error slices reproduces the naive walk's float
-/// association exactly.
-fn fold_mae<'a>(rows: impl Iterator<Item = &'a Vec<f64>>) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for row in rows {
-        for err in row {
-            total += err;
-            count += 1;
+        if !honest_keys.is_empty() && !dishonest_keys.is_empty() {
+            honest_keys.sort_unstable();
+            dishonest_keys.sort_unstable();
+            tally.rank_half_units += mann_whitney_half_units(&honest_keys, &dishonest_keys);
+            tally.rank_pairs += (honest_keys.len() * dishonest_keys.len()) as u64;
         }
     }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
-fn fold_rank(partials: impl Iterator<Item = (u64, u64)>) -> f64 {
-    let (half_units, pairs) = partials.fold((0u64, 0u64), |(h, p), (dh, dp)| (h + dh, p + dp));
-    if pairs == 0 {
-        0.5
-    } else {
-        half_units as f64 / (2 * pairs) as f64
-    }
-}
-
-fn fold_decision(partials: impl Iterator<Item = (u64, u64)>) -> f64 {
-    let (correct, pairs) = partials.fold((0u64, 0u64), |(c, p), (dc, dp)| (c + dc, p + dp));
-    if pairs == 0 {
-        1.0
-    } else {
-        correct as f64 / pairs as f64
-    }
+    tally
 }
 
 /// Computes MAE, ranking accuracy and decision accuracy from **one**
 /// batch of evaluator prediction rows — each (evaluator, subject) pair
-/// is predicted exactly once, where calling the three standalone
-/// metrics predicts it up to three times.
+/// is predicted exactly once.
 ///
 /// `threads` resolves as in
 /// [`resolve_threads`][trustex_netsim::pool::resolve_threads] (0 = the
@@ -198,30 +156,49 @@ fn fold_decision(partials: impl Iterator<Item = (u64, u64)>) -> f64 {
 /// Panics if `truth.len()` differs from the community size.
 pub fn accuracy_metrics(community: &Community, truth: &[f64], threads: usize) -> AccuracyMetrics {
     assert_eq!(truth.len(), community.len(), "truth buffer size mismatch");
-    let (honest, dishonest) = truth_classes(community);
-    let ranked = !honest.is_empty() && !dishonest.is_empty();
-    struct Partial {
-        abs_err: Vec<f64>,
-        rank: (u64, u64),
-        decision: (u64, u64),
-    }
-    let partials = map_evaluator_rows(community, threads, |evaluator, row| Partial {
-        abs_err: abs_errors(evaluator, row, truth),
-        rank: if ranked {
-            rank_partial(evaluator, row, &honest, &dishonest)
-        } else {
-            (0, 0)
-        },
-        decision: decision_partial(community, evaluator, row),
+    let n = community.len();
+    let honest: Vec<bool> = community
+        .agent_ids()
+        .map(|a| community.is_honest(a))
+        .collect();
+    let workers = resolve_threads(threads);
+    // ~4 chunks per worker so uneven row costs balance without paying
+    // queue traffic per row.
+    let chunk_len = n.div_ceil(workers.max(1) * 4).max(1);
+    let chunks: Vec<(usize, usize)> = (0..n)
+        .step_by(chunk_len)
+        .map(|start| (start, (start + chunk_len).min(n)))
+        .collect();
+    let tallies = parallel_map(workers, chunks, |_, rows| {
+        chunk_tally(community, truth, &honest, rows)
     });
+    let mut total = 0.0;
+    let (mut half_units, mut rank_pairs, mut correct) = (0u64, 0u64, 0u64);
+    for tally in &tallies {
+        for err in &tally.abs_err {
+            total += err;
+        }
+        half_units += tally.rank_half_units;
+        rank_pairs += tally.rank_pairs;
+        correct += tally.correct;
+    }
+    let pairs = (n * n.saturating_sub(1)) as u64;
     AccuracyMetrics {
-        mae: fold_mae(partials.iter().map(|p| &p.abs_err)),
-        rank_accuracy: if ranked {
-            fold_rank(partials.iter().map(|p| p.rank))
+        mae: if pairs == 0 {
+            0.0
         } else {
-            0.5
+            total / pairs as f64
         },
-        decision_accuracy: fold_decision(partials.iter().map(|p| p.decision)),
+        rank_accuracy: if rank_pairs == 0 {
+            0.5
+        } else {
+            half_units as f64 / (2 * rank_pairs) as f64
+        },
+        decision_accuracy: if pairs == 0 {
+            1.0
+        } else {
+            correct as f64 / pairs as f64
+        },
     }
 }
 
@@ -231,66 +208,33 @@ pub fn trust_mae(community: &Community) -> f64 {
     trust_mae_with_truth(community, &cooperation_truth(community))
 }
 
-/// [`trust_mae`] against a precomputed [`cooperation_truth`] buffer —
-/// the batched variant the per-round tracking hot path uses.
+/// [`trust_mae`] against a precomputed [`cooperation_truth`] buffer.
 ///
 /// # Panics
 ///
 /// Panics if `truth.len()` differs from the community size.
 pub fn trust_mae_with_truth(community: &Community, truth: &[f64]) -> f64 {
-    trust_mae_with_truth_threads(community, truth, 0)
-}
-
-/// [`trust_mae_with_truth`] with an explicit worker-thread count
-/// (0 = process default; the value never changes the result).
-pub(crate) fn trust_mae_with_truth_threads(
-    community: &Community,
-    truth: &[f64],
-    threads: usize,
-) -> f64 {
-    assert_eq!(truth.len(), community.len(), "truth buffer size mismatch");
-    let rows = map_evaluator_rows(community, threads, |evaluator, row| {
-        abs_errors(evaluator, row, truth)
-    });
-    fold_mae(rows.iter())
+    accuracy_metrics(community, truth, 0).mae
 }
 
 /// Probability that a uniformly chosen (honest, dishonest) subject pair
 /// is ranked correctly by a uniformly chosen evaluator (ties count ½) —
 /// an AUC analogue. Returns 0.5 when either class is empty.
 pub fn rank_accuracy(community: &Community) -> f64 {
-    rank_accuracy_threads(community, 0)
-}
-
-pub(crate) fn rank_accuracy_threads(community: &Community, threads: usize) -> f64 {
-    let (honest, dishonest) = truth_classes(community);
-    if honest.is_empty() || dishonest.is_empty() {
-        return 0.5;
-    }
-    let partials = map_evaluator_rows(community, threads, |evaluator, row| {
-        rank_partial(evaluator, row, &honest, &dishonest)
-    });
-    fold_rank(partials.into_iter())
+    accuracy_metrics(community, &cooperation_truth(community), 0).rank_accuracy
 }
 
 /// Fraction of evaluator→subject pairs classified correctly by
 /// thresholding `p_honest` at 0.5 against the binary ground truth.
 pub fn decision_accuracy(community: &Community) -> f64 {
-    decision_accuracy_threads(community, 0)
+    accuracy_metrics(community, &cooperation_truth(community), 0).decision_accuracy
 }
 
-pub(crate) fn decision_accuracy_threads(community: &Community, threads: usize) -> f64 {
-    let partials = map_evaluator_rows(community, threads, |evaluator, row| {
-        decision_partial(community, evaluator, row)
-    });
-    fold_decision(partials.into_iter())
-}
-
-/// The unbatched per-pair metric walks the engine replaced, retained
-/// verbatim as differential-test oracles: the batched parallel versions
-/// must agree **bit-for-bit** for any community and thread count.
-#[doc(hidden)]
-pub mod naive {
+/// The unbatched per-pair metric walks the row kernel replaced, kept
+/// as differential-test oracles: the batched parallel versions must
+/// agree **bit-for-bit** for any community and thread count.
+#[cfg(test)]
+mod naive {
     use super::*;
 
     /// Pair-by-pair MAE with a single running accumulator.
@@ -503,62 +447,103 @@ mod tests {
 
     /// Batched metrics must agree bit-for-bit with the retained naive
     /// walks (and rank with the O(n³) pair walk) on cold, partially
-    /// educated and fully educated communities, for every model kind
-    /// and several thread counts.
+    /// educated, noisily educated, fully educated, whitewashed and
+    /// degraded communities, for every model kind, for sizes that cut
+    /// the evaluator chunks unevenly, and for several thread counts.
     #[test]
     fn batched_metrics_match_naive_reference() {
         for kind in ModelKind::ALL {
-            for dishonest_frac in [0.3, 0.5, 0.7] {
-                let mut c = community_with(dishonest_frac, kind, 12);
-                let stages: [&dyn Fn(&mut Community); 3] = [
-                    &|_| {},
-                    &|c| {
-                        // Partial education: some evaluators learn,
-                        // leaving a mix of informative and cold rows.
-                        let ids: Vec<PeerId> = c.agent_ids().collect();
-                        for &e in ids.iter().take(4) {
-                            for &s in &ids {
-                                if e != s {
-                                    let conduct = Conduct::from_honest(c.is_honest(s));
-                                    c.record_direct(e, s, conduct, 0);
+            for n in [2, 3, 12, 37, 130] {
+                for dishonest_frac in [0.3, 0.5, 0.7] {
+                    let mut c = community_with(dishonest_frac, kind, n);
+                    c.enable_direct_ledger();
+                    let stages: [&dyn Fn(&mut Community); 6] = [
+                        &|_| {},
+                        &|c| {
+                            // Partial education: some evaluators learn,
+                            // leaving a mix of informative and cold rows.
+                            let ids: Vec<PeerId> = c.agent_ids().collect();
+                            for &e in ids.iter().take(4) {
+                                for &s in &ids {
+                                    if e != s {
+                                        let conduct = Conduct::from_honest(c.is_honest(s));
+                                        c.record_direct(e, s, conduct, 0);
+                                    }
                                 }
                             }
+                        },
+                        &|c| {
+                            // Noisy education: uneven evidence volumes
+                            // and some flipped outcomes, so the classes'
+                            // scores overlap with wins, ties and losses.
+                            let ids: Vec<PeerId> = c.agent_ids().collect();
+                            for &e in &ids {
+                                for &s in &ids {
+                                    if e == s {
+                                        continue;
+                                    }
+                                    let flip = (e.0 + s.0) % 4 == 0;
+                                    let conduct = Conduct::from_honest(c.is_honest(s) != flip);
+                                    for r in 0..=u64::from((e.0 * 7 + s.0 * 3) % 5) {
+                                        c.record_direct(e, s, conduct, r);
+                                    }
+                                }
+                            }
+                        },
+                        &|c| educate(c, 7),
+                        &|c| c.whitewash(PeerId(1)),
+                        &|c| c.set_degraded(true),
+                    ];
+                    for stage in stages {
+                        stage(&mut c);
+                        let truth = cooperation_truth(&c);
+                        let expected_mae = naive::trust_mae_with_truth(&c, &truth);
+                        let expected_rank = naive::rank_accuracy(&c);
+                        let expected_decision = naive::decision_accuracy(&c);
+                        let at = format!("{kind:?} n={n} frac={dishonest_frac}");
+                        if n <= 37 {
+                            assert_eq!(expected_rank, rank_accuracy_pair_walk(&c), "{at}");
                         }
-                    },
-                    &|c| educate(c, 7),
-                ];
-                for stage in stages {
-                    stage(&mut c);
-                    let truth = cooperation_truth(&c);
-                    let expected_mae = naive::trust_mae_with_truth(&c, &truth);
-                    let expected_rank = naive::rank_accuracy(&c);
-                    let expected_decision = naive::decision_accuracy(&c);
-                    assert_eq!(expected_rank, rank_accuracy_pair_walk(&c), "{kind:?}");
-                    for threads in [1usize, 2, 8] {
-                        let m = accuracy_metrics(&c, &truth, threads);
-                        assert_eq!(m.mae, expected_mae, "{kind:?} t={threads}");
-                        assert_eq!(m.rank_accuracy, expected_rank, "{kind:?} t={threads}");
-                        assert_eq!(
-                            m.decision_accuracy, expected_decision,
-                            "{kind:?} t={threads}"
-                        );
-                        assert_eq!(
-                            trust_mae_with_truth_threads(&c, &truth, threads),
-                            expected_mae,
-                            "{kind:?} t={threads}"
-                        );
-                        assert_eq!(
-                            rank_accuracy_threads(&c, threads),
-                            expected_rank,
-                            "{kind:?} t={threads}"
-                        );
-                        assert_eq!(
-                            decision_accuracy_threads(&c, threads),
-                            expected_decision,
-                            "{kind:?} t={threads}"
-                        );
+                        assert_eq!(trust_mae_with_truth(&c, &truth), expected_mae, "{at}");
+                        assert_eq!(rank_accuracy(&c), expected_rank, "{at}");
+                        assert_eq!(decision_accuracy(&c), expected_decision, "{at}");
+                        for threads in [1usize, 2, 3, 8] {
+                            let m = accuracy_metrics(&c, &truth, threads);
+                            assert_eq!(m.mae, expected_mae, "{at} t={threads}");
+                            assert_eq!(m.rank_accuracy, expected_rank, "{at} t={threads}");
+                            assert_eq!(m.decision_accuracy, expected_decision, "{at} t={threads}");
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_key_sorts_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.25,
+            0.5,
+            0.5000000000000001,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
             }
         }
     }

@@ -26,7 +26,7 @@
 //! [`MarketReport`]: `threads ∈ {1, 2, 8}` produce identical output for
 //! the same seed (enforced by the cross-thread determinism tests).
 
-use crate::metrics::{accuracy_metrics, cooperation_truth, trust_mae_with_truth_threads};
+use crate::metrics::{accuracy_metrics, cooperation_truth};
 use crate::population::{Community, CommunitySnapshot, DefenseConfig, ModelKind};
 use crate::strategy::{plan, Strategy};
 use crate::workload::Workload;
@@ -202,6 +202,11 @@ pub struct MarketReport {
     /// Witness-report emissions that reached the target's model (first
     /// copy only; rate-capped and faulted deliveries excluded).
     pub witness_delivered: u64,
+    /// Lost reports whose retransmission was dropped because the
+    /// retransmission queue was full.
+    pub retx_queue_full: u64,
+    /// Lost reports abandoned after the retry policy's last attempt.
+    pub retx_exhausted: u64,
 }
 
 impl MarketReport {
@@ -371,7 +376,11 @@ pub struct MarketSim {
     /// on the virtual clock at each round boundary.
     retx: EventQueue<RetxEntry>,
     /// Retransmissions dropped because the queue was full.
-    retx_overflow: u64,
+    retx_queue_full: u64,
+    /// Lost reports given up after the policy's last attempt.
+    retx_exhausted: u64,
+    /// Reused per-call buffer of [`MarketSim::gossip`]'s targets.
+    gossip_targets: Vec<PeerId>,
     witness_attempted: u64,
     witness_delivered: u64,
     /// Current-round emission/delivery counts driving the quorum gate.
@@ -419,7 +428,9 @@ impl MarketSim {
             plane,
             gossip_seq: 0,
             retx: EventQueue::new(),
-            retx_overflow: 0,
+            retx_queue_full: 0,
+            retx_exhausted: 0,
+            gossip_targets: Vec::new(),
             witness_attempted: 0,
             witness_delivered: 0,
             round_attempted: 0,
@@ -451,6 +462,8 @@ impl MarketSim {
             final_decision_accuracy: 0.0,
             witness_attempted: 0,
             witness_delivered: 0,
+            retx_queue_full: 0,
+            retx_exhausted: 0,
         };
         for round in 0..self.cfg.rounds {
             let stats = self.run_round(round, threads);
@@ -474,6 +487,8 @@ impl MarketSim {
         report.final_decision_accuracy = accuracy.decision_accuracy;
         report.witness_attempted = self.witness_attempted;
         report.witness_delivered = self.witness_delivered;
+        report.retx_queue_full = self.retx_queue_full;
+        report.retx_exhausted = self.retx_exhausted;
         report.per_round = per_round;
         report
     }
@@ -748,11 +763,7 @@ impl MarketSim {
             self.round_delivered = 0;
         }
         if self.cfg.track_trust_per_round {
-            stats.trust_mae = Some(trust_mae_with_truth_threads(
-                &self.community,
-                &self.truth,
-                threads,
-            ));
+            stats.trust_mae = Some(accuracy_metrics(&self.community, &self.truth, threads).mae);
         }
         stats
     }
@@ -782,7 +793,8 @@ impl MarketSim {
 
     /// Delivers a witness report about `subject` to exactly
     /// `min(gossip_witnesses, n − 2)` *distinct* random agents, never the
-    /// witness or the subject themselves. Returns the delivery targets.
+    /// witness or the subject themselves. Returns the delivery targets,
+    /// drawn into a buffer the simulation reuses across calls.
     ///
     /// (A previous implementation drew targets with replacement and
     /// skipped collisions, silently under-delivering — increasingly often
@@ -794,34 +806,32 @@ impl MarketSim {
         conduct: Conduct,
         round: u64,
         rng: &mut SimRng,
-    ) -> Vec<PeerId> {
+    ) -> &[PeerId] {
         // The exclusion shift below assumes two distinct excluded ids;
         // with witness == subject it would skip an innocent agent.
         debug_assert_ne!(witness, subject, "gossip requires witness != subject");
         let n = self.community.len();
         let k = self.cfg.gossip_witnesses.min(n.saturating_sub(2));
         if k == 0 {
-            return Vec::new();
+            return &[];
         }
         // Sample from the n−2 eligible agents, then shift the raw draws
         // past the two excluded ids (in ascending order) to map them back
         // onto the full id range.
         let mut excluded = [witness.index(), subject.index()];
         excluded.sort_unstable();
-        let targets: Vec<PeerId> = rng
-            .sample_indices(n - 2, k)
-            .into_iter()
-            .map(|raw| {
-                let mut t = raw;
-                if t >= excluded[0] {
-                    t += 1;
-                }
-                if t >= excluded[1] {
-                    t += 1;
-                }
-                PeerId(t as u32)
-            })
-            .collect();
+        let mut targets = std::mem::take(&mut self.gossip_targets);
+        targets.clear();
+        rng.sample_indices_with(n - 2, k, |raw| {
+            let mut t = raw;
+            if t >= excluded[0] {
+                t += 1;
+            }
+            if t >= excluded[1] {
+                t += 1;
+            }
+            targets.push(PeerId(t as u32));
+        });
         for &target in &targets {
             self.transmit_report(
                 target,
@@ -866,7 +876,8 @@ impl MarketSim {
                 }
             }
         }
-        targets
+        self.gossip_targets = targets;
+        &self.gossip_targets
     }
 
     /// Sends one witness-report emission over the fault plane, which is
@@ -913,7 +924,7 @@ impl MarketSim {
     /// by the queue capacity.
     fn schedule_retx(&mut self, entry: RetxEntry, now: SimTime) {
         if self.retx.len() >= RETX_QUEUE_CAP {
-            self.retx_overflow += 1;
+            self.retx_queue_full += 1;
             return;
         }
         let wait = RETX_POLICY.timeout(entry.attempts, entry.emission);
@@ -939,7 +950,7 @@ impl MarketSim {
                     if RETX_POLICY.allows(entry.attempts) {
                         self.schedule_retx(entry, due);
                     } else {
-                        self.retx_overflow += 1;
+                        self.retx_exhausted += 1;
                     }
                 }
             }
@@ -1246,7 +1257,9 @@ mod tests {
         let mut rng = SimRng::new(5);
         let witness = PeerId(2);
         let subject = PeerId(5);
-        let targets = sim.gossip(witness, subject, Conduct::Dishonest, 0, &mut rng);
+        let targets = sim
+            .gossip(witness, subject, Conduct::Dishonest, 0, &mut rng)
+            .to_vec();
         assert_eq!(targets.len(), 3);
         // Echo clones are the first two cell members ≠ witness/subject:
         // PeerId(0) and PeerId(1). Each re-delivers to every target
@@ -1458,6 +1471,76 @@ mod tests {
             5,
             "duplicate wire copies must not double-deliver"
         );
+    }
+
+    /// A full retransmission queue drops the next entry and counts it
+    /// as a queue-full drop, not as an exhausted attempt budget.
+    #[test]
+    fn full_retx_queue_counts_queue_full_drops() {
+        let mut sim = MarketSim::new(MarketConfig {
+            n_agents: 4,
+            ..MarketConfig::default()
+        });
+        let entry = RetxEntry {
+            emission: 0,
+            target: PeerId(2),
+            report: WitnessReport {
+                witness: PeerId(0),
+                subject: PeerId(1),
+                conduct: Conduct::Honest,
+                round: 0,
+            },
+            attempts: 1,
+        };
+        for _ in 0..RETX_QUEUE_CAP {
+            sim.schedule_retx(entry, SimTime::ZERO);
+        }
+        assert_eq!(sim.retx.len(), RETX_QUEUE_CAP);
+        assert_eq!(sim.retx_queue_full, 0);
+        sim.schedule_retx(entry, SimTime::ZERO);
+        assert_eq!(sim.retx.len(), RETX_QUEUE_CAP);
+        assert_eq!((sim.retx_queue_full, sim.retx_exhausted), (1, 0));
+    }
+
+    /// Under total loss with retry, every emission burns its whole
+    /// attempt budget: each is counted once as exhausted, and none as a
+    /// queue-full drop — also in the report of a whole run.
+    #[test]
+    fn total_loss_with_retry_counts_exhausted_budgets() {
+        let cfg = MarketConfig {
+            n_agents: 12,
+            rounds: 40,
+            sessions_per_round: 12,
+            chaos: ChaosConfig {
+                fault: FaultConfig {
+                    loss: 1.0,
+                    ..FaultConfig::default()
+                },
+                retry: true,
+                degrade: false,
+            },
+            ..MarketConfig::default()
+        };
+        let mut sim = MarketSim::new(cfg.clone());
+        for round in 0..5 {
+            let report = WitnessReport {
+                witness: PeerId(0),
+                subject: PeerId(1),
+                conduct: Conduct::Honest,
+                round,
+            };
+            sim.transmit_report(PeerId(2), report);
+        }
+        sim.pump_retx(1_000);
+        assert_eq!(sim.retx.len(), 0, "every budget ran out");
+        assert_eq!((sim.retx_exhausted, sim.retx_queue_full), (5, 0));
+        assert_eq!(sim.witness_delivered, 0);
+
+        let report = MarketSim::new(cfg).run();
+        assert_eq!(report.witness_delivered, 0);
+        assert_eq!(report.retx_queue_full, 0);
+        assert!(report.retx_exhausted > 0, "no budget ran out in the run");
+        assert!(report.retx_exhausted <= report.witness_attempted);
     }
 
     /// The hand-built independent mix `zoo_mix(f, 0)` must degrade to:

@@ -227,37 +227,67 @@ impl SimRng {
 
     /// Samples `k` distinct indices from `[0, n)` (partial Fisher–Yates).
     ///
-    /// Returns fewer than `k` indices when `k > n`. Dense requests
-    /// (`k ≳ n/4`) materialise the `0..n` array and swap in place; sparse
-    /// requests (the common `k ≪ n` gossip/witness case at 10⁴–10⁵ peer
-    /// scale) simulate the same swaps through a hash map of displaced
-    /// positions in `O(k)` memory. Both paths consume the identical RNG
-    /// stream and return the identical sample.
+    /// Returns fewer than `k` indices when `k > n`. See
+    /// [`SimRng::sample_indices_with`] for the strategies; this collects
+    /// its output.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(k.min(n));
+        self.sample_indices_with(n, k, |i| out.push(i));
+        out
+    }
+
+    /// [`SimRng::sample_indices`] without the output `Vec`: calls `emit`
+    /// with each sampled index, in sample order.
+    ///
+    /// Dense requests (`k ≳ n/4`) materialise the `0..n` array and swap
+    /// in place. Sparse requests (the common `k ≪ n` gossip/witness case
+    /// at 10⁴–10⁵ peer scale) simulate the same swaps by remembering only
+    /// the displaced positions, in `O(k)` memory: a fixed stack array for
+    /// `k ≤ 16`, which allocates nothing, and a hash map above that. All
+    /// paths consume the identical RNG stream and yield the identical
+    /// sample.
+    pub fn sample_indices_with(&mut self, n: usize, k: usize, mut emit: impl FnMut(usize)) {
+        /// Largest `k` whose displaced positions live on the stack.
+        const STACK_K: usize = 16;
         let k = k.min(n);
         if k.saturating_mul(4) >= n {
             let mut idx: Vec<usize> = (0..n).collect();
             for i in 0..k {
                 let j = i + self.index(n - i);
                 idx.swap(i, j);
+                emit(idx[i]);
             }
-            idx.truncate(k);
-            idx
-        } else {
-            // Sparse: `displaced[p]` holds the value a full array would
-            // have at position `p` after the swaps so far. Positions
+        } else if k <= STACK_K {
+            // Sparse: a displaced position `p` holds the value a full
+            // array would have at `p` after the swaps so far. Positions
             // `< i` are never drawn again, so only displaced positions
-            // `>= i` ever need to be remembered.
+            // `>= i` ever need to be remembered. One `(position, value)`
+            // entry per swap; the newest entry for a position wins.
+            let mut displaced = [(0usize, 0usize); STACK_K];
+            let value_at = |swaps: &[(usize, usize)], p: usize| {
+                swaps
+                    .iter()
+                    .rev()
+                    .find(|&&(q, _)| q == p)
+                    .map_or(p, |&(_, v)| v)
+            };
+            for i in 0..k {
+                let j = i + self.index(n - i);
+                let value_at_j = value_at(&displaced[..i], j);
+                let value_at_i = value_at(&displaced[..i], i);
+                emit(value_at_j);
+                displaced[i] = (j, value_at_i);
+            }
+        } else {
+            // The same sparse swaps, remembered in a map.
             let mut displaced: HashMap<usize, usize> = HashMap::new();
-            let mut out = Vec::with_capacity(k);
             for i in 0..k {
                 let j = i + self.index(n - i);
                 let value_at_j = displaced.get(&j).copied().unwrap_or(j);
                 let value_at_i = displaced.get(&i).copied().unwrap_or(i);
-                out.push(value_at_j);
+                emit(value_at_j);
                 displaced.insert(j, value_at_i);
             }
-            out
         }
     }
 
@@ -472,13 +502,22 @@ mod tests {
             (50_000, 40),
             (17, 4),
             (64, 15),
+            // The stack/map boundary, each at the smallest sparse n.
+            (1000, 16),
+            (1000, 17),
+            (65, 16),
+            (69, 17),
         ] {
-            let mut fast = SimRng::new(0xC0FFEE + n as u64 + k as u64);
-            let mut slow = fast.clone();
-            let got = fast.sample_indices(n, k);
-            let expected = sample_indices_dense_reference(&mut slow, n, k);
-            assert_eq!(got, expected, "n={n} k={k}");
-            assert_eq!(fast, slow, "stream consumption differs for n={n} k={k}");
+            // Many seeds, so that draws repeatedly hit displaced
+            // positions, also ones displaced more than once.
+            for seed in 0..256 {
+                let mut fast = SimRng::new(0xC0FFEE + n as u64 + k as u64 + (seed << 32));
+                let mut slow = fast.clone();
+                let got = fast.sample_indices(n, k);
+                let expected = sample_indices_dense_reference(&mut slow, n, k);
+                assert_eq!(got, expected, "n={n} k={k} seed={seed}");
+                assert_eq!(fast, slow, "stream consumption differs for n={n} k={k}");
+            }
         }
     }
 
