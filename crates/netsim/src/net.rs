@@ -1,4 +1,5 @@
-//! Message-level network model: latency distributions, loss, accounting.
+//! Message-level network model: link latency, fault-plane fates and
+//! per-kind message accounting.
 //!
 //! The P-Grid reputation storage (crate `trustex-reputation`) routes
 //! queries through this model so that the experiment suite can report the
@@ -30,81 +31,41 @@ impl From<u32> for NodeId {
     }
 }
 
-/// One-way message latency model.
+/// One-way message latency: uniform in `[lo, hi)` microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Latency {
-    /// Every message takes exactly this long (microseconds).
-    Constant(u64),
-    /// Uniform in `[lo, hi)` microseconds.
-    Uniform {
-        /// Inclusive lower bound in microseconds.
-        lo: u64,
-        /// Exclusive upper bound in microseconds.
-        hi: u64,
-    },
-    /// Mostly `base`, but with probability `spike_prob` a spike of
-    /// `base * spike_factor` — a crude model of congested links.
-    Spiky {
-        /// Baseline latency in microseconds.
-        base: u64,
-        /// Probability of a spike, in `[0, 1]`.
-        spike_prob: f64,
-        /// Multiplier applied to `base` during a spike.
-        spike_factor: u64,
-    },
+pub struct Latency {
+    /// Inclusive lower bound in microseconds.
+    pub lo: u64,
+    /// Exclusive upper bound in microseconds.
+    pub hi: u64,
 }
 
 impl Default for Latency {
     /// A LAN-ish default: uniform 200µs–2ms.
     fn default() -> Self {
-        Latency::Uniform { lo: 200, hi: 2_000 }
+        Latency { lo: 200, hi: 2_000 }
     }
 }
 
 impl Latency {
-    /// Samples a one-way delay.
+    /// Samples a one-way delay; a degenerate band (`lo + 1 >= hi`)
+    /// returns `lo` without drawing.
     pub fn sample(&self, rng: &mut SimRng) -> SimTime {
-        let us = match *self {
-            Latency::Constant(us) => us,
-            Latency::Uniform { lo, hi } => {
-                if lo + 1 >= hi {
-                    lo
-                } else {
-                    rng.range_u64(lo, hi)
-                }
-            }
-            Latency::Spiky {
-                base,
-                spike_prob,
-                spike_factor,
-            } => {
-                if rng.chance(spike_prob) {
-                    base.saturating_mul(spike_factor)
-                } else {
-                    base
-                }
-            }
+        let us = if self.lo + 1 >= self.hi {
+            self.lo
+        } else {
+            rng.range_u64(self.lo, self.hi)
         };
         SimTime::from_micros(us)
     }
 }
 
-/// Static configuration of a [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Static configuration of a [`Network`]. Message loss is not configured
+/// here: it is the fault plane's ([`crate::fault::FaultConfig::loss`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetConfig {
-    /// One-way latency model.
+    /// One-way latency band.
     pub latency: Latency,
-    /// Independent probability that any message is silently dropped.
-    pub drop_prob: f64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            latency: Latency::default(),
-            drop_prob: 0.0,
-        }
-    }
 }
 
 /// Outcome of attempting to send one message.
@@ -132,7 +93,7 @@ pub enum Delivery {
 /// use trustex_netsim::time::SimTime;
 ///
 /// let mut rng = SimRng::new(1);
-/// let mut net = Network::new(NetConfig { latency: Latency::Constant(500), drop_prob: 0.0 });
+/// let mut net = Network::new(NetConfig { latency: Latency { lo: 500, hi: 500 } });
 /// match net.send_link("query", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng) {
 ///     Delivery::Delivered(d) => assert_eq!(d.as_micros(), 500),
 ///     Delivery::Dropped => unreachable!(),
@@ -152,7 +113,7 @@ pub struct Network {
 
 impl Network {
     /// Creates a network with the given configuration and a transparent
-    /// fault plane (only the base `drop_prob`/latency model applies).
+    /// fault plane (every message is delivered after its latency sample).
     pub fn new(cfg: NetConfig) -> Self {
         Network::with_fault_plane(cfg, FaultPlane::transparent(0))
     }
@@ -178,20 +139,14 @@ impl Network {
         self.next_seq
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> NetConfig {
-        self.cfg
-    }
-
     /// Attempts to send a message of `kind` on the link `src → dst` at
     /// virtual time `at`, returning its fate.
     ///
-    /// Every call counts as one sent message of `kind` and consumes one
-    /// monotone sequence number. The base model draws from `rng` first
-    /// (a `drop_prob` drop, then the latency sample); the fault plane's
-    /// pure `(seed, src, dst, seq)` decision is layered on top and draws
-    /// nothing, so a transparent plane leaves the base model's draws and
-    /// counters exactly as they are:
+    /// Every call counts as one sent message of `kind`, consumes one
+    /// monotone sequence number and draws one latency sample from `rng`.
+    /// The fault plane's pure `(seed, src, dst, seq)` decision is layered
+    /// on top and draws nothing, so a transparent plane delivers every
+    /// message after its latency sample:
     ///
     /// * `Lost`/`Blocked` count as a drop of `kind`;
     /// * injected duplicates count as extra sent messages of `kind`
@@ -208,10 +163,6 @@ impl Network {
         let seq = self.next_seq;
         self.next_seq += 1;
         *self.sent.entry(kind).or_insert(0) += 1;
-        if rng.chance(self.cfg.drop_prob) {
-            *self.dropped.entry(kind).or_insert(0) += 1;
-            return Delivery::Dropped;
-        }
         let base = self.cfg.latency.sample(rng);
         match self.plane.decide(src.0, dst.0, seq, at) {
             FaultFate::Lost | FaultFate::Blocked => {
@@ -249,20 +200,6 @@ impl Network {
     pub fn total_dropped(&self) -> u64 {
         self.dropped.values().sum()
     }
-
-    /// Iterates over `(kind, sent, dropped)` triples in kind order.
-    pub fn iter_kinds(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        self.sent.iter().map(move |(k, s)| {
-            let d = self.dropped.get(k).copied().unwrap_or(0);
-            (*k, *s, d)
-        })
-    }
-
-    /// Resets all counters (configuration is kept).
-    pub fn reset_counters(&mut self) {
-        self.sent.clear();
-        self.dropped.clear();
-    }
 }
 
 #[cfg(test)]
@@ -270,18 +207,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_latency() {
-        let mut rng = SimRng::new(1);
-        let lat = Latency::Constant(750);
-        for _ in 0..10 {
-            assert_eq!(lat.sample(&mut rng).as_micros(), 750);
-        }
-    }
-
-    #[test]
     fn uniform_latency_in_bounds() {
         let mut rng = SimRng::new(2);
-        let lat = Latency::Uniform { lo: 100, hi: 200 };
+        let lat = Latency { lo: 100, hi: 200 };
         for _ in 0..1000 {
             let d = lat.sample(&mut rng).as_micros();
             assert!((100..200).contains(&d), "{d}");
@@ -291,37 +219,22 @@ mod tests {
     #[test]
     fn uniform_degenerate_band() {
         let mut rng = SimRng::new(3);
-        let lat = Latency::Uniform { lo: 100, hi: 100 };
+        let lat = Latency { lo: 100, hi: 100 };
         assert_eq!(lat.sample(&mut rng).as_micros(), 100);
     }
 
     #[test]
-    fn spiky_latency_spikes() {
-        let mut rng = SimRng::new(4);
-        let lat = Latency::Spiky {
-            base: 100,
-            spike_prob: 0.5,
-            spike_factor: 10,
-        };
-        let mut base_seen = false;
-        let mut spike_seen = false;
-        for _ in 0..200 {
-            match lat.sample(&mut rng).as_micros() {
-                100 => base_seen = true,
-                1_000 => spike_seen = true,
-                other => panic!("unexpected latency {other}"),
-            }
-        }
-        assert!(base_seen && spike_seen);
-    }
-
-    #[test]
     fn send_counts_and_drops() {
+        use crate::fault::FaultConfig;
         let mut rng = SimRng::new(5);
-        let mut net = Network::new(NetConfig {
-            latency: Latency::Constant(10),
-            drop_prob: 0.5,
-        });
+        let plane = FaultPlane::new(
+            5,
+            FaultConfig {
+                loss: 0.5,
+                ..FaultConfig::default()
+            },
+        );
+        let mut net = Network::with_fault_plane(NetConfig::default(), plane);
         let mut delivered = 0;
         for _ in 0..1000 {
             if let Delivery::Delivered(_) =
@@ -347,53 +260,29 @@ mod tests {
         assert_eq!(net.sent("b"), 1);
         assert_eq!(net.sent("c"), 0);
         assert_eq!(net.total_sent(), 3);
-        let kinds: Vec<_> = net.iter_kinds().collect();
-        assert_eq!(kinds, vec![("a", 2, 0), ("b", 1, 0)]);
-    }
-
-    #[test]
-    fn reset_keeps_config() {
-        let mut rng = SimRng::new(7);
-        let cfg = NetConfig {
-            latency: Latency::Constant(1),
-            drop_prob: 0.25,
-        };
-        let mut net = Network::new(cfg);
-        net.send_link("x", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
-        net.reset_counters();
-        assert_eq!(net.total_sent(), 0);
-        assert_eq!(net.config(), cfg);
+        assert_eq!(net.total_dropped(), 0);
     }
 
     /// With no plane given, `Network::new` installs a transparent one, so
-    /// a link send must follow the base model alone: replayed here
-    /// independently as one `drop_prob` chance, then (if it survives) one
-    /// latency sample, with the sent/dropped counters and sequence
-    /// numbers to match.
+    /// a link send must follow the latency band alone: replayed here
+    /// independently as one latency sample per message, with the
+    /// sent/dropped counters and sequence numbers to match.
     #[test]
     fn send_link_without_plane_matches_send_exactly() {
         let cfg = NetConfig {
-            latency: Latency::Uniform { lo: 100, hi: 900 },
-            drop_prob: 0.2,
+            latency: Latency { lo: 100, hi: 900 },
         };
         let mut net = Network::new(cfg);
         let mut rng = SimRng::new(42);
         let mut replay = SimRng::new(42);
-        let mut dropped = 0u64;
         for i in 0..500u32 {
             let got = net.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng);
-            let want = if replay.chance(cfg.drop_prob) {
-                dropped += 1;
-                Delivery::Dropped
-            } else {
-                Delivery::Delivered(cfg.latency.sample(&mut replay))
-            };
+            let want = Delivery::Delivered(cfg.latency.sample(&mut replay));
             assert_eq!(got, want, "message {i}");
         }
         assert_eq!(rng.next_u64(), replay.next_u64(), "RNG streams diverged");
-        assert!(dropped > 0 && dropped < 500);
         assert_eq!(net.sent("q"), 500);
-        assert_eq!(net.dropped("q"), dropped);
+        assert_eq!(net.dropped("q"), 0);
         assert_eq!(net.link_messages(), 500);
         assert_eq!(*net.fault_plane(), FaultPlane::transparent(0));
     }
@@ -404,8 +293,7 @@ mod tests {
     #[test]
     fn zero_plane_send_link_matches_send_exactly() {
         let cfg = NetConfig {
-            latency: Latency::Uniform { lo: 100, hi: 900 },
-            drop_prob: 0.1,
+            latency: Latency { lo: 100, hi: 900 },
         };
         let mut plain = Network::new(cfg);
         let mut chaos = Network::with_fault_plane(cfg, FaultPlane::transparent(7));
@@ -417,7 +305,6 @@ mod tests {
             assert_eq!(da, db, "message {i}");
         }
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-        assert!(plain.dropped("q") > 0);
         assert_eq!(plain.sent("q"), chaos.sent("q"));
         assert_eq!(plain.dropped("q"), chaos.dropped("q"));
         assert_eq!(plain.link_messages(), chaos.link_messages());
@@ -440,8 +327,10 @@ mod tests {
             },
         );
         let cfg = NetConfig {
-            latency: Latency::Constant(1_000),
-            drop_prob: 0.0,
+            latency: Latency {
+                lo: 1_000,
+                hi: 1_000,
+            },
         };
         let mut net = Network::with_fault_plane(cfg, plane);
         let mut rng = SimRng::new(31);

@@ -140,16 +140,21 @@ impl PGridConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.key_bits >= 1 && self.key_bits <= 32);
-        assert!(self.max_depth >= 1 && self.max_depth <= self.key_bits);
-        assert!(
-            self.max_depth <= ARENA_DEPTH_LIMIT,
-            "max_depth {} exceeds the directory-arena limit {}",
-            self.max_depth,
-            ARENA_DEPTH_LIMIT
-        );
-        assert!(self.max_refs >= 1 && self.max_refs <= REFS_LIMIT);
+    /// The configuration's range rules; returns the first one violated.
+    fn validate(&self) -> Result<(), &'static str> {
+        if !(1..=32).contains(&self.key_bits) {
+            return Err("key_bits must lie in 1..=32");
+        }
+        if self.max_depth < 1 || self.max_depth > self.key_bits {
+            return Err("max_depth must lie in 1..=key_bits");
+        }
+        if self.max_depth > ARENA_DEPTH_LIMIT {
+            return Err("max_depth exceeds the directory-arena limit of 20");
+        }
+        if !(1..=REFS_LIMIT).contains(&self.max_refs) {
+            return Err("max_refs must lie in 1..=256");
+        }
+        Ok(())
     }
 }
 
@@ -170,6 +175,46 @@ impl RefEntry {
 /// retries on distinct links desynchronize deterministically.
 fn link_salt(from: usize, to: usize) -> u64 {
     ((from as u64) << 32) | (to as u64 & 0xFFFF_FFFF)
+}
+
+/// Sends one `kind` message from `from` at virtual time `at`, with
+/// bounded retry: attempt `k` (0-based) goes to `target(k)`. When an
+/// attempt is dropped and `retry` is set, the sender waits the policy's
+/// timeout (exponential backoff plus deterministic jitter) and tries
+/// again until the attempt budget runs out; with `retry == None` the
+/// first drop gives up. Returns the peer that received the message and
+/// the sender's total wait (accrued timeouts plus the delivery delay).
+fn send_with_retry(
+    kind: &'static str,
+    from: usize,
+    mut target: impl FnMut(usize) -> usize,
+    at: SimTime,
+    retry: Option<&RetryPolicy>,
+    net: &mut Network,
+    rng: &mut SimRng,
+) -> Option<(usize, SimTime)> {
+    let mut waited = SimTime::ZERO;
+    let mut attempts = 0u32;
+    loop {
+        let to = target(attempts as usize);
+        match net.send_link(
+            kind,
+            NodeId(from as u32),
+            NodeId(to as u32),
+            at + waited,
+            rng,
+        ) {
+            Delivery::Delivered(d) => return Some((to, waited + d)),
+            Delivery::Dropped => {
+                attempts += 1;
+                let policy = retry?;
+                if !policy.allows(attempts) {
+                    return None;
+                }
+                waited += policy.timeout(attempts, link_salt(from, to));
+            }
+        }
+    }
 }
 
 /// Receipt for an insert: how it travelled.
@@ -244,7 +289,9 @@ impl PGrid {
     /// Panics if `n == 0` or the configuration is invalid.
     pub fn build(n: usize, cfg: PGridConfig, rng: &mut SimRng) -> PGrid {
         assert!(n > 0, "need at least one peer");
-        cfg.validate();
+        if let Err(rule) = cfg.validate() {
+            panic!("invalid P-Grid configuration: {rule}");
+        }
         let d = cfg.max_depth as usize;
         let slots = 1usize << (cfg.max_depth + 1);
         let mut grid = PGrid {
@@ -631,22 +678,9 @@ impl PGrid {
     }
 
     /// [`PGrid::route`] with an explicit virtual start time and an
-    /// optional per-hop retry policy.
-    ///
-    /// `start` anchors every hop's send on the virtual clock (the
-    /// fault plane's partition episodes are time-gated); accumulated
-    /// latency advances it hop by hop. When a hop's message is dropped
-    /// and `retry` is set, the sender waits the policy's timeout
-    /// (exponential backoff + deterministic jitter, accrued into the
-    /// reported latency), fails over to the *next* live reference at
-    /// the same level (alternate-reference failover, wrapping round the
-    /// bucket), and tries again until the policy's attempt budget runs
-    /// out. Because the wait advances the virtual clock, retries can
-    /// straddle a partition's heal time and succeed where the first
-    /// attempt was blocked. With `retry == None` the first drop aborts
-    /// the route exactly as before.
+    /// optional per-hop retry policy; see [`PGrid::query_at`].
     #[allow(clippy::too_many_arguments)]
-    pub fn route_at(
+    fn route_at(
         &self,
         origin: usize,
         key: Key,
@@ -679,35 +713,19 @@ impl PGrid {
                 return None; // dead end: no live reference at this level
             }
             let pick = rng.index(live);
-            let mut attempts = 0u32;
-            let next = loop {
-                let candidate = bucket
+            // Each retry fails over to the next live reference at this
+            // level, wrapping round the bucket.
+            let failover = |attempt: usize| {
+                bucket
                     .iter()
                     .filter(|e| up(e.peer as usize))
-                    .nth((pick + attempts as usize) % live)
+                    .nth((pick + attempt) % live)
                     .expect("picked within the live count")
-                    .peer as usize;
-                match net.send_link(
-                    "route",
-                    NodeId(current as u32),
-                    NodeId(candidate as u32),
-                    start + latency,
-                    rng,
-                ) {
-                    Delivery::Delivered(d) => {
-                        latency += d;
-                        break candidate;
-                    }
-                    Delivery::Dropped => {
-                        attempts += 1;
-                        let policy = retry?;
-                        if !policy.allows(attempts) {
-                            return None;
-                        }
-                        latency += policy.timeout(attempts, link_salt(current, candidate));
-                    }
-                }
+                    .peer as usize
             };
+            let (next, waited) =
+                send_with_retry("route", current, failover, start + latency, retry, net, rng)?;
+            latency += waited;
             hops += 1;
             if hops > hop_limit {
                 return None; // defensive: reference-table inconsistency
@@ -728,43 +746,6 @@ impl PGrid {
         group
     }
 
-    /// One replica fan-out message with optional bounded retry; returns
-    /// the member's total wait (accrued timeouts + final delivery) or
-    /// `None` when the attempt budget is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn fanout_send(
-        &self,
-        kind: &'static str,
-        from: usize,
-        to: usize,
-        at: SimTime,
-        retry: Option<&RetryPolicy>,
-        net: &mut Network,
-        rng: &mut SimRng,
-    ) -> Option<SimTime> {
-        let mut waited = SimTime::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            match net.send_link(
-                kind,
-                NodeId(from as u32),
-                NodeId(to as u32),
-                at + waited,
-                rng,
-            ) {
-                Delivery::Delivered(d) => return Some(waited + d),
-                Delivery::Dropped => {
-                    attempts += 1;
-                    let policy = retry?;
-                    if !policy.allows(attempts) {
-                        return None;
-                    }
-                    waited += policy.timeout(attempts, link_salt(from, to));
-                }
-            }
-        }
-    }
-
     /// Inserts a complaint under `key`: routes to a responsible replica,
     /// then pushes the item to the live members of its replica group.
     pub fn insert(
@@ -780,7 +761,7 @@ impl PGrid {
     }
 
     /// [`PGrid::insert`] with a virtual start time and optional retry
-    /// (see [`PGrid::route_at`]); replica pushes retry independently,
+    /// (see [`PGrid::query_at`]); replica pushes retry independently,
     /// each on its own backoff schedule.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_at(
@@ -808,16 +789,10 @@ impl PGrid {
         let mut max_extra = SimTime::ZERO;
         for member in group {
             if member != landing {
-                match self.fanout_send(
-                    "replicate",
-                    landing,
-                    member,
-                    start + latency,
-                    retry,
-                    net,
-                    rng,
-                ) {
-                    Some(d) => max_extra = max_extra.max(d),
+                let push = |_| member;
+                match send_with_retry("replicate", landing, push, start + latency, retry, net, rng)
+                {
+                    Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
             }
@@ -843,8 +818,21 @@ impl PGrid {
         self.query_at(origin, key, alive, net, rng, SimTime::ZERO, None)
     }
 
-    /// [`PGrid::query`] with a virtual start time and optional retry
-    /// (see [`PGrid::route_at`]); replica probes retry independently,
+    /// [`PGrid::query`] with a virtual start time and an optional retry
+    /// policy.
+    ///
+    /// `start` anchors every send on the virtual clock (the fault
+    /// plane's partition episodes are time-gated); accumulated latency
+    /// advances it hop by hop. When a routing hop's message is dropped
+    /// and `retry` is set, the sender waits the policy's timeout
+    /// (exponential backoff + deterministic jitter, accrued into the
+    /// reported latency), fails over to the *next* live reference at
+    /// the same level (alternate-reference failover, wrapping round the
+    /// bucket), and tries again until the policy's attempt budget runs
+    /// out. Because the wait advances the virtual clock, retries can
+    /// straddle a partition's heal time and succeed where the first
+    /// attempt was blocked. With `retry == None` the first drop aborts
+    /// the route. Replica probes retry the same member independently,
     /// each on its own backoff schedule.
     #[allow(clippy::too_many_arguments)]
     pub fn query_at(
@@ -871,16 +859,17 @@ impl PGrid {
         let mut max_extra = SimTime::ZERO;
         for member in self.replica_group_for_key(key, alive) {
             if member != landing {
-                match self.fanout_send(
+                let probe = |_| member;
+                match send_with_retry(
                     "replica_query",
                     landing,
-                    member,
+                    probe,
                     start + latency,
                     retry,
                     net,
                     rng,
                 ) {
-                    Some(d) => max_extra = max_extra.max(d),
+                    Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
             }
@@ -910,7 +899,7 @@ impl PGrid {
     /// its path by one bit — splitting an equal-path partner, or
     /// specialising against a deeper one — until it reaches the
     /// configured depth or is alone in its subspace. Splits hand the
-    /// partner's store to the newcomer (the store union in [`meet`]), and
+    /// partner's store to the newcomer (the store union of a meeting), and
     /// a final handoff syncs from its new replica group — or from the
     /// deepest remaining owner of its subspace — so an admitted peer
     /// answers queries with the data its group already holds.
@@ -1239,143 +1228,117 @@ impl PGrid {
         full as f64 / self.live as f64
     }
 
-    /// Asserts every structural invariant of the flat arena: directory
-    /// membership and `dir_pos` sync, occupied-bucket and subtree
-    /// counts, reference-bucket bounds and the level/divergence contract
-    /// of every entry. Test-suite hook, not part of the public contract.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
+    /// Checks every structural invariant of the flat arena and returns
+    /// the first rule violated:
+    ///
+    /// * the configuration's ranges, and arena lengths that match the
+    ///   population and the configuration;
+    /// * the directory indexes every non-departed peer exactly once,
+    ///   under its own path's slot, at the position `dir_pos` records,
+    ///   and no departed or unknown peer;
+    /// * the live, occupied-bucket and subtree counts agree with the
+    ///   departure flags and the directory;
+    /// * no path is deeper than `max_depth`;
+    /// * reference buckets hold at most `max_refs` entries, are empty
+    ///   for departed peers and for levels at or below a peer's path
+    ///   length, and every entry targets another known peer that
+    ///   diverges from its holder at exactly the bucket's level.
+    ///
+    /// Snapshot restore runs it on every decoded grid and reports a
+    /// violation as [`PersistError::Invalid`], so a restored grid is
+    /// never a silently inconsistent arena.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        self.cfg.validate()?;
         let n = self.paths.len();
         let d = self.cfg.max_depth as usize;
-        let mut indexed = 0usize;
-        for (slot, bucket) in self.buckets.iter().enumerate() {
-            for (pos, &m) in bucket.iter().enumerate() {
-                let m = m as usize;
-                assert!(!self.departed[m], "departed peer {m} still indexed");
-                assert_eq!(self.paths[m].slot(), slot, "peer {m} in the wrong bucket");
-                assert_eq!(self.dir_pos[m] as usize, pos, "dir_pos out of sync for {m}");
-                indexed += 1;
-            }
+        let slots = 1usize << (self.cfg.max_depth + 1);
+        if self.departed.len() != n
+            || self.dir_pos.len() != n
+            || self.stores.len() != n
+            || self.ref_len.len() != n * d
+            || self.refs.len() != n * d * self.cfg.max_refs
+            || self.buckets.len() != slots
+            || self.subtree.len() != slots
+        {
+            return Err("arena lengths disagree with the population or configuration");
         }
-        assert_eq!(
-            indexed, self.live,
-            "directory must index every live peer once"
-        );
-        assert_eq!(
-            self.occupied,
-            self.buckets.iter().filter(|b| !b.is_empty()).count(),
-            "occupied-bucket count out of sync"
-        );
-        for slot in 1..self.buckets.len() {
-            let children = if (slot << 1) < self.buckets.len() {
-                self.subtree[slot << 1] + self.subtree[(slot << 1) | 1]
-            } else {
-                0
-            };
-            assert_eq!(
-                self.subtree[slot],
-                self.buckets[slot].len() as u32 + children,
-                "subtree count wrong at slot {slot}"
-            );
+        if self.departed.iter().filter(|&&gone| !gone).count() != self.live {
+            return Err("live count disagrees with the departure flags");
         }
-        for peer in 0..n {
-            let plen = self.paths[peer].len();
-            for level in 0..d {
-                let li = peer * d + level;
-                let len = self.ref_len[li] as usize;
-                assert!(len <= self.cfg.max_refs, "bucket over capacity");
-                if self.departed[peer] || level as u8 >= plen {
-                    assert_eq!(len, 0, "peer {peer} level {level} must be empty");
-                    continue;
-                }
-                for e in self.ref_bucket(peer, level) {
-                    let t = e.peer as usize;
-                    assert!(t < n && t != peer, "bad reference target");
-                    let tp = self.paths[t];
-                    assert!(
-                        tp.len() > level as u8 && self.paths[peer].common_prefix(tp) == level as u8,
-                        "peer {peer} level {level} reference {t} violates divergence"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Non-panicking mirror of [`PGrid::check_invariants`], run on every
-    /// restore: a snapshot that decodes structurally but describes an
-    /// inconsistent arena (crafted or miscomputed) must surface as
-    /// [`PersistError::Invalid`], never as a silently-wrong grid or a
-    /// later panic deep inside routing.
-    fn validate_restored(&self) -> Result<(), PersistError> {
-        fn invalid(context: &'static str) -> PersistError {
-            PersistError::Invalid { context }
-        }
-        let n = self.paths.len();
-        let d = self.cfg.max_depth as usize;
         let mut seen = vec![false; n];
         let mut indexed = 0usize;
         for (slot, bucket) in self.buckets.iter().enumerate() {
             for (pos, &m) in bucket.iter().enumerate() {
                 let m = m as usize;
                 if m >= n || self.departed[m] {
-                    return Err(invalid("directory indexes a departed or unknown peer"));
+                    return Err("directory indexes a departed or unknown peer");
                 }
                 if std::mem::replace(&mut seen[m], true) {
-                    return Err(invalid("directory indexes a peer twice"));
+                    return Err("directory indexes a peer twice");
                 }
                 if self.paths[m].slot() != slot {
-                    return Err(invalid("directory member filed under the wrong path"));
+                    return Err("directory member filed under the wrong path");
                 }
                 if self.dir_pos[m] as usize != pos {
-                    return Err(invalid("dir_pos out of sync with the directory"));
+                    return Err("dir_pos out of sync with the directory");
                 }
                 indexed += 1;
             }
         }
         if indexed != self.live {
-            return Err(invalid("directory does not index every live peer"));
+            return Err("directory does not index every live peer");
         }
         if self.occupied != self.buckets.iter().filter(|b| !b.is_empty()).count() {
-            return Err(invalid("occupied-bucket count out of sync"));
+            return Err("occupied-bucket count out of sync");
         }
-        for slot in 1..self.buckets.len() {
-            let children = if (slot << 1) < self.buckets.len() {
+        for slot in 1..slots {
+            let children = if (slot << 1) < slots {
                 self.subtree[slot << 1] + self.subtree[(slot << 1) | 1]
             } else {
                 0
             };
             if self.subtree[slot] != self.buckets[slot].len() as u32 + children {
-                return Err(invalid("subtree count out of sync"));
+                return Err("subtree count out of sync");
             }
         }
         for peer in 0..n {
             let plen = self.paths[peer].len();
             if plen > self.cfg.max_depth {
-                return Err(invalid("path deeper than max_depth"));
+                return Err("path deeper than max_depth");
             }
             for level in 0..d {
-                let li = peer * d + level;
-                let len = self.ref_len[li] as usize;
+                let len = self.ref_len[peer * d + level] as usize;
                 if len > self.cfg.max_refs {
-                    return Err(invalid("reference bucket over capacity"));
+                    return Err("reference bucket over capacity");
                 }
                 if (self.departed[peer] || level as u8 >= plen) && len != 0 {
-                    return Err(invalid("departed or shallow peer holds references"));
+                    return Err("departed or shallow peer holds references");
                 }
                 for e in self.ref_bucket(peer, level) {
                     let t = e.peer as usize;
                     if t >= n || t == peer {
-                        return Err(invalid("reference targets an unknown peer or self"));
+                        return Err("reference targets an unknown peer or self");
                     }
                     let tp = self.paths[t];
                     if tp.len() <= level as u8 || self.paths[peer].common_prefix(tp) != level as u8
                     {
-                        return Err(invalid("reference violates the divergence contract"));
+                        return Err("reference violates the divergence contract");
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// [`PGrid::validate`] as an assertion.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violated rule when the arena is inconsistent.
+    pub fn check_invariants(&self) {
+        if let Err(rule) = self.validate() {
+            panic!("P-Grid invariant violated: {rule}");
+        }
     }
 }
 
@@ -1395,8 +1358,8 @@ impl PGrid {
 /// with vacant entries, so a restored grid re-encodes bit-identically.
 /// Directory buckets travel in ascending slot order with their member
 /// order preserved (replica sampling reads it), and `live` / `dir_pos` /
-/// `occupied` / `subtree` are derived, then the whole arena passes the
-/// restore-time invariant re-check.
+/// `occupied` / `subtree` are derived, then the whole arena must pass
+/// [`PGrid::validate`].
 impl Persistable for PGrid {
     const TAG: [u8; 4] = *b"PGRD";
 
@@ -1450,18 +1413,8 @@ impl Persistable for PGrid {
             max_refs: r.take_u64()? as usize,
             meetings_per_peer: r.take_u64()? as usize,
         };
-        if cfg.key_bits < 1
-            || cfg.key_bits > 32
-            || cfg.max_depth < 1
-            || cfg.max_depth > cfg.key_bits
-            || cfg.max_depth > ARENA_DEPTH_LIMIT
-            || cfg.max_refs < 1
-            || cfg.max_refs > REFS_LIMIT
-        {
-            return Err(PersistError::Invalid {
-                context: "grid configuration out of range",
-            });
-        }
+        cfg.validate()
+            .map_err(|context| PersistError::Invalid { context })?;
         let d = cfg.max_depth as usize;
         let clock = r.take_u64()?;
         let n = r.take_len(9)?;
@@ -1576,7 +1529,8 @@ impl Persistable for PGrid {
             dir_pos,
             clock,
         };
-        grid.validate_restored()?;
+        grid.validate()
+            .map_err(|context| PersistError::Invalid { context })?;
         Ok(grid)
     }
 }
@@ -2119,5 +2073,37 @@ mod tests {
             ..PGridConfig::default()
         };
         PGrid::build(4, cfg, &mut rng);
+    }
+
+    /// A corrupted arena field is caught by both forms of the validator:
+    /// `validate` names the rule, and `check_invariants` still panics
+    /// (callers detect broken arenas through the panic). The revived
+    /// departed peer passes every directory rule on its own, and only
+    /// the live-count rule stops a later `leave` from corrupting the
+    /// directory.
+    #[test]
+    fn corrupted_arena_fails_validate_and_panics_check() {
+        let corruptions: [(&str, fn(&mut PGrid)); 2] = [
+            ("dir_pos out of sync with the directory", |g| {
+                let member = g
+                    .buckets
+                    .iter()
+                    .find(|b| b.len() >= 2)
+                    .expect("shared path")[0];
+                g.dir_pos[member as usize] += 1;
+            }),
+            ("live count disagrees with the departure flags", |g| {
+                g.leave(5);
+                g.departed[5] = false;
+            }),
+        ];
+        for (rule, corrupt) in corruptions {
+            let (mut g, _, _) = grid(64, 4, 3);
+            assert_eq!(g.validate(), Ok(()));
+            corrupt(&mut g);
+            assert_eq!(g.validate(), Err(rule));
+            let panicked = std::panic::catch_unwind(|| g.check_invariants());
+            assert!(panicked.is_err(), "check_invariants must panic: {rule}");
+        }
     }
 }

@@ -32,8 +32,6 @@ pub struct TallyReport {
 pub struct ReputationConfig {
     /// P-Grid parameters.
     pub grid: PGridConfig,
-    /// Network parameters (latency/drops) for storage traffic.
-    pub net: NetConfig,
 }
 
 /// Decentralised complaint storage over P-Grid.
@@ -52,7 +50,7 @@ impl ReputationSystem {
         let grid = PGrid::build(n_peers, cfg.grid, &mut rng);
         ReputationSystem {
             grid,
-            net: Network::new(cfg.net),
+            net: Network::new(NetConfig::default()),
             rng,
             behavior: vec![StorageBehavior::Faithful; n_peers],
         }
@@ -178,7 +176,6 @@ mod tests {
                 max_depth: 4,
                 ..PGridConfig::default()
             },
-            ..ReputationConfig::default()
         };
         ReputationSystem::new(n, cfg, seed)
     }

@@ -178,9 +178,10 @@ fn grid_corruption_matrix() {
 
 /// Tampering *inside* the payload and re-sealing the checksum gets past
 /// the CRC by construction — decode must still be total: every such
-/// blob either fails typed or restores to a grid that passes the full
-/// structural invariant check. This is the crafted-inconsistency class
-/// the restore-time re-validation exists for.
+/// blob either fails typed or restores to a grid that keeps working
+/// (a join, a leave and a route, without a panic, leaving a valid
+/// arena). This is the crafted-inconsistency class the restore-time
+/// `PGrid::validate` exists for.
 #[test]
 fn resealed_payload_tampering_never_yields_a_broken_grid() {
     let churn = [true, true, false, true];
@@ -195,7 +196,20 @@ fn resealed_payload_tampering_never_yields_a_broken_grid() {
         let mut w = SnapshotWriter::new(*b"TXPS");
         w.raw_section(<PGrid as Persistable>::TAG, tampered);
         match from_bytes::<PGrid>(&w.into_bytes()) {
-            Ok(restored) => restored.check_invariants(),
+            Ok(mut restored) => {
+                let mut rng = SimRng::new(i as u64);
+                let newcomer = restored.join(&mut rng);
+                let veteran = (0..newcomer)
+                    .find(|&p| restored.is_live(p))
+                    .unwrap_or(newcomer);
+                restored.leave(veteran);
+                let key = key_for_peer(PeerId(i as u32), restored.config().key_bits);
+                let mut net = Network::new(NetConfig::default());
+                if let Some(origin) = (0..restored.len()).find(|&p| restored.is_live(p)) {
+                    restored.route(origin, key, None, &mut net, &mut rng);
+                }
+                restored.check_invariants();
+            }
             Err(
                 PersistError::Invalid { .. }
                 | PersistError::Malformed { .. }
@@ -212,7 +226,7 @@ fn resealed_payload_tampering_never_yields_a_broken_grid() {
     // restore.
     assert!(
         rejected > payload.len() / 4,
-        "only {rejected}/{} tampers rejected — is validate_restored wired?",
+        "only {rejected}/{} tampers rejected — is PGrid::validate wired?",
         payload.len()
     );
 }
