@@ -154,15 +154,6 @@ impl TrustModel for AnyModel {
         }
     }
 
-    fn predict_direct_only(&self, subject: PeerId) -> Option<TrustEstimate> {
-        match self {
-            AnyModel::Beta(m) => m.predict_direct_only(subject),
-            AnyModel::Complaints(m) => m.predict_direct_only(subject),
-            AnyModel::Mean(m) => m.predict_direct_only(subject),
-            AnyModel::Ewma(m) => m.predict_direct_only(subject),
-        }
-    }
-
     fn name(&self) -> &'static str {
         match self {
             AnyModel::Beta(m) => m.name(),
@@ -360,23 +351,6 @@ impl DirectLedger {
     }
 }
 
-/// Degraded-mode estimate for one `(model, ledger)` pair: the model's
-/// own separable direct view when it has one, else the community's
-/// direct ledger, else maximum ignorance.
-fn degraded_estimate(
-    model: &AnyModel,
-    direct: Option<&DirectLedger>,
-    evaluator: PeerId,
-    subject: PeerId,
-) -> TrustEstimate {
-    if let Some(est) = model.predict_direct_only(subject) {
-        return est;
-    }
-    direct
-        .and_then(|l| l.estimate(evaluator, subject))
-        .unwrap_or(TrustEstimate::UNKNOWN)
-}
-
 /// An immutable view of every agent's trust model, taken with
 /// [`Community::snapshot`].
 ///
@@ -401,12 +375,14 @@ impl CommunitySnapshot {
     /// `evaluator`'s trust estimate of `subject` at snapshot time.
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
         if self.degraded {
-            return degraded_estimate(
-                &self.models[evaluator.index()],
-                self.direct.as_deref(),
-                evaluator,
-                subject,
-            );
+            // The models fold witness evidence into one posterior, so
+            // the direct view comes from the ledger; a pair that never
+            // interacted is maximum ignorance.
+            return self
+                .direct
+                .as_deref()
+                .and_then(|l| l.estimate(evaluator, subject))
+                .unwrap_or(TrustEstimate::UNKNOWN);
         }
         self.models[evaluator.index()].predict(subject)
     }

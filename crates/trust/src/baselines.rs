@@ -136,6 +136,15 @@ pub struct EwmaTrust {
 /// point with zero observations.
 const EWMA_COLD: (f64, u64) = (0.5, 0);
 
+/// The EWMA learning-rate rule: `0 < rate ≤ 1` (NaN violates it).
+fn validate_rate(rate: f64) -> Result<(), &'static str> {
+    if rate > 0.0 && rate <= 1.0 {
+        Ok(())
+    } else {
+        Err("ewma rate must be in (0, 1]")
+    }
+}
+
 impl EwmaTrust {
     /// Creates a model with learning rate `rate`.
     ///
@@ -143,7 +152,9 @@ impl EwmaTrust {
     ///
     /// Panics unless `0 < rate ≤ 1`.
     pub fn new(rate: f64) -> EwmaTrust {
-        assert!(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
+        if let Err(rule) = validate_rate(rate) {
+            panic!("{rule}");
+        }
         EwmaTrust {
             rate,
             scores: Vec::new(),
@@ -293,11 +304,7 @@ impl Persistable for EwmaTrust {
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
         let rate = r.take_finite_f64()?;
-        if !(rate > 0.0 && rate <= 1.0) {
-            return Err(PersistError::Invalid {
-                context: "ewma rate must be in (0, 1]",
-            });
-        }
+        validate_rate(rate).map_err(|context| PersistError::Invalid { context })?;
         let scorer_weighted = r.take_bool()?;
         let n = r.take_len(16)?;
         let mut scores = Vec::with_capacity(n);

@@ -62,30 +62,23 @@ impl Default for BetaConfig {
 }
 
 impl BetaConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when priors are non-positive, forgetting outside `(0, 1]`,
-    /// or witness weight outside `[0, 1]` — configurations are code, not
-    /// user input.
-    fn validate(&self) {
-        assert!(
-            self.prior_honest > 0.0 && self.prior_dishonest > 0.0,
-            "beta priors must be positive"
-        );
-        assert!(
-            self.forgetting > 0.0 && self.forgetting <= 1.0,
-            "forgetting must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.witness_weight),
-            "witness weight must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.witness_prior),
-            "witness prior must be in [0, 1]"
-        );
+    /// The configuration's rules: positive priors, forgetting in
+    /// `(0, 1]`, witness weight and prior in `[0, 1]`. Returns the first
+    /// rule violated (NaN violates every rule).
+    fn validate(&self) -> Result<(), &'static str> {
+        if !(self.prior_honest > 0.0 && self.prior_dishonest > 0.0) {
+            return Err("beta priors must be positive");
+        }
+        if !(self.forgetting > 0.0 && self.forgetting <= 1.0) {
+            return Err("beta forgetting must be in (0, 1]");
+        }
+        if !(0.0..=1.0).contains(&self.witness_weight) {
+            return Err("beta witness weight must be in [0, 1]");
+        }
+        if !(0.0..=1.0).contains(&self.witness_prior) {
+            return Err("beta witness prior must be in [0, 1]");
+        }
+        Ok(())
     }
 }
 
@@ -189,7 +182,9 @@ impl BetaTrust {
     ///
     /// Panics on invalid configuration values (see [`BetaConfig`]).
     pub fn with_config(config: BetaConfig) -> BetaTrust {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         BetaTrust {
             config,
             evidence: Vec::new(),
@@ -364,8 +359,6 @@ impl Persistable for BetaTrust {
     }
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
-        // Re-validate the config with typed errors — the panicking
-        // `validate()` is for code-authored configs, not disk bytes.
         let config = BetaConfig {
             prior_honest: r.take_finite_f64()?,
             prior_dishonest: r.take_finite_f64()?,
@@ -374,23 +367,9 @@ impl Persistable for BetaTrust {
             witness_prior: r.take_finite_f64()?,
             scorer_weighted: r.take_bool()?,
         };
-        if !(config.prior_honest > 0.0 && config.prior_dishonest > 0.0) {
-            return Err(PersistError::Invalid {
-                context: "beta priors must be positive",
-            });
-        }
-        if !(config.forgetting > 0.0 && config.forgetting <= 1.0) {
-            return Err(PersistError::Invalid {
-                context: "beta forgetting must be in (0, 1]",
-            });
-        }
-        if !(0.0..=1.0).contains(&config.witness_weight)
-            || !(0.0..=1.0).contains(&config.witness_prior)
-        {
-            return Err(PersistError::Invalid {
-                context: "beta witness weights must be in [0, 1]",
-            });
-        }
+        config
+            .validate()
+            .map_err(|context| PersistError::Invalid { context })?;
         let take_evidence = |r: &mut ByteReader| -> Result<Evidence, PersistError> {
             let e = Evidence {
                 honest: r.take_finite_f64()?,

@@ -193,6 +193,21 @@ impl Default for ComplaintTrust {
     }
 }
 
+impl ComplaintConfig {
+    /// The configuration's rules: outlier factor at least 1, witness
+    /// weight in `[0, 1]`. Returns the first rule violated (NaN violates
+    /// every rule).
+    fn validate(&self) -> Result<(), &'static str> {
+        if !(1.0..).contains(&self.outlier_factor) {
+            return Err("complaint outlier factor must be ≥ 1");
+        }
+        if !(0.0..=1.0).contains(&self.witness_weight) {
+            return Err("complaint witness weight must be in [0, 1]");
+        }
+        Ok(())
+    }
+}
+
 impl ComplaintTrust {
     /// Creates a model with the default configuration.
     pub fn new() -> ComplaintTrust {
@@ -205,11 +220,9 @@ impl ComplaintTrust {
     ///
     /// Panics if `outlier_factor < 1` or `witness_weight ∉ [0, 1]`.
     pub fn with_config(config: ComplaintConfig) -> ComplaintTrust {
-        assert!(config.outlier_factor >= 1.0, "outlier factor must be ≥ 1");
-        assert!(
-            (0.0..=1.0).contains(&config.witness_weight),
-            "witness weight must be in [0, 1]"
-        );
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         ComplaintTrust {
             config,
             tallies: Vec::new(),
@@ -457,16 +470,9 @@ impl Persistable for ComplaintTrust {
             witness_weight: r.take_finite_f64()?,
             scorer_weighted: r.take_bool()?,
         };
-        if config.outlier_factor < 1.0 {
-            return Err(PersistError::Invalid {
-                context: "complaint outlier factor must be ≥ 1",
-            });
-        }
-        if !(0.0..=1.0).contains(&config.witness_weight) {
-            return Err(PersistError::Invalid {
-                context: "complaint witness weight must be in [0, 1]",
-            });
-        }
+        config
+            .validate()
+            .map_err(|context| PersistError::Invalid { context })?;
         let population = if r.take_bool()? {
             Some(r.take_u64()? as usize)
         } else {

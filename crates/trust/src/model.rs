@@ -163,23 +163,6 @@ pub trait TrustModel {
         let _ = peer;
     }
 
-    /// Predicts the subject's behaviour using **direct evidence only**
-    /// — the graceful-degradation hook for unreliable networks.
-    ///
-    /// When the witness quorum is unreachable (message loss, a live
-    /// partition), an evaluator must not keep trusting estimates whose
-    /// witness component silently reads lost reports as absence of
-    /// complaints. Models that keep direct experience separable from
-    /// absorbed gossip override this to return `Some` of the
-    /// direct-only estimate. The bundled models fold witness-discounted
-    /// evidence into one posterior and so return `None`; the market
-    /// layer then substitutes its own direct-interaction ledger (see
-    /// `trustex-market`'s degraded mode).
-    fn predict_direct_only(&self, subject: PeerId) -> Option<TrustEstimate> {
-        let _ = subject;
-        None
-    }
-
     /// Stable model name for experiment tables.
     fn name(&self) -> &'static str;
 
@@ -230,45 +213,5 @@ mod tests {
     fn unknown_is_maximum_ignorance() {
         assert_eq!(TrustEstimate::UNKNOWN.p_honest, 0.5);
         assert_eq!(TrustEstimate::UNKNOWN.confidence, 0.0);
-    }
-
-    #[test]
-    fn direct_only_hook_defaults_to_none_and_is_overridable() {
-        struct Mixed;
-        impl TrustModel for Mixed {
-            fn record_direct(&mut self, _: PeerId, _: Conduct, _: u64) {}
-            fn record_witness(&mut self, _: WitnessReport) {}
-            fn predict(&self, _: PeerId) -> TrustEstimate {
-                TrustEstimate::new(0.9, 1.0)
-            }
-            fn name(&self) -> &'static str {
-                "mixed"
-            }
-        }
-        // A model that cannot separate direct evidence opts out...
-        assert_eq!(Mixed.predict_direct_only(PeerId(0)), None);
-
-        struct Separable;
-        impl TrustModel for Separable {
-            fn record_direct(&mut self, _: PeerId, _: Conduct, _: u64) {}
-            fn record_witness(&mut self, _: WitnessReport) {}
-            fn predict(&self, _: PeerId) -> TrustEstimate {
-                TrustEstimate::new(0.9, 1.0)
-            }
-            fn predict_direct_only(&self, _: PeerId) -> Option<TrustEstimate> {
-                Some(TrustEstimate::new(0.2, 0.5))
-            }
-            fn name(&self) -> &'static str {
-                "separable"
-            }
-        }
-        // ...while one that can reports a direct-only estimate that may
-        // legitimately disagree with the gossip-polluted posterior.
-        let direct = Separable.predict_direct_only(PeerId(0)).unwrap();
-        assert_eq!(direct.p_honest, 0.2);
-        // The bundled beta model folds discounted witness evidence into
-        // the same posterior, so it declines.
-        let beta = crate::beta::BetaTrust::new();
-        assert_eq!(beta.predict_direct_only(PeerId(3)), None);
     }
 }
