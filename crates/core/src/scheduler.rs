@@ -1,7 +1,7 @@
 //! Exchange schedulers: the paper's quadratic algorithm (kept as a
 //! reference oracle), an indexed `O(n log n)` equivalent, an optimal
-//! `O(n log n)` greedy with an allocation-free hot path, and two exact
-//! ground-truth solvers (subset DP and branch-and-bound).
+//! `O(n log n)` greedy with an allocation-free hot path, and an exact
+//! branch-and-bound ground-truth solver.
 //!
 //! # Theory
 //!
@@ -53,9 +53,6 @@
 //!   state memoisation and a greedy completion bound; the ground truth
 //!   for optimality claims, practical to `n ≈ 30` (and far beyond on
 //!   feasible instances, where the completion bound fires at the root).
-//! * [`subset_dp_order`] — exact feasibility by breadth-first dynamic
-//!   programming over item subsets (`O(2ⁿ·n)` time *and* memory), kept
-//!   as an independent cross-check oracle for small `n`.
 
 use crate::deal::Deal;
 use crate::goods::{Goods, Item, ItemId};
@@ -76,9 +73,6 @@ pub enum Algorithm {
     /// Indexed `O(n log n)` stepwise construction (paper-style; output
     /// bit-identical to the original quadratic scan).
     Sandholm,
-    /// Exponential subset DP (cross-check oracle; ≤
-    /// [`SUBSET_DP_MAX_ITEMS`] items).
-    SubsetDp,
     /// Branch-and-bound exact solver (ground truth; ≤
     /// [`BRANCH_AND_BOUND_MAX_ITEMS`] items).
     BranchAndBound,
@@ -86,10 +80,9 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// All algorithms, for cross-validation sweeps.
-    pub const ALL: [Algorithm; 4] = [
+    pub const ALL: [Algorithm; 3] = [
         Algorithm::Greedy,
         Algorithm::Sandholm,
-        Algorithm::SubsetDp,
         Algorithm::BranchAndBound,
     ];
 
@@ -98,14 +91,10 @@ impl Algorithm {
         match self {
             Algorithm::Greedy => "greedy",
             Algorithm::Sandholm => "sandholm",
-            Algorithm::SubsetDp => "subset-dp",
             Algorithm::BranchAndBound => "bnb",
         }
     }
 }
-
-/// Largest item count accepted by [`subset_dp_order`].
-pub const SUBSET_DP_MAX_ITEMS: usize = 24;
 
 /// Largest item count accepted by [`branch_and_bound_order`].
 ///
@@ -113,9 +102,8 @@ pub const SUBSET_DP_MAX_ITEMS: usize = 24;
 /// number of *negative-surplus* items (rotation dominance makes
 /// non-negative-surplus items forced moves): an adversarial all-negative
 /// instance probed just under its exact boundary really does visit
-/// `~2^n` masks. The cap keeps that accidental worst case in the same
-/// ballpark as the subset DP's instead of unbounded, while still
-/// reaching the `n = 30` the differential suite certifies.
+/// `~2^n` masks. The cap keeps that accidental worst case bounded,
+/// while still reaching the `n = 30` the differential suite certifies.
 pub const BRANCH_AND_BOUND_MAX_ITEMS: usize = 30;
 
 /// Error from the schedulers.
@@ -130,8 +118,8 @@ pub enum ScheduleError {
         /// The margin that was available (`ε_s + ε_c`).
         available: Money,
     },
-    /// The exact solvers refuse instances beyond their caps
-    /// ([`SUBSET_DP_MAX_ITEMS`] / [`BRANCH_AND_BOUND_MAX_ITEMS`]).
+    /// The exact solver refuses instances beyond its cap
+    /// ([`BRANCH_AND_BOUND_MAX_ITEMS`]).
     TooManyItems {
         /// Items in the deal.
         n_items: usize,
@@ -507,85 +495,6 @@ pub fn sandholm_order_scan(
     Ok(reversed)
 }
 
-/// Exact feasibility by subset DP, returning a feasible delivery order if
-/// one exists (`Ok(None)` when infeasible).
-///
-/// State: set `T` of still-undelivered items. `T` is reachable iff the
-/// full set can be reduced to `T` respecting (†) at every step; an item
-/// `x ∈ T` can be delivered from `T` iff `Vs(x) − (s(T) − s(x)) ≤ ε`.
-/// The DP explores reachable states breadth-first. Superseded as the
-/// primary ground truth by [`branch_and_bound_order`]; kept as an
-/// independent cross-check oracle for small instances.
-///
-/// # Errors
-///
-/// [`ScheduleError::TooManyItems`] beyond [`SUBSET_DP_MAX_ITEMS`] items.
-pub fn subset_dp_order(
-    goods: &Goods,
-    margins: SafetyMargins,
-) -> Result<Option<Vec<ItemId>>, ScheduleError> {
-    let n = goods.len();
-    if n > SUBSET_DP_MAX_ITEMS {
-        return Err(ScheduleError::TooManyItems {
-            n_items: n,
-            limit: SUBSET_DP_MAX_ITEMS,
-        });
-    }
-    let eps = margins.total();
-    let ids: Vec<ItemId> = goods.ids().collect();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-
-    // surplus_of[mask] computed incrementally would need 2^n memory anyway
-    // for `visited`; keep per-item surpluses and accumulate on the fly.
-    let surplus: Vec<Money> = ids.iter().map(|id| goods.item(*id).surplus()).collect();
-    let cost: Vec<Money> = ids
-        .iter()
-        .map(|id| goods.item(*id).supplier_cost())
-        .collect();
-
-    let mut visited = vec![false; 1usize << n];
-    // predecessor[mask] = item removed to reach `mask` from mask|bit.
-    let mut predecessor: Vec<u8> = vec![u8::MAX; 1usize << n];
-    let mut frontier: Vec<(u32, Money)> = vec![(full, surplus.iter().copied().sum())];
-    visited[full as usize] = true;
-
-    while let Some((mask, s_mask)) = frontier.pop() {
-        if mask == 0 {
-            continue;
-        }
-        for i in 0..n {
-            let bit = 1u32 << i;
-            if mask & bit == 0 {
-                continue;
-            }
-            // Deliver item i from state `mask`.
-            if cost[i] - (s_mask - surplus[i]) <= eps {
-                let next = mask & !bit;
-                if !visited[next as usize] {
-                    visited[next as usize] = true;
-                    predecessor[next as usize] = i as u8;
-                    frontier.push((next, s_mask - surplus[i]));
-                }
-            }
-        }
-    }
-
-    if !visited[0] {
-        return Ok(None);
-    }
-    // Reconstruct the order by walking predecessors from the empty set up.
-    let mut order_rev: Vec<ItemId> = Vec::with_capacity(n);
-    let mut mask = 0u32;
-    while mask != full {
-        let i = predecessor[mask as usize];
-        debug_assert_ne!(i, u8::MAX, "broken predecessor chain");
-        order_rev.push(ids[i as usize]);
-        mask |= 1u32 << i;
-    }
-    order_rev.reverse();
-    Ok(Some(order_rev))
-}
-
 /// Cheap multiplicative hasher for the `u64` state masks of the
 /// branch-and-bound memo — the memo lookup sits on the hottest search
 /// path and needs no DoS resistance.
@@ -787,9 +696,9 @@ impl BnbSearch<'_> {
 /// Infeasibility verdicts rest on exchange arguments and exhaustive
 /// search, never on the greedy comparator under differential test, which
 /// is what lets the suite use this oracle to *prove* the paper's claim
-/// that the greedy margin is the exact minimum at sizes the subset DP
-/// cannot reach (`n ≈ 30` against the DP's hard cap of
-/// [`SUBSET_DP_MAX_ITEMS`]).
+/// that the greedy margin is the exact minimum at sizes an exhaustive
+/// subset DP cannot reach (`n ≈ 30`; the suites' subset-DP oracle stops
+/// at 24 items).
 ///
 /// # Errors
 ///
@@ -912,8 +821,8 @@ pub fn interleave_payments(
 /// # Errors
 ///
 /// [`ScheduleError::Infeasible`] when the margins are too tight, or
-/// [`ScheduleError::TooManyItems`] for [`Algorithm::SubsetDp`] /
-/// [`Algorithm::BranchAndBound`] on large deals.
+/// [`ScheduleError::TooManyItems`] for [`Algorithm::BranchAndBound`] on
+/// large deals.
 ///
 /// # Panics
 ///
@@ -963,15 +872,6 @@ pub fn schedule(
             order
         }
         Algorithm::Sandholm => sandholm_order(goods, margins)?,
-        Algorithm::SubsetDp => match subset_dp_order(goods, margins)? {
-            Some(order) => order,
-            None => {
-                return Err(ScheduleError::Infeasible {
-                    required: min_required_margin(goods),
-                    available: margins.total(),
-                });
-            }
-        },
         Algorithm::BranchAndBound => match branch_and_bound_order(goods, margins)? {
             Some(order) => order,
             None => {
@@ -1123,14 +1023,15 @@ mod tests {
                 let m = margins(eps_units);
                 let greedy_ok = feasible(&g, m);
                 let sandholm_ok = sandholm_order(&g, m).is_ok();
-                let dp_ok = subset_dp_order(&g, m).unwrap().is_some();
                 let bnb_ok = branch_and_bound_order(&g, m).unwrap().is_some();
-                assert_eq!(greedy_ok, dp_ok, "greedy vs dp: {pairs:?} eps={eps_units}");
                 assert_eq!(
-                    sandholm_ok, dp_ok,
-                    "sandholm vs dp: {pairs:?} eps={eps_units}"
+                    greedy_ok, bnb_ok,
+                    "greedy vs bnb: {pairs:?} eps={eps_units}"
                 );
-                assert_eq!(bnb_ok, dp_ok, "bnb vs dp: {pairs:?} eps={eps_units}");
+                assert_eq!(
+                    sandholm_ok, bnb_ok,
+                    "sandholm vs bnb: {pairs:?} eps={eps_units}"
+                );
             }
         }
     }
@@ -1217,18 +1118,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_dp_rejects_large_instances() {
-        let pairs: Vec<(f64, f64)> = (0..25).map(|i| (1.0, 2.0 + i as f64)).collect();
-        let g = goods(&pairs);
-        let err = subset_dp_order(&g, margins(100.0)).unwrap_err();
-        assert!(matches!(
-            err,
-            ScheduleError::TooManyItems { n_items: 25, .. }
-        ));
-        assert!(err.to_string().contains("24 items"));
-    }
-
-    #[test]
     fn branch_and_bound_rejects_beyond_cap() {
         let over = BRANCH_AND_BOUND_MAX_ITEMS + 1;
         let pairs: Vec<(f64, f64)> = (0..over).map(|i| (1.0, 2.0 + i as f64)).collect();
@@ -1311,9 +1200,8 @@ mod tests {
     fn algorithm_labels() {
         assert_eq!(Algorithm::Greedy.label(), "greedy");
         assert_eq!(Algorithm::default(), Algorithm::Greedy);
-        assert_eq!(Algorithm::ALL.len(), 4);
+        assert_eq!(Algorithm::ALL.len(), 3);
         assert_eq!(Algorithm::Sandholm.label(), "sandholm");
-        assert_eq!(Algorithm::SubsetDp.label(), "subset-dp");
         assert_eq!(Algorithm::BranchAndBound.label(), "bnb");
     }
 

@@ -166,10 +166,9 @@ impl ExchangeState {
     /// Applies a delivery, updating the cached subset sums.
     ///
     /// The state only records flags and sums; the caller supplies the
-    /// item's cost and value. Most users should go through [`Progress`],
-    /// which pairs the state with its deal and looks the item up itself.
-    #[doc(hidden)]
-    pub fn apply_delivery_raw(
+    /// item's cost and value; [`Progress`] pairs the state with its deal
+    /// and looks the item up itself.
+    fn apply_delivery_raw(
         &mut self,
         id: ItemId,
         cost: Money,

@@ -12,11 +12,12 @@
 //! 5. Honest execution of a scheduled sequence realizes exactly the
 //!    deal's gains.
 
+mod oracle;
+
+use oracle::subset_dp_order;
 use proptest::prelude::*;
 use trustex_core::prelude::*;
-use trustex_core::scheduler::{
-    greedy_order, required_margin_of_order, sandholm_order, subset_dp_order,
-};
+use trustex_core::scheduler::{greedy_order, required_margin_of_order, sandholm_order};
 
 /// Strategy: a goods set of 1..=8 items with costs/values in 0..=10 units
 /// (micro-precision comes from the i64 micros range).

@@ -17,12 +17,14 @@
 //! `interleave_payments` preserves action-count and running-balance
 //! invariants under random feasible orders.
 
+mod oracle;
+
+use oracle::{subset_dp_order, SUBSET_DP_MAX_ITEMS};
 use proptest::prelude::*;
 use trustex_core::prelude::*;
 use trustex_core::scheduler::{
     branch_and_bound_order, greedy_order, interleave_payments, required_margin_of_order,
-    sandholm_order, sandholm_order_scan, subset_dp_order, BRANCH_AND_BOUND_MAX_ITEMS,
-    SUBSET_DP_MAX_ITEMS,
+    sandholm_order, sandholm_order_scan, BRANCH_AND_BOUND_MAX_ITEMS,
 };
 
 /// Goods of `1..=max_n` items with costs/values in 0..=10 units.
@@ -369,14 +371,14 @@ fn too_many_items_fires_exactly_at_the_caps() {
         }
     );
 
-    // The caps surface through `schedule` for deals too.
-    let pairs: Vec<(f64, f64)> = (0..SUBSET_DP_MAX_ITEMS + 1)
+    // The cap surfaces through `schedule` for deals too.
+    let pairs: Vec<(f64, f64)> = (0..BRANCH_AND_BOUND_MAX_ITEMS + 1)
         .map(|i| (1.0, 2.0 + i as f64))
         .collect();
     let goods = Goods::from_f64_pairs(&pairs).expect("non-empty");
     let deal = Deal::with_split_surplus(goods).expect("positive surplus");
     assert!(matches!(
-        schedule(&deal, wide, PaymentPolicy::Lazy, Algorithm::SubsetDp),
+        schedule(&deal, wide, PaymentPolicy::Lazy, Algorithm::BranchAndBound),
         Err(ScheduleError::TooManyItems { .. })
     ));
 }
