@@ -5,7 +5,7 @@
 //! All three accuracy metrics walk every ordered (evaluator, subject)
 //! pair, and all of them run through one private row kernel. It fans
 //! chunks of consecutive evaluators across
-//! [`parallel_map`][trustex_netsim::pool::parallel_map]; each chunk
+//! [`parallel_map`]; each chunk
 //! asks every evaluator's model for its whole prediction row at once
 //! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
 //! — a single dense-table sweep that hoists per-call work, notably the
@@ -148,7 +148,7 @@ fn chunk_tally(
 /// is predicted exactly once.
 ///
 /// `threads` resolves as in
-/// [`resolve_threads`][trustex_netsim::pool::resolve_threads] (0 = the
+/// [`resolve_threads`] (0 = the
 /// process default); the result is bit-identical for every value.
 ///
 /// # Panics

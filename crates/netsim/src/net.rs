@@ -143,7 +143,7 @@ impl Network {
     /// virtual time `at`, returning its fate.
     ///
     /// Every call counts as one sent message of `kind`, consumes one
-    /// monotone sequence number and draws one latency sample from `rng`.
+    /// monotone sequence number and samples its latency from `rng`.
     /// The fault plane's pure `(seed, src, dst, seq)` decision is layered
     /// on top and draws nothing, so a transparent plane delivers every
     /// message after its latency sample:

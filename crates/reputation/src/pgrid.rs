@@ -2083,7 +2083,8 @@ mod tests {
     /// directory.
     #[test]
     fn corrupted_arena_fails_validate_and_panics_check() {
-        let corruptions: [(&str, fn(&mut PGrid)); 2] = [
+        type Corrupt = fn(&mut PGrid);
+        let corruptions: [(&str, Corrupt); 2] = [
             ("dir_pos out of sync with the directory", |g| {
                 let member = g
                     .buckets
