@@ -4,32 +4,35 @@
 //!
 //! All three accuracy metrics walk every ordered (evaluator, subject)
 //! pair, and all of them run through one private row kernel. It fans
-//! chunks of consecutive evaluators across
-//! [`parallel_map`]; each chunk
-//! asks every evaluator's model for its whole prediction row at once
+//! chunks of consecutive evaluators across [`parallel_fold`]; each
+//! chunk asks every evaluator's model for its whole prediction row at
+//! once
 //! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
 //! — a single dense-table sweep that hoists per-call work, notably the
-//! complaint model's population median, out of the loop) and makes one
-//! sweep over the row in subject order:
+//! complaint model's population median, out of the loop) and reduces
+//! the row:
 //!
 //! - `|p − truth|` goes into the chunk's error buffer, in pair order;
-//! - the thresholded prediction is tallied against a class mask built
-//!   once per call;
-//! - an order-preserving integer key of `p` goes into the honest or the
-//!   dishonest key buffer.
+//! - two subject-id lists built once per call, one per class, gather
+//!   the row's predictions into an honest and a dishonest key buffer
+//!   (an order-preserving integer key of `p`) and tally the thresholded
+//!   predictions each class gets right.
 //!
 //! Sorting both key buffers and merging them once counts the row's
 //! Mann–Whitney wins and ties. Every buffer is reused across the
 //! chunk's rows, so the kernel allocates nothing per row.
 //!
-//! The chunks come back in evaluator order. MAE folds their error
-//! buffers with one running accumulator, replaying the float
-//! association of the naive pair walk exactly; rank and decision
-//! accuracy fold exact integer tallies. Every metric is therefore
-//! bit-identical to the unbatched sequential walk for any thread count.
+//! Chunks are sized to about 64 KiB of errors (8 rows at n = 10³), so
+//! a chunk's error buffer stays cache-resident and nothing of size n²
+//! is ever allocated. The caller folds each chunk
+//! into one running MAE accumulator as soon as that chunk's turn comes,
+//! in evaluator order, replaying the float association of the naive
+//! pair walk exactly; rank and decision accuracy fold exact integer
+//! tallies. Every metric is therefore bit-identical to the unbatched
+//! sequential walk for any thread count.
 
 use crate::population::Community;
-use trustex_netsim::pool::{parallel_map, resolve_threads};
+use trustex_netsim::pool::{parallel_fold, resolve_threads};
 use trustex_trust::model::{PeerId, TrustEstimate};
 
 /// The ground-truth cooperation probability of every agent, in id order.
@@ -56,6 +59,9 @@ pub struct AccuracyMetrics {
     pub decision_accuracy: f64,
 }
 
+/// The target size of one chunk's error buffer (see the module docs).
+const CHUNK_ERROR_BYTES: usize = 64 * 1024;
+
 /// One chunk of evaluator rows, reduced.
 struct ChunkTally {
     /// `|p − truth|` for every pair of the chunk, in pair order.
@@ -66,6 +72,12 @@ struct ChunkTally {
     rank_pairs: u64,
     /// Pairs classified correctly by thresholding at 0.5.
     correct: u64,
+}
+
+/// The subject ids of each ground-truth class, ascending.
+struct Classes {
+    honest: Vec<usize>,
+    dishonest: Vec<usize>,
 }
 
 /// A `u64` whose unsigned order is [`f64::total_cmp`]'s order: the
@@ -102,13 +114,13 @@ fn mann_whitney_half_units(honest: &[u64], dishonest: &[u64]) -> u64 {
 fn chunk_tally(
     community: &Community,
     truth: &[f64],
-    honest: &[bool],
+    classes: &Classes,
     (start, end): (usize, usize),
 ) -> ChunkTally {
     let n = community.len();
     let mut row = vec![TrustEstimate::UNKNOWN; n];
-    let mut honest_keys = Vec::with_capacity(n);
-    let mut dishonest_keys = Vec::with_capacity(n);
+    let mut honest_keys = Vec::with_capacity(classes.honest.len());
+    let mut dishonest_keys = Vec::with_capacity(classes.dishonest.len());
     let mut tally = ChunkTally {
         abs_err: Vec::with_capacity((end - start) * n.saturating_sub(1)),
         rank_half_units: 0,
@@ -117,21 +129,24 @@ fn chunk_tally(
     };
     for evaluator in start..end {
         community.predict_row_into(PeerId(evaluator as u32), &mut row);
+        for half in [0..evaluator, evaluator + 1..n] {
+            let errors = row[half.clone()].iter().zip(&truth[half]);
+            tally
+                .abs_err
+                .extend(errors.map(|(est, &t)| (est.p_honest - t).abs()));
+        }
         honest_keys.clear();
         dishonest_keys.clear();
-        for (subject, ((est, &t), &is_honest)) in row.iter().zip(truth).zip(honest).enumerate() {
-            if subject == evaluator {
-                continue;
-            }
-            let p = est.p_honest;
-            tally.abs_err.push((p - t).abs());
-            tally.correct += u64::from((p >= 0.5) == is_honest);
-            let keys = if is_honest {
-                &mut honest_keys
-            } else {
-                &mut dishonest_keys
-            };
-            keys.push(total_order_key(p));
+        for &s in classes.honest.iter().filter(|&&s| s != evaluator) {
+            let p = row[s].p_honest;
+            tally.correct += u64::from(p >= 0.5);
+            honest_keys.push(total_order_key(p));
+        }
+        for &s in classes.dishonest.iter().filter(|&&s| s != evaluator) {
+            let p = row[s].p_honest;
+            // A NaN prediction is not `>= 0.5`: it reads as dishonest.
+            tally.correct += u64::from(p < 0.5 || p.is_nan());
+            dishonest_keys.push(total_order_key(p));
         }
         if !honest_keys.is_empty() && !dishonest_keys.is_empty() {
             honest_keys.sort_unstable();
@@ -157,31 +172,36 @@ fn chunk_tally(
 pub fn accuracy_metrics(community: &Community, truth: &[f64], threads: usize) -> AccuracyMetrics {
     assert_eq!(truth.len(), community.len(), "truth buffer size mismatch");
     let n = community.len();
-    let honest: Vec<bool> = community
-        .agent_ids()
-        .map(|a| community.is_honest(a))
-        .collect();
+    let (honest, dishonest) = (0..n).partition(|&a| community.is_honest(PeerId(a as u32)));
+    let classes = Classes { honest, dishonest };
     let workers = resolve_threads(threads);
-    // ~4 chunks per worker so uneven row costs balance without paying
-    // queue traffic per row.
-    let chunk_len = n.div_ceil(workers.max(1) * 4).max(1);
+    // About CHUNK_ERROR_BYTES of errors per chunk, and at least ~4
+    // chunks per worker so uneven row costs balance.
+    let row_bytes = std::mem::size_of::<f64>() * n.saturating_sub(1).max(1);
+    let chunk_len = (CHUNK_ERROR_BYTES / row_bytes)
+        .min(n.div_ceil(workers.max(1) * 4))
+        .max(1);
     let chunks: Vec<(usize, usize)> = (0..n)
         .step_by(chunk_len)
         .map(|start| (start, (start + chunk_len).min(n)))
         .collect();
-    let tallies = parallel_map(workers, chunks, |_, rows| {
-        chunk_tally(community, truth, &honest, rows)
-    });
-    let mut total = 0.0;
-    let (mut half_units, mut rank_pairs, mut correct) = (0u64, 0u64, 0u64);
-    for tally in &tallies {
-        for err in &tally.abs_err {
-            total += err;
-        }
-        half_units += tally.rank_half_units;
-        rank_pairs += tally.rank_pairs;
-        correct += tally.correct;
-    }
+    let (total, half_units, rank_pairs, correct) = parallel_fold(
+        workers,
+        chunks,
+        |_, rows| chunk_tally(community, truth, &classes, rows),
+        (0.0, 0u64, 0u64, 0u64),
+        |(mut total, half_units, rank_pairs, correct), tally| {
+            for err in &tally.abs_err {
+                total += err;
+            }
+            (
+                total,
+                half_units + tally.rank_half_units,
+                rank_pairs + tally.rank_pairs,
+                correct + tally.correct,
+            )
+        },
+    );
     let pairs = (n * n.saturating_sub(1)) as u64;
     AccuracyMetrics {
         mae: if pairs == 0 {

@@ -148,6 +148,22 @@ impl Default for MarketConfig {
     }
 }
 
+impl MarketConfig {
+    /// The configuration's rules: at least two agents (a session needs
+    /// two distinct parties, and the distinct-consumer rejection loop in
+    /// the session draw would otherwise never terminate), and a valid
+    /// chaos fault plane (see [`FaultConfig::validate`]). Returns the
+    /// first rule violated.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_agents < 2 {
+            return Err(
+                "MarketConfig::n_agents must be ≥ 2 (a session needs two distinct parties)",
+            );
+        }
+        self.chaos.fault.validate()
+    }
+}
+
 /// Per-round aggregates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundStats {
@@ -393,15 +409,12 @@ impl MarketSim {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.n_agents < 2`: every session needs two distinct
-    /// parties, and the distinct-consumer rejection loop in the session
-    /// draw would otherwise never terminate.
+    /// Panics with the violated rule if `cfg` is invalid (see
+    /// [`MarketConfig::validate`]).
     pub fn new(cfg: MarketConfig) -> MarketSim {
-        assert!(
-            cfg.n_agents >= 2,
-            "MarketConfig::n_agents must be ≥ 2 (a session needs two distinct parties), got {}",
-            cfg.n_agents
-        );
+        if let Err(rule) = cfg.validate() {
+            panic!("{rule}");
+        }
         let mut rng = SimRng::new(cfg.seed);
         let mut community =
             Community::with_defense(cfg.n_agents, &cfg.mix, cfg.model, cfg.defense, &mut rng);
@@ -990,6 +1003,50 @@ mod tests {
     fn empty_community_rejected() {
         MarketSim::new(MarketConfig {
             n_agents: 0,
+            ..MarketConfig::default()
+        });
+    }
+
+    #[test]
+    fn validate_forwards_the_fault_plane_rules() {
+        assert_eq!(MarketConfig::default().validate(), Ok(()));
+        let lossy = |loss| MarketConfig {
+            chaos: ChaosConfig {
+                fault: FaultConfig {
+                    loss,
+                    ..FaultConfig::default()
+                },
+                ..ChaosConfig::default()
+            },
+            ..MarketConfig::default()
+        };
+        assert_eq!(lossy(1.0).validate(), Ok(()));
+        assert_eq!(
+            lossy(f64::NAN).validate(),
+            Err("fault loss must be in [0, 1]")
+        );
+        // The agent-count rule is checked first.
+        let both = MarketConfig {
+            n_agents: 1,
+            ..lossy(2.0)
+        };
+        assert!(both
+            .validate()
+            .unwrap_err()
+            .contains("n_agents must be ≥ 2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault duplicate must be in [0, 1]")]
+    fn invalid_fault_plane_rejected() {
+        MarketSim::new(MarketConfig {
+            chaos: ChaosConfig {
+                fault: FaultConfig {
+                    duplicate: 1.5,
+                    ..FaultConfig::default()
+                },
+                ..ChaosConfig::default()
+            },
             ..MarketConfig::default()
         });
     }

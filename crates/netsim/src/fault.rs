@@ -80,6 +80,20 @@ impl FaultConfig {
             && self.extra_delay_max_us == 0
             && self.partition == PartitionSpec::None
     }
+
+    /// The configuration's rules: `loss` and `duplicate` are
+    /// probabilities in `[0, 1]`. Returns the first rule violated (NaN
+    /// violates both). Every `extra_delay_max_us` and every partition
+    /// is valid.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !(0.0..=1.0).contains(&self.loss) {
+            return Err("fault loss must be in [0, 1]");
+        }
+        if !(0.0..=1.0).contains(&self.duplicate) {
+            return Err("fault duplicate must be in [0, 1]");
+        }
+        Ok(())
+    }
 }
 
 /// The fate of one message, decided by [`FaultPlane::decide`].
@@ -132,7 +146,15 @@ pub struct FaultPlane {
 
 impl FaultPlane {
     /// A plane with the given seed and knobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violated rule if `cfg` is invalid (see
+    /// [`FaultConfig::validate`]).
     pub fn new(seed: u64, cfg: FaultConfig) -> FaultPlane {
+        if let Err(rule) = cfg.validate() {
+            panic!("{rule}");
+        }
         FaultPlane { seed, cfg }
     }
 
@@ -205,9 +227,12 @@ impl FaultPlane {
             0
         };
         let extra_delay = if self.cfg.extra_delay_max_us > 0 {
-            SimTime::from_micros(
-                self.mix(SALT_DELAY, src, dst, seq) % (self.cfg.extra_delay_max_us + 1),
-            )
+            let h = self.mix(SALT_DELAY, src, dst, seq);
+            // `[0, u64::MAX]` is every hash word: no modulus to take.
+            SimTime::from_micros(match self.cfg.extra_delay_max_us.checked_add(1) {
+                Some(span) => h % span,
+                None => h,
+            })
         } else {
             SimTime::ZERO
         };
@@ -315,6 +340,81 @@ mod tests {
             }
         }
         assert!(max_seen > 0, "jitter never fired");
+    }
+
+    /// Regression: a maximal jitter bound used to wrap the modulus to
+    /// `% 0` and panic on the first decision.
+    #[test]
+    fn maximal_extra_delay_is_accepted() {
+        let plane = FaultPlane::new(
+            3,
+            FaultConfig {
+                extra_delay_max_us: u64::MAX,
+                ..FaultConfig::default()
+            },
+        );
+        let delays: Vec<_> = (0..64)
+            .map(|seq| match plane.decide(5, 6, seq, SimTime::ZERO) {
+                FaultFate::Deliver { extra_delay, .. } => extra_delay,
+                other => panic!("unexpected fate {other:?}"),
+            })
+            .collect();
+        assert!(
+            delays.iter().any(|d| *d != delays[0]),
+            "jitter never varied"
+        );
+    }
+
+    #[test]
+    fn validate_accepts_the_probability_bounds() {
+        for p in [0.0, 0.5, 1.0] {
+            let cfg = FaultConfig {
+                loss: p,
+                duplicate: p,
+                extra_delay_max_us: u64::MAX,
+                partition: PartitionSpec::Islands {
+                    islands: 0,
+                    heal_at: SimTime::ZERO,
+                },
+            };
+            assert_eq!(cfg.validate(), Ok(()), "p={p}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_loss_outside_the_unit_interval() {
+        for loss in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let cfg = FaultConfig {
+                loss,
+                ..FaultConfig::default()
+            };
+            assert_eq!(
+                cfg.validate(),
+                Err("fault loss must be in [0, 1]"),
+                "{loss}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault loss must be in [0, 1]")]
+    fn invalid_loss_panics() {
+        lossy(f64::NAN);
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_outside_the_unit_interval() {
+        for duplicate in [-0.5, 1.0 + f64::EPSILON, f64::NAN] {
+            let cfg = FaultConfig {
+                duplicate,
+                ..FaultConfig::default()
+            };
+            assert_eq!(
+                cfg.validate(),
+                Err("fault duplicate must be in [0, 1]"),
+                "{duplicate}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! jobs (experiment arms, pre-drawn exchange sessions) across threads and
 //! reassemble the results **in submission order**, so the output of
 //! [`parallel_map`] is bit-identical for every thread count — parallelism
-//! changes wall-clock time, never results. The build environment has no
-//! crates.io access, so this is plain `std::thread::scope` + channels
-//! rather than rayon.
+//! changes wall-clock time, never results. [`parallel_fold`] is the same
+//! loop without the output vector: it folds each result on the calling
+//! thread as soon as its turn comes, in submission order. The build
+//! environment has no crates.io access, so this is plain
+//! `std::thread::scope` + channels rather than rayon.
 //!
 //! Thread-count resolution is layered: an explicit per-call request wins,
 //! then a process-wide override ([`set_default_threads`], set e.g. by the
@@ -77,14 +79,47 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
+    let out = Vec::with_capacity(items.len());
+    parallel_fold(threads, items, f, out, |mut out, v| {
+        out.push(v);
+        out
+    })
+}
+
+/// Maps `f` over `items` on up to `threads` worker threads and folds the
+/// results into `init` with `fold` **in input order**, on the calling
+/// thread, while later jobs still run — bit-identical to
+/// `items.map(f).fold(init, fold)` for any thread count, including for
+/// a `fold` whose result depends on association (a float sum). `f`
+/// receives `(index, item)`.
+///
+/// A result is folded as soon as every earlier one has been; only the
+/// results that finish ahead of their turn are held, in a reorder
+/// window behind the fold's cursor. Jobs are pulled from a shared
+/// queue, so uneven job costs balance across workers. A panic in any
+/// job propagates to the caller.
+///
+/// # Examples
+///
+/// ```
+/// use trustex_netsim::pool::parallel_fold;
+/// let sum = parallel_fold(4, (1..=100u64).collect(), |_, x| x * x, 0, |acc, sq| acc + sq);
+/// assert_eq!(sum, 338_350);
+/// ```
+pub fn parallel_fold<I, T, A, F, G>(threads: usize, items: Vec<I>, f: F, init: A, mut fold: G) -> A
+where
+    I: Send,
+    T: Send,
+    F: Fn(usize, I) -> T + Sync,
+    G: FnMut(A, T) -> A,
+{
     let n = items.len();
     let workers = resolve_threads(threads).min(n.max(1));
     if workers <= 1 {
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect();
+            .fold(init, |acc, (i, x)| fold(acc, f(i, x)));
     }
 
     let (job_tx, job_rx) = mpsc::channel::<(usize, I)>();
@@ -114,13 +149,24 @@ where
             });
         }
         drop(res_tx);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        // `early[i]` holds result `i` while an earlier one is missing.
+        let mut early: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut next = 0;
+        let mut acc = init;
         for (i, v) in res_rx {
-            out[i] = Some(v);
+            if i != next {
+                early[i] = Some(v);
+                continue;
+            }
+            acc = fold(acc, v);
+            next += 1;
+            while let Some(v) = early.get_mut(next).and_then(Option::take) {
+                acc = fold(acc, v);
+                next += 1;
+            }
         }
-        out.into_iter()
-            .map(|slot| slot.expect("every job delivers exactly one result"))
-            .collect()
+        assert_eq!(next, n, "every job delivers exactly one result");
+        acc
     })
 }
 
@@ -164,6 +210,51 @@ mod tests {
         });
         for (i, (x, _)) in got.iter().enumerate() {
             assert_eq!(*x, i as u64);
+        }
+    }
+
+    /// Spins for a cost that depends on `i`, so jobs finish out of
+    /// submission order on real threads, then returns `x`.
+    fn uneven(i: usize, x: f64) -> f64 {
+        let spins = if i.is_multiple_of(7) {
+            20_000
+        } else {
+            10 * (i % 3)
+        };
+        let mut acc = i as u64;
+        for _ in 0..spins {
+            acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(1));
+        }
+        std::hint::black_box(acc);
+        x
+    }
+
+    /// A float sum depends on association (`1e16 + 1.0` rounds back to
+    /// `1e16`), so any fold out of item order shows in the bits.
+    #[test]
+    fn fold_is_the_sequential_fold_bit_for_bit() {
+        let items: Vec<f64> = (0..203)
+            .map(|i| match i % 4 {
+                0 => 1e16,
+                1 => 1.0 + i as f64 / 1024.0,
+                2 => -1e16,
+                _ => 1.0,
+            })
+            .collect();
+        let expected = items.iter().fold(0.0f64, |acc, x| acc + x);
+        let reassociated = items
+            .chunks(2)
+            .fold(0.0f64, |acc, pair| acc + pair.iter().sum::<f64>());
+        assert_ne!(
+            expected.to_bits(),
+            reassociated.to_bits(),
+            "input is association-blind"
+        );
+        for threads in [1, 2, 3, 8, 64] {
+            let got = parallel_fold(threads, items.clone(), uneven, 0.0f64, |acc, x| acc + x);
+            assert_eq!(got.to_bits(), expected.to_bits(), "threads={threads}");
+            let empty = parallel_fold(threads, Vec::<f64>::new(), uneven, -0.0f64, |a, x| a + x);
+            assert_eq!(empty.to_bits(), (-0.0f64).to_bits(), "threads={threads}");
         }
     }
 
