@@ -25,7 +25,7 @@ use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -90,24 +90,80 @@ impl Tally {
     }
 }
 
+/// The median's rank bracket: a value `m` of the median multiset (the
+/// recorded products plus the silent-peer 1.0 padding) with the number
+/// of elements below it and equal to it under `f64::total_cmp`, where
+/// equal means bit-equal.
+///
+/// Every tally mutation moves the counts in O(1), so the bracket stays
+/// exact for the current multiset. `m` is still the median while
+/// `below ≤ len/2 < below + equal`; only when a mutation pushes the
+/// middle rank out of that range does a fresh selection re-centre it.
+#[derive(Debug, Clone, Copy)]
+struct Bracket {
+    value: f64,
+    below: usize,
+    equal: usize,
+}
+
+impl Bracket {
+    /// The count `x` belongs to, if it lies at or below `m`.
+    fn count_of(&mut self, x: f64) -> Option<&mut usize> {
+        match x.total_cmp(&self.value) {
+            std::cmp::Ordering::Less => Some(&mut self.below),
+            std::cmp::Ordering::Equal => Some(&mut self.equal),
+            std::cmp::Ordering::Greater => None,
+        }
+    }
+
+    /// Records a multiset change from a mutation: `gone` leaves the
+    /// multiset and `new` enters it.
+    fn shift(&mut self, gone: Option<f64>, new: Option<f64>) {
+        if let Some(count) = gone.and_then(|x| self.count_of(x)) {
+            *count -= 1;
+        }
+        if let Some(count) = new.and_then(|x| self.count_of(x)) {
+            *count += 1;
+        }
+    }
+
+    /// `m`, if it is the element at rank `mid` of the sorted multiset.
+    fn median_at(&self, mid: usize) -> Option<f64> {
+        (self.below <= mid && mid < self.below + self.equal).then_some(self.value)
+    }
+}
+
+/// Selection scratch and the rank bracket, read and written as one unit.
+#[derive(Debug, Default)]
+struct MedianState {
+    /// Scratch for the selection pass, reused across recomputes.
+    products: Vec<f64>,
+    /// Established by the first selection, then kept exact by every
+    /// mutation.
+    bracket: Option<Bracket>,
+}
+
 /// Lazily recomputed population median, shared across concurrent
 /// readers.
 ///
-/// Mutations (`&mut self` on the model) raise `dirty`; the next
+/// Mutations (`&mut self` on the model) raise `dirty` and move the rank
+/// bracket through `Mutex::get_mut`, without locking. The next
 /// `median_product` call — predictions arrive in large read-only batches
 /// between mutations, possibly from several metric worker threads at
-/// once — recomputes the median in O(n) with `select_nth_unstable_by`
-/// into a reused scratch buffer and publishes it through `bits`.
-/// Concurrent recomputes are benign: the median is a pure function of
-/// the (then-immutable) tallies, so every racer stores identical bits.
+/// once — reads the median off the bracket in O(1) while the middle rank
+/// stays inside it. Otherwise it reselects in O(n) with
+/// `select_nth_unstable_by` into the reused scratch buffer and re-centres
+/// the bracket with one counting pass. Either way it publishes the value
+/// through `bits`. Concurrent recomputes serialise on the state lock, so
+/// no reader sees a torn bracket, and every racer stores identical bits:
+/// the median is a pure function of the (then-immutable) tallies.
 #[derive(Debug)]
 struct MedianCache {
     /// `f64::to_bits` of the cached median; meaningful only when
     /// `dirty` is false.
     bits: AtomicU64,
     dirty: AtomicBool,
-    /// Scratch for the selection pass, reused across recomputes.
-    scratch: Mutex<Vec<f64>>,
+    state: Mutex<MedianState>,
 }
 
 impl Default for MedianCache {
@@ -117,7 +173,7 @@ impl Default for MedianCache {
         MedianCache {
             bits: AtomicU64::new(1.0f64.to_bits()),
             dirty: AtomicBool::new(true),
-            scratch: Mutex::new(Vec::new()),
+            state: Mutex::new(MedianState::default()),
         }
     }
 }
@@ -133,8 +189,32 @@ impl MedianCache {
         MedianCache {
             bits: AtomicU64::new(self.bits.load(Ordering::Acquire)),
             dirty: AtomicBool::new(dirty),
-            scratch: Mutex::new(Vec::new()),
+            state: Mutex::new(MedianState {
+                products: Vec::new(),
+                bracket: self.lock().bracket,
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MedianState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Marks the cache dirty for a mutation and hands out the bracket,
+    /// if one is established, for the mutation to move.
+    fn touch(&mut self) -> Option<&mut Bracket> {
+        *self.dirty.get_mut() = true;
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.bracket.as_mut()
+    }
+
+    /// Drops the bracket: the next read reselects from scratch.
+    fn invalidate(&mut self) {
+        *self.dirty.get_mut() = true;
+        self.state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .bracket = None;
     }
 }
 
@@ -257,7 +337,7 @@ impl ComplaintTrust {
     /// overstates the baseline in quiet communities.
     pub fn set_population(&mut self, n: usize) {
         self.population = Some(n);
-        self.median.dirty.store(true, Ordering::Release);
+        self.median.invalidate();
     }
 
     /// The active configuration.
@@ -270,21 +350,38 @@ impl ComplaintTrust {
         self.add_complaint(by, about, 1.0);
     }
 
-    /// Mutable access to a peer's tally, marking it as recorded (the
-    /// dense stand-in for map-entry creation).
-    fn tally_mut(&mut self, peer: PeerId) -> &mut Tally {
+    /// Whether the median multiset still pads with at least one silent
+    /// 1.0 (a declared population larger than the recorded peers).
+    fn has_silent(&self) -> bool {
+        self.population.is_some_and(|n| self.recorded < n)
+    }
+
+    /// Applies `change` to a peer's tally, marking it as recorded (the
+    /// dense stand-in for map-entry creation), and moves the median
+    /// bracket with the product.
+    fn update_tally(&mut self, peer: PeerId, change: impl FnOnce(&mut Tally)) {
+        let had_silent = self.has_silent();
         let slot = dense_slot(&mut self.tallies, peer);
-        if !slot.seen {
+        let (was_seen, before) = (slot.seen, slot.product());
+        if !was_seen {
             slot.seen = true;
             self.recorded += 1;
         }
-        slot
+        change(slot);
+        if let Some(bracket) = self.median.touch() {
+            // A newly recorded peer's product was the baseline 1.0: it
+            // takes the place of a silent 1.0 if there is one, and joins
+            // the multiset otherwise.
+            bracket.shift(
+                (was_seen || had_silent).then_some(before),
+                Some(slot.product()),
+            );
+        }
     }
 
     fn add_complaint(&mut self, by: PeerId, about: PeerId, weight: f64) {
-        self.tally_mut(about).received += weight;
-        self.tally_mut(by).filed += weight;
-        self.median.dirty.store(true, Ordering::Release);
+        self.update_tally(about, |t| t.received += weight);
+        self.update_tally(by, |t| t.filed += weight);
     }
 
     /// The Laplace-shifted complaint product `T(q)`.
@@ -306,12 +403,15 @@ impl ComplaintTrust {
     /// contribute their product, the rest (when a population size is
     /// declared) contribute the baseline 1.0. Returns 1.0 when empty.
     ///
-    /// The value is cached behind a mutation dirty-flag: recording a
-    /// complaint invalidates it, the next call recomputes in O(n) via
-    /// `select_nth_unstable_by` (no sort, no allocation after warm-up),
-    /// and the prediction batches in between read the cached value — the
-    /// per-predict cost the old sort-per-call implementation paid is
-    /// amortized to O(1).
+    /// The value is cached behind a mutation dirty-flag, and the
+    /// prediction batches between mutations read the cached value. After
+    /// a mutation, the next call reads the median off a rank bracket
+    /// (the last median with the counts below and equal to it, which
+    /// every mutation keeps exact in O(1)) while the middle rank stays
+    /// inside it. Only a first call, a re-declared population or a
+    /// middle rank that left the bracket reselects in O(n) via
+    /// `select_nth_unstable_by` (no sort, no allocation after warm-up).
+    /// Both paths return the same element, bit for bit.
     pub fn median_product(&self) -> f64 {
         if !self.median.dirty.load(Ordering::Acquire) {
             return f64::from_bits(self.median.bits.load(Ordering::Acquire));
@@ -322,26 +422,41 @@ impl ComplaintTrust {
         median
     }
 
-    /// The from-scratch median: O(n) selection over recorded products
-    /// plus the silent-peer baseline padding.
+    /// The median of the recorded products plus the silent-peer baseline
+    /// padding: off the bracket when it still holds the middle rank,
+    /// else an O(n) selection that re-centres the bracket.
     fn compute_median(&self) -> f64 {
         if self.recorded == 0 {
             return 1.0;
         }
-        let mut products = self
-            .median
-            .scratch
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let len = self
+            .population
+            .map_or(self.recorded, |n| n.max(self.recorded));
+        let mid = len / 2;
+        let mut state = self.median.lock();
+        if let Some(median) = state.bracket.and_then(|b| b.median_at(mid)) {
+            return median;
+        }
+        let MedianState { products, bracket } = &mut *state;
         products.clear();
         products.extend(self.tallies.iter().filter(|t| t.seen).map(Tally::product));
-        if let Some(n) = self.population {
-            let silent = n.saturating_sub(products.len());
-            products.extend(std::iter::repeat_n(1.0, silent));
-        }
-        let mid = products.len() / 2;
-        let (_, median, _) = products.select_nth_unstable_by(mid, f64::total_cmp);
-        *median
+        products.resize(len, 1.0);
+        let (left, &mut median, right) = products.select_nth_unstable_by(mid, f64::total_cmp);
+        // The selection leaves only elements ≤ m on the left and ≥ m on
+        // the right, so counting the copies of m (equal under total_cmp
+        // means bit-equal) on each side places the bracket.
+        let copies = |side: &[f64]| {
+            side.iter()
+                .filter(|x| x.to_bits() == median.to_bits())
+                .count()
+        };
+        let equal_left = copies(left);
+        *bracket = Some(Bracket {
+            value: median,
+            below: mid - equal_left,
+            equal: 1 + equal_left + copies(right),
+        });
+        median
     }
 
     /// The CIKM-style binary decision: untrustworthy when the complaint
@@ -373,8 +488,7 @@ impl TrustModel for ComplaintTrust {
         // system tracks global filing counts; see `trustex-reputation`),
         // so only the received side is bumped here.
         if !conduct.is_honest() {
-            self.tally_mut(subject).received += 1.0;
-            self.median.dirty.store(true, Ordering::Release);
+            self.update_tally(subject, |t| t.received += 1.0);
         }
     }
 
@@ -419,11 +533,17 @@ impl TrustModel for ComplaintTrust {
         // received and complaints it filed. Complaints it filed also
         // bumped *other* peers' received counts; those stay, exactly as
         // gossip already absorbed elsewhere cannot be re-attributed.
+        // Its product leaves the median multiset, and a silent 1.0
+        // takes its place when the declared population needs one.
         if let Some(slot) = self.tallies.get_mut(peer.index()) {
             if slot.seen {
+                let gone = slot.product();
                 *slot = Tally::default();
                 self.recorded -= 1;
-                self.median.dirty.store(true, Ordering::Release);
+                let silent = self.has_silent().then_some(1.0);
+                if let Some(bracket) = self.median.touch() {
+                    bracket.shift(Some(gone), silent);
+                }
             }
         }
     }
@@ -433,9 +553,9 @@ impl TrustModel for ComplaintTrust {
     }
 
     fn prepare_snapshot(&self) {
-        // Force the lazy median recompute now: clones made afterwards
-        // (snapshot epochs) start with a clean cache, so their readers
-        // only ever do atomic loads — never the scratch-buffer mutex.
+        // Settle the lazy median now: a sealed model (a snapshot epoch)
+        // has a clean cache, so its readers only ever do atomic loads —
+        // never the median-state mutex.
         self.median_product();
     }
 }

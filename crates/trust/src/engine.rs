@@ -14,11 +14,20 @@
 //!   live, so snapshot predicts are pure table reads.
 //! * **Write side** — [`TrustEngine::submit`]: feedback and witness
 //!   events accumulate in a pending delta, tagged with a caller-chosen
-//!   sequence number. [`TrustEngine::publish`] folds the delta into the
-//!   base model **in sequence order** — a pinned fold, so the published
-//!   epoch is bit-identical no matter how many threads submitted or in
-//!   which interleaving the events arrived — and swaps the new snapshot
-//!   in atomically.
+//!   sequence number. [`TrustEngine::publish`] folds the delta **in
+//!   sequence order** — a pinned fold, so the published epoch is
+//!   bit-identical no matter how many threads submitted or in which
+//!   interleaving the events arrived — and swaps the new snapshot in
+//!   atomically.
+//! * **Two copies** — the engine holds the published model and a
+//!   standby: the model the last publish retired, which lacks exactly
+//!   that publish's delta (the lag). A publish replays the lag and then
+//!   the new delta into the standby, seals and publishes it, and takes
+//!   the retired model back as the next standby. A publish therefore
+//!   costs its delta and the previous one, not a copy of the model.
+//!   Only when a reader still holds the retired epoch, so it cannot be
+//!   reclaimed, does the next publish clone the published model
+//!   instead.
 //!
 //! The architecture mirrors an API-front/replication-back split: the
 //! front serves reads from the current epoch, the back batches writes
@@ -175,13 +184,17 @@ impl<M: TrustModel> TrustSnapshot<M> {
     }
 }
 
-/// Pending (not yet folded) events plus the authoritative base model.
+/// Pending (not yet folded) events plus the standby copy the next
+/// publish folds them into.
 #[derive(Debug)]
 struct WriteSide<M> {
-    /// The model with every published event applied.
-    base: M,
     /// Events submitted since the last publish: `(seq, event)`.
     pending: Vec<(u64, TrustEvent)>,
+    /// The model the last publish retired, if no reader still held it.
+    /// It is the published model minus exactly `lag`.
+    standby: Option<M>,
+    /// The last publish's seq-sorted delta: what `standby` lacks.
+    lag: Vec<(u64, TrustEvent)>,
 }
 
 /// The epoch-swapped snapshot engine around one trust model.
@@ -206,16 +219,23 @@ pub struct TrustEngine<M> {
 impl<M: TrustModel + Clone> TrustEngine<M> {
     /// Wraps a model, sealing and publishing it as epoch 0.
     pub fn new(model: M) -> TrustEngine<M> {
+        TrustEngine::sealed_at(model, 0, Vec::new())
+    }
+
+    /// Seals `model` and publishes it at `epoch`, with `pending` queued
+    /// for the next publish and no standby yet.
+    fn sealed_at(model: M, epoch: u64, pending: Vec<(u64, TrustEvent)>) -> TrustEngine<M> {
         model.prepare_snapshot();
         TrustEngine {
             current: RwLock::new(TrustSnapshot {
-                model: Arc::new(model.clone()),
-                epoch: 0,
+                model: Arc::new(model),
+                epoch,
             }),
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             write: Mutex::new(WriteSide {
-                base: model,
-                pending: Vec::new(),
+                pending,
+                standby: None,
+                lag: Vec::new(),
             }),
         }
     }
@@ -263,46 +283,75 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
             .len()
     }
 
-    /// Folds the pending delta into the base model in ascending `seq`
-    /// order, seals the result and swaps it in as the next epoch.
-    /// Returns the new epoch number. Outstanding snapshots keep serving
-    /// their old epoch until dropped.
+    /// Folds the pending delta in ascending `seq` order into a copy of
+    /// the published model, seals the result and swaps it in as the next
+    /// epoch. Returns the new epoch number. Outstanding snapshots keep
+    /// serving their old epoch until dropped.
+    ///
+    /// The copy is the standby: the model the last publish retired,
+    /// brought level by replaying that publish's delta. So a publish
+    /// costs its own delta plus the previous one. Only when a reader
+    /// still held the retired epoch (and so it could not be reclaimed)
+    /// is the published model cloned instead.
     pub fn publish(&self) -> u64 {
         let mut write = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let mut pending = std::mem::take(&mut write.pending);
+        let WriteSide {
+            pending,
+            standby,
+            lag,
+        } = &mut *write;
         // Stable on seq: ties (a caller bug — seqs should be distinct)
         // at least keep their per-thread arrival order.
         pending.sort_by_key(|(seq, _)| *seq);
-        for (_, event) in pending {
-            event.apply(&mut write.base);
+        let mut model = match standby.take() {
+            Some(mut model) => {
+                for &(_, event) in lag.iter() {
+                    event.apply(&mut model);
+                }
+                model
+            }
+            None => self.snapshot().model().clone(),
+        };
+        for &(_, event) in pending.iter() {
+            event.apply(&mut model);
         }
         // Seal cached values (e.g. the complaint median) so snapshot
         // readers never fall into a lazy recompute path.
-        write.base.prepare_snapshot();
+        model.prepare_snapshot();
+        // This delta is what the retired model lacks.
+        *lag = std::mem::take(pending);
+        let epoch = self.epoch.load(Ordering::Acquire) + 1;
         let next = TrustSnapshot {
-            model: Arc::new(write.base.clone()),
-            epoch: self.epoch.load(Ordering::Acquire) + 1,
+            model: Arc::new(model),
+            epoch,
         };
-        let epoch = next.epoch;
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+        let retired = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
         self.epoch.store(epoch, Ordering::Release);
+        *standby = Arc::try_unwrap(retired.model).ok();
         epoch
     }
 }
 
-/// The engine persists as its published epoch, the base model (which
-/// carries every published event) and the pending seq-tagged delta —
-/// the full write-side state. Restoring re-seals the base and publishes
-/// it at the saved epoch, so snapshots resume exactly where the saved
+/// The engine persists as its published epoch, the published model
+/// (which carries every published event) and the pending seq-tagged
+/// delta — the full write-side state; the standby is a reusable buffer
+/// and does not travel. Restoring re-seals the model and publishes it
+/// at the saved epoch, so snapshots resume exactly where the saved
 /// engine's would, and a subsequent `publish` folds the restored delta
 /// identically to the live engine.
 impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
     const TAG: [u8; 4] = *b"TENG";
 
     fn encode_state(&self, w: &mut ByteWriter) {
+        // Holding the write lock keeps a publish from swapping the epoch
+        // between the model and the delta.
         let write = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        w.put_u64(self.epoch.load(Ordering::Acquire));
-        write.base.encode_state(w);
+        let published = self.snapshot();
+        w.put_u64(published.epoch);
+        published.model.encode_state(w);
         w.put_len(write.pending.len());
         for &(seq, event) in &write.pending {
             w.put_u64(seq);
@@ -312,7 +361,7 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
         let epoch = r.take_u64()?;
-        let base = M::decode_state(r)?;
+        let model = M::decode_state(r)?;
         // Smallest pending frame: seq (8) + direct event (14).
         let n = r.take_len(22)?;
         let mut pending = Vec::with_capacity(n);
@@ -320,15 +369,7 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
             let seq = r.take_u64()?;
             pending.push((seq, TrustEvent::decode_from(r)?));
         }
-        base.prepare_snapshot();
-        Ok(TrustEngine {
-            current: RwLock::new(TrustSnapshot {
-                model: Arc::new(base.clone()),
-                epoch,
-            }),
-            epoch: AtomicU64::new(epoch),
-            write: Mutex::new(WriteSide { base, pending }),
-        })
+        Ok(TrustEngine::sealed_at(model, epoch, pending))
     }
 }
 
