@@ -1720,6 +1720,50 @@ mod tests {
         assert!((0..g.len()).any(|i| g.store_len(i) == 2));
     }
 
+    /// Store upserts and meeting merges against a `BTreeMap` oracle
+    /// keyed by `(by, about)` holding the latest round: after every step
+    /// each store lists exactly the oracle's entries, in pair order.
+    #[test]
+    fn store_upsert_and_merge_match_btreemap_oracle() {
+        use std::collections::BTreeMap;
+        let (mut g, mut rng, _) = grid(8, 2, 47);
+        let mut oracle: Vec<BTreeMap<(PeerId, PeerId), u64>> = vec![BTreeMap::new(); g.len()];
+        for step in 0..2000 {
+            let a = rng.index(g.len());
+            if step % 7 == 6 {
+                let mut b = rng.index(g.len() - 1);
+                if b >= a {
+                    b += 1;
+                }
+                g.merge_stores(a, b);
+                let mut merged = oracle[a].clone();
+                for (&pair, &round) in &oracle[b] {
+                    let r = merged.entry(pair).or_insert(round);
+                    *r = (*r).max(round);
+                }
+                oracle[a] = merged.clone();
+                oracle[b] = merged;
+            } else {
+                let item = Complaint {
+                    by: PeerId(rng.index(6) as u32),
+                    about: PeerId(rng.index(6) as u32),
+                    round: rng.index(50) as u64,
+                };
+                g.store_insert(a, item);
+                let r = oracle[a].entry((item.by, item.about)).or_insert(item.round);
+                *r = (*r).max(item.round);
+            }
+            for (peer, want) in oracle.iter().enumerate() {
+                let want: Vec<Complaint> = want
+                    .iter()
+                    .map(|(&(by, about), &round)| Complaint { by, about, round })
+                    .collect();
+                assert_eq!(g.stored(peer).collect::<Vec<_>>(), want, "step {step}");
+                assert_eq!(g.store_len(peer), want.len());
+            }
+        }
+    }
+
     #[test]
     fn repair_restores_routing_after_churn() {
         let (mut g, mut rng, mut net) = grid(192, 5, 14);
