@@ -17,10 +17,11 @@
 //! `--threads N` pins the worker-pool size used by the arm-parallel
 //! experiment runner and the sharded market simulator (default: detected
 //! parallelism; results are identical for every value). Each run also
-//! writes per-experiment wall-clock timings to `BENCH_repro.json`
-//! (override the path with `--bench-out PATH`), a flat JSON object
-//! mapping experiment id → milliseconds, so CI can track the perf
-//! trajectory per PR.
+//! writes per-experiment wall-clock timings to `BENCH_repro.json` at
+//! paper scale and to `BENCH_repro.smoke.json` at smoke scale, so a
+//! smoke run never overwrites the paper-scale baseline (override the
+//! path with `--bench-out PATH`): a flat JSON object mapping experiment
+//! id → milliseconds, so CI can track the perf trajectory per PR.
 //!
 //! Every table except E2 and E12 is a pure function of its seed
 //! (bit-identical for any `--threads`). E2 is the scheduler scaling
@@ -38,7 +39,7 @@ use trustex_netsim::pool::{default_threads, set_default_threads};
 struct Args {
     smoke: bool,
     threads: usize,
-    bench_out: String,
+    bench_out: Option<String>,
     ids: Vec<String>,
 }
 
@@ -58,7 +59,7 @@ fn parse_args(raw: Vec<String>) -> Args {
     let mut args = Args {
         smoke: false,
         threads: 0,
-        bench_out: "BENCH_repro.json".to_owned(),
+        bench_out: None,
         ids: Vec::new(),
     };
     let mut iter = raw.into_iter();
@@ -75,9 +76,10 @@ fn parse_args(raw: Vec<String>) -> Args {
                 };
             }
             "--bench-out" => {
-                args.bench_out = iter
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--bench-out requires a path"));
+                args.bench_out = Some(
+                    iter.next()
+                        .unwrap_or_else(|| usage_exit("--bench-out requires a path")),
+                );
             }
             "--only" => {
                 let value = iter
@@ -150,10 +152,15 @@ fn main() {
     }
 
     let json = timings_to_json(&timings);
-    match std::fs::write(&args.bench_out, &json) {
-        Ok(()) => eprintln!("wall-clock timings written to {}", args.bench_out),
+    let bench_out = args.bench_out.as_deref().unwrap_or(if args.smoke {
+        "BENCH_repro.smoke.json"
+    } else {
+        "BENCH_repro.json"
+    });
+    match std::fs::write(bench_out, &json) {
+        Ok(()) => eprintln!("wall-clock timings written to {bench_out}"),
         Err(err) => {
-            eprintln!("failed to write {}: {err}", args.bench_out);
+            eprintln!("failed to write {bench_out}: {err}");
             std::process::exit(1);
         }
     }

@@ -58,7 +58,8 @@ impl Drop for ScratchDir {
 
 /// The real binary completes `--smoke` (with an explicit thread count),
 /// prints every experiment's tag and writes machine-readable wall-clock
-/// timings to `BENCH_repro.json`.
+/// timings to `BENCH_repro.smoke.json`, leaving the paper-scale
+/// `BENCH_repro.json` alone.
 #[test]
 fn repro_binary_smoke_run_succeeds_and_emits_timings() {
     let scratch = ScratchDir::new("full");
@@ -82,13 +83,17 @@ fn repro_binary_smoke_run_succeeds_and_emits_timings() {
             experiment.id
         );
     }
-    let json = std::fs::read_to_string(scratch.0.join("BENCH_repro.json"))
-        .expect("repro must write BENCH_repro.json");
+    let json = std::fs::read_to_string(scratch.0.join("BENCH_repro.smoke.json"))
+        .expect("repro --smoke must write BENCH_repro.smoke.json");
+    assert!(
+        !scratch.0.join("BENCH_repro.json").exists(),
+        "a smoke run must not write the paper-scale BENCH_repro.json"
+    );
     assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     for experiment in &ALL {
         assert!(
             json.contains(&format!("\"{}\": ", experiment.id)),
-            "experiment {} missing from BENCH_repro.json:\n{json}",
+            "experiment {} missing from BENCH_repro.smoke.json:\n{json}",
             experiment.id
         );
     }

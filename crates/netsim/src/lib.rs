@@ -66,7 +66,7 @@ pub use churn::{ChurnModel, ChurnTimeline};
 pub use crc::{crc32c, Crc32};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultFate, FaultPlane, PartitionSpec};
-pub use net::{Latency, NetConfig, Network, NodeId};
+pub use net::{Latency, MsgKind, NetConfig, Network, NodeId};
 pub use pool::{parallel_map, resolve_threads, set_default_threads};
 pub use rng::SimRng;
 pub use stats::{Histogram, Sample};

@@ -9,7 +9,6 @@
 use crate::fault::{FaultFate, FaultPlane};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a simulated node.
@@ -68,6 +67,37 @@ pub struct NetConfig {
     pub latency: Latency,
 }
 
+/// The kind of a message, counted per kind by [`Network`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgKind {
+    /// A routing hop towards the peer responsible for a key.
+    Route,
+    /// An insert's push from the landing peer to a replica.
+    Replicate,
+    /// A query's probe from the landing peer to a replica.
+    ReplicaQuery,
+}
+
+impl MsgKind {
+    /// Every kind, in counter-slot order.
+    pub const ALL: [MsgKind; 3] = [MsgKind::Route, MsgKind::Replicate, MsgKind::ReplicaQuery];
+
+    /// The kind's name, as [`Network::sent`] and [`Network::dropped`]
+    /// read it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            MsgKind::Route => "route",
+            MsgKind::Replicate => "replicate",
+            MsgKind::ReplicaQuery => "replica_query",
+        }
+    }
+
+    /// The kind named `name`, if any.
+    fn named(name: &str) -> Option<MsgKind> {
+        MsgKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
 /// Outcome of attempting to send one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
@@ -88,17 +118,17 @@ pub enum Delivery {
 /// # Examples
 ///
 /// ```
-/// use trustex_netsim::net::{Delivery, Latency, NetConfig, Network, NodeId};
+/// use trustex_netsim::net::{Delivery, Latency, MsgKind, NetConfig, Network, NodeId};
 /// use trustex_netsim::rng::SimRng;
 /// use trustex_netsim::time::SimTime;
 ///
 /// let mut rng = SimRng::new(1);
 /// let mut net = Network::new(NetConfig { latency: Latency { lo: 500, hi: 500 } });
-/// match net.send_link("query", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng) {
+/// match net.send_link(MsgKind::Route, NodeId(0), NodeId(1), SimTime::ZERO, &mut rng) {
 ///     Delivery::Delivered(d) => assert_eq!(d.as_micros(), 500),
 ///     Delivery::Dropped => unreachable!(),
 /// }
-/// assert_eq!(net.sent("query"), 1);
+/// assert_eq!(net.sent("route"), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -107,8 +137,9 @@ pub struct Network {
     /// Monotone per-network message sequence; together with the link
     /// endpoints it keys every fault-plane decision.
     next_seq: u64,
-    sent: BTreeMap<&'static str, u64>,
-    dropped: BTreeMap<&'static str, u64>,
+    /// Messages sent and dropped, indexed by [`MsgKind`].
+    sent: [u64; MsgKind::ALL.len()],
+    dropped: [u64; MsgKind::ALL.len()],
 }
 
 impl Network {
@@ -124,8 +155,8 @@ impl Network {
             cfg,
             plane,
             next_seq: 0,
-            sent: BTreeMap::new(),
-            dropped: BTreeMap::new(),
+            sent: [0; MsgKind::ALL.len()],
+            dropped: [0; MsgKind::ALL.len()],
         }
     }
 
@@ -154,7 +185,7 @@ impl Network {
     /// * injected extra delay is added to the sampled base latency.
     pub fn send_link(
         &mut self,
-        kind: &'static str,
+        kind: MsgKind,
         src: NodeId,
         dst: NodeId,
         at: SimTime,
@@ -162,43 +193,44 @@ impl Network {
     ) -> Delivery {
         let seq = self.next_seq;
         self.next_seq += 1;
-        *self.sent.entry(kind).or_insert(0) += 1;
+        let k = kind as usize;
+        self.sent[k] += 1;
         let base = self.cfg.latency.sample(rng);
         match self.plane.decide(src.0, dst.0, seq, at) {
             FaultFate::Lost | FaultFate::Blocked => {
-                *self.dropped.entry(kind).or_insert(0) += 1;
+                self.dropped[k] += 1;
                 Delivery::Dropped
             }
             FaultFate::Deliver {
                 extra_delay,
                 duplicates,
             } => {
-                if duplicates > 0 {
-                    *self.sent.entry(kind).or_insert(0) += u64::from(duplicates);
-                }
+                self.sent[k] += u64::from(duplicates);
                 Delivery::Delivered(base + extra_delay)
             }
         }
     }
 
-    /// Messages sent of a given kind (including later-dropped ones).
+    /// Messages sent of the kind named `kind` (including later-dropped
+    /// ones); 0 for a name no [`MsgKind`] has.
     pub fn sent(&self, kind: &str) -> u64 {
-        self.sent.get(kind).copied().unwrap_or(0)
+        MsgKind::named(kind).map_or(0, |k| self.sent[k as usize])
     }
 
-    /// Messages dropped of a given kind.
+    /// Messages dropped of the kind named `kind`; 0 for a name no
+    /// [`MsgKind`] has.
     pub fn dropped(&self, kind: &str) -> u64 {
-        self.dropped.get(kind).copied().unwrap_or(0)
+        MsgKind::named(kind).map_or(0, |k| self.dropped[k as usize])
     }
 
     /// Total messages sent across all kinds.
     pub fn total_sent(&self) -> u64 {
-        self.sent.values().sum()
+        self.sent.iter().sum()
     }
 
     /// Total messages dropped across all kinds.
     pub fn total_dropped(&self) -> u64 {
-        self.dropped.values().sum()
+        self.dropped.iter().sum()
     }
 }
 
@@ -237,15 +269,19 @@ mod tests {
         let mut net = Network::with_fault_plane(NetConfig::default(), plane);
         let mut delivered = 0;
         for _ in 0..1000 {
-            if let Delivery::Delivered(_) =
-                net.send_link("q", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng)
-            {
+            if let Delivery::Delivered(_) = net.send_link(
+                MsgKind::Route,
+                NodeId(0),
+                NodeId(1),
+                SimTime::ZERO,
+                &mut rng,
+            ) {
                 delivered += 1;
             }
         }
-        assert_eq!(net.sent("q"), 1000);
-        assert_eq!(net.dropped("q") + delivered, 1000);
-        let frac = net.dropped("q") as f64 / 1000.0;
+        assert_eq!(net.sent("route"), 1000);
+        assert_eq!(net.dropped("route") + delivered, 1000);
+        let frac = net.dropped("route") as f64 / 1000.0;
         assert!((frac - 0.5).abs() < 0.06, "drop fraction {frac}");
     }
 
@@ -253,12 +289,31 @@ mod tests {
     fn kinds_are_separate() {
         let mut rng = SimRng::new(6);
         let mut net = Network::new(NetConfig::default());
-        net.send_link("a", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
-        net.send_link("a", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
-        net.send_link("b", NodeId(0), NodeId(1), SimTime::ZERO, &mut rng);
-        assert_eq!(net.sent("a"), 2);
-        assert_eq!(net.sent("b"), 1);
-        assert_eq!(net.sent("c"), 0);
+        net.send_link(
+            MsgKind::Route,
+            NodeId(0),
+            NodeId(1),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        net.send_link(
+            MsgKind::Route,
+            NodeId(0),
+            NodeId(1),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        net.send_link(
+            MsgKind::Replicate,
+            NodeId(0),
+            NodeId(1),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        assert_eq!(net.sent("route"), 2);
+        assert_eq!(net.sent("replicate"), 1);
+        assert_eq!(net.sent("replica_query"), 0);
+        assert_eq!(net.sent("gossip"), 0, "unknown names read 0");
         assert_eq!(net.total_sent(), 3);
         assert_eq!(net.total_dropped(), 0);
     }
@@ -276,13 +331,19 @@ mod tests {
         let mut rng = SimRng::new(42);
         let mut replay = SimRng::new(42);
         for i in 0..500u32 {
-            let got = net.send_link("q", NodeId(i), NodeId(i + 1), SimTime::ZERO, &mut rng);
+            let got = net.send_link(
+                MsgKind::Route,
+                NodeId(i),
+                NodeId(i + 1),
+                SimTime::ZERO,
+                &mut rng,
+            );
             let want = Delivery::Delivered(cfg.latency.sample(&mut replay));
             assert_eq!(got, want, "message {i}");
         }
         assert_eq!(rng.next_u64(), replay.next_u64(), "RNG streams diverged");
-        assert_eq!(net.sent("q"), 500);
-        assert_eq!(net.dropped("q"), 0);
+        assert_eq!(net.sent("route"), 500);
+        assert_eq!(net.dropped("route"), 0);
         assert_eq!(net.link_messages(), 500);
         assert_eq!(*net.fault_plane(), FaultPlane::transparent(0));
     }
@@ -300,13 +361,25 @@ mod tests {
         let mut rng_a = SimRng::new(9);
         let mut rng_b = SimRng::new(9);
         for i in 0..500u32 {
-            let da = plain.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_a);
-            let db = chaos.send_link("q", NodeId(i), NodeId(0), SimTime::ZERO, &mut rng_b);
+            let da = plain.send_link(
+                MsgKind::Route,
+                NodeId(i),
+                NodeId(0),
+                SimTime::ZERO,
+                &mut rng_a,
+            );
+            let db = chaos.send_link(
+                MsgKind::Route,
+                NodeId(i),
+                NodeId(0),
+                SimTime::ZERO,
+                &mut rng_b,
+            );
             assert_eq!(da, db, "message {i}");
         }
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-        assert_eq!(plain.sent("q"), chaos.sent("q"));
-        assert_eq!(plain.dropped("q"), chaos.dropped("q"));
+        assert_eq!(plain.sent("route"), chaos.sent("route"));
+        assert_eq!(plain.dropped("route"), chaos.dropped("route"));
         assert_eq!(plain.link_messages(), chaos.link_messages());
     }
 
@@ -334,7 +407,7 @@ mod tests {
         };
         let mut net = Network::with_fault_plane(cfg, plane);
         let mut rng = SimRng::new(31);
-        let kinds = ["route", "replica_query"];
+        let kinds = [MsgKind::Route, MsgKind::ReplicaQuery];
         let mut expected_sent = [0u64; 2];
         let mut expected_dropped = [0u64; 2];
         for i in 0..2000u64 {
@@ -366,7 +439,7 @@ mod tests {
             );
         }
         assert_eq!(net.link_messages(), 2000);
-        for (k, kind) in kinds.iter().enumerate() {
+        for (k, kind) in kinds.map(MsgKind::name).iter().enumerate() {
             assert_eq!(net.sent(kind), expected_sent[k], "sent[{kind}]");
             assert_eq!(net.dropped(kind), expected_dropped[k], "dropped[{kind}]");
         }

@@ -28,6 +28,11 @@
 //!   peers share one flat `Vec<RefEntry>` arena with a fixed
 //!   `max_depth × max_refs` stride per peer, so a meeting touches two
 //!   short cache lines instead of chasing nested `Vec`s.
+//! * **Flat complaint stores.** A peer's store is one `Vec` of 16-byte
+//!   [`Complaint`]s sorted by `(by, about)`: an insert is a binary-search
+//!   upsert, a meeting's store union is one linear two-way merge, and a
+//!   query reads the store as one contiguous run instead of walking tree
+//!   nodes. A departing peer's store is freed, not just emptied.
 //! * **Heap-slot leaf directory.** The directory mapping every occupied
 //!   path to its owners is a flat arena of `2^(max_depth+1)` buckets
 //!   indexed by [`BitPath::slot`] (the u64-bit-packed heap layout of the
@@ -36,18 +41,27 @@
 //!   directly ([`PGrid::responsible_peers`] is `O(depth)`), replacing
 //!   first the naive O(n) population scan and then the `BTreeMap`
 //!   directory of earlier revisions. Bucket membership moves are O(1)
-//!   positional swap-removes patched through `dir_pos`.
+//!   positional swap-removes patched through `dir_pos`. A query or
+//!   insert collects its replica group on the stack (spilling to the
+//!   heap only past 32 members), so the fan-out allocates nothing.
 //! * **Subtree counts.** A second heap-indexed arena counts the live
 //!   peers at-or-below every trie node, maintained in O(1) per path
 //!   extension and O(depth) per leave. [`PGrid::join`] uses it to sample
 //!   uniform meeting partners from the newcomer's shrinking subspace in
-//!   O(depth) per draw, so admissions stay cheap at any population.
+//!   O(depth) per draw, so admissions stay cheap at any population. The
+//!   walk reads the counts alone — a node's own bucket size is its count
+//!   minus its two children's — and touches a directory bucket only for
+//!   the final pick.
 //! * **Bounded reference buckets.** Each per-level bucket holds at most
 //!   `max_refs` entries stamped with the meeting tick that last
 //!   confirmed them; when a full bucket must admit a new peer, the
 //!   *stalest* entry is overwritten in place (recency as a liveness
 //!   proxy — O(1), no shifting), and entries pointing at departed peers
-//!   are evicted lazily on the next bucket touch.
+//!   are evicted lazily on the next bucket touch. [`PGrid::repair`]
+//!   evicts them eagerly in one sweep over the arena, split into
+//!   disjoint chunks of at least 4096 peers on the worker pool
+//!   ([`trustex_netsim::pool`]); buckets are independent, so the result
+//!   is the same for every thread count.
 //! * **Complaint compaction.** A peer's store keeps one entry per
 //!   `(by, about)` pair — the latest round wins — so repeated inserts
 //!   about the same relationship never grow a replica's store beyond
@@ -74,9 +88,10 @@
 //! eviction) lives one layer up, in [`crate::lifecycle`].
 
 use crate::record::{BitPath, Complaint, Key};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use trustex_netsim::backoff::RetryPolicy;
-use trustex_netsim::net::{Delivery, Network, NodeId};
+use trustex_netsim::net::{Delivery, MsgKind, Network, NodeId};
+use trustex_netsim::pool::{default_threads, parallel_map};
 use trustex_netsim::rng::SimRng;
 use trustex_netsim::time::SimTime;
 use trustex_persist::codec::{ByteReader, ByteWriter};
@@ -94,6 +109,15 @@ const ARENA_DEPTH_LIMIT: u8 = 20;
 /// to the population (and for snapshot restore to stay safe against a
 /// corrupted config declaring an absurd capacity).
 const REFS_LIMIT: usize = 256;
+
+/// Fewest peers per chunk of [`PGrid::repair`]'s eviction sweep: below
+/// this a worker thread costs more than the slice of the sweep it
+/// takes, so smaller grids sweep on the calling thread.
+const REPAIR_CHUNK: usize = 4096;
+
+/// Replica-group members collected on the stack before
+/// [`ReplicaGroup`] spills to the heap; groups target about 4 members.
+const GROUP_INLINE: usize = 32;
 
 /// Configuration of a [`PGrid`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,7 +209,7 @@ fn link_salt(from: usize, to: usize) -> u64 {
 /// first drop gives up. Returns the peer that received the message and
 /// the sender's total wait (accrued timeouts plus the delivery delay).
 fn send_with_retry(
-    kind: &'static str,
+    kind: MsgKind,
     from: usize,
     mut target: impl FnMut(usize) -> usize,
     at: SimTime,
@@ -215,6 +239,82 @@ fn send_with_retry(
             }
         }
     }
+}
+
+/// A key's live replica group in ascending index order: up to
+/// [`GROUP_INLINE`] members on the stack, a larger group on the heap,
+/// so the fan-out of a query or insert allocates nothing.
+#[derive(Default)]
+struct ReplicaGroup {
+    inline: [u32; GROUP_INLINE],
+    len: usize,
+    spill: Vec<u32>,
+}
+
+impl ReplicaGroup {
+    fn push(&mut self, member: u32) {
+        if self.len < GROUP_INLINE {
+            self.inline[self.len] = member;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(member);
+        }
+    }
+
+    fn members(&self) -> &[u32] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    fn sort(&mut self) {
+        if self.spill.is_empty() {
+            self.inline[..self.len].sort_unstable();
+        } else {
+            self.spill.sort_unstable();
+        }
+    }
+}
+
+/// Orders complaints by their `(by, about)` pair, the key of a store.
+fn pair_order(x: &Complaint, y: &Complaint) -> Ordering {
+    (x.by, x.about).cmp(&(y.by, y.about))
+}
+
+/// The union of two stores under the compaction rule (latest round per
+/// pair wins): one linear two-way merge of the sorted entries.
+fn merged_store(a: &[Complaint], b: &[Complaint]) -> Vec<Complaint> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match pair_order(&a[i], &b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(Complaint {
+                    round: a[i].round.max(b[j].round),
+                    ..a[i]
+                });
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out.shrink_to_fit();
+    out
 }
 
 /// Receipt for an insert: how it travelled.
@@ -265,8 +365,9 @@ pub struct PGrid {
     refs: Vec<RefEntry>,
     /// Occupancy of each `(peer, level)` bucket in the arena.
     ref_len: Vec<u8>,
-    /// Compacted complaint stores: latest round per `(by, about)` pair.
-    stores: Vec<BTreeMap<(PeerId, PeerId), u64>>,
+    /// Compacted complaint stores: one entry per `(by, about)` pair,
+    /// holding the latest round, sorted by pair.
+    stores: Vec<Vec<Complaint>>,
     /// Leaf-directory arena: `buckets[path.slot()]` = dense indices of
     /// the live peers at exactly that path.
     buckets: Vec<Vec<u32>>,
@@ -301,7 +402,7 @@ impl PGrid {
             live: n,
             refs: vec![RefEntry::VACANT; n * d * cfg.max_refs],
             ref_len: vec![0; n * d],
-            stores: vec![BTreeMap::new(); n],
+            stores: vec![Vec::new(); n],
             buckets: {
                 let mut b = vec![Vec::new(); slots];
                 b[BitPath::EMPTY.slot()] = (0..n as u32).collect();
@@ -417,9 +518,7 @@ impl PGrid {
     ///
     /// Panics if out of range.
     pub fn stored(&self, peer: usize) -> impl ExactSizeIterator<Item = Complaint> + '_ {
-        self.stores[peer]
-            .iter()
-            .map(|(&(by, about), &round)| Complaint { by, about, round })
+        self.stores[peer].iter().copied()
     }
 
     /// Number of complaints stored at a peer (distinct `(by, about)`
@@ -467,26 +566,21 @@ impl PGrid {
 
     /// Compacting upsert: keeps the latest round per `(by, about)` pair.
     fn store_insert(&mut self, peer: usize, item: Complaint) {
-        self.stores[peer]
-            .entry((item.by, item.about))
-            .and_modify(|r| *r = (*r).max(item.round))
-            .or_insert(item.round);
+        let store = &mut self.stores[peer];
+        match store.binary_search_by(|c| pair_order(c, &item)) {
+            Ok(i) => store[i].round = store[i].round.max(item.round),
+            Err(i) => store.insert(i, item),
+        }
     }
 
     /// Unions two peers' stores under the compaction rule (latest round
-    /// per pair wins); both end up with the merged store.
+    /// per pair wins); both end up with the merged store. Replicas in
+    /// sync already hold equal stores, which stay as they are.
     fn merge_stores(&mut self, a: usize, b: usize) {
-        if self.stores[a].is_empty() && self.stores[b].is_empty() {
+        if self.stores[a] == self.stores[b] {
             return;
         }
-        let taken = std::mem::take(&mut self.stores[a]);
-        let mut merged = std::mem::take(&mut self.stores[b]);
-        for (pair, round) in taken {
-            merged
-                .entry(pair)
-                .and_modify(|r| *r = (*r).max(round))
-                .or_insert(round);
-        }
+        let merged = merged_store(&self.stores[a], &self.stores[b]);
         self.stores[a] = merged.clone();
         self.stores[b] = merged;
     }
@@ -649,14 +743,8 @@ impl PGrid {
     /// candidate depth, `O(max_depth)` instead of the naive full
     /// population scan.
     pub fn responsible_peers(&self, key: Key) -> Vec<usize> {
-        let w = self.cfg.key_bits;
-        let mut out = Vec::new();
-        for len in 0..=self.cfg.max_depth {
-            let bucket = &self.buckets[BitPath::key_prefix(key, len, w).slot()];
-            out.extend(bucket.iter().map(|&i| i as usize));
-        }
-        out.sort_unstable();
-        out
+        let group = self.replica_group(key, None);
+        group.members().iter().map(|&i| i as usize).collect()
     }
 
     /// Greedy routing from `origin` towards a peer responsible for `key`.
@@ -723,8 +811,15 @@ impl PGrid {
                     .expect("picked within the live count")
                     .peer as usize
             };
-            let (next, waited) =
-                send_with_retry("route", current, failover, start + latency, retry, net, rng)?;
+            let (next, waited) = send_with_retry(
+                MsgKind::Route,
+                current,
+                failover,
+                start + latency,
+                retry,
+                net,
+                rng,
+            )?;
             latency += waited;
             hops += 1;
             if hops > hop_limit {
@@ -735,14 +830,22 @@ impl PGrid {
     }
 
     /// The live replica group for a key: every live peer responsible for
-    /// it. Peers with shorter paths covering the key count as members —
-    /// in a real deployment the landing peer reaches them by continuing
-    /// to route within its subtree, which costs the same one message per
-    /// member this model charges.
-    fn replica_group_for_key(&self, key: Key, alive: Option<&[bool]>) -> Vec<usize> {
-        let up = |i: usize| alive.is_none_or(|a| a[i]);
-        let mut group = self.responsible_peers(key);
-        group.retain(|&i| up(i));
+    /// it, in ascending index order. Peers with shorter paths covering
+    /// the key count as members — in a real deployment the landing peer
+    /// reaches them by continuing to route within its subtree, which
+    /// costs the same one message per member this model charges.
+    fn replica_group(&self, key: Key, alive: Option<&[bool]>) -> ReplicaGroup {
+        let w = self.cfg.key_bits;
+        let mut group = ReplicaGroup::default();
+        for len in 0..=self.cfg.max_depth {
+            let bucket = &self.buckets[BitPath::key_prefix(key, len, w).slot()];
+            for &m in bucket {
+                if alive.is_none_or(|a| a[m as usize]) {
+                    group.push(m);
+                }
+            }
+        }
+        group.sort();
         group
     }
 
@@ -784,14 +887,15 @@ impl PGrid {
                 latency: SimTime::ZERO,
             };
         };
-        let group = self.replica_group_for_key(key, alive);
+        let group = self.replica_group(key, alive);
         let mut reached = 0;
         let mut max_extra = SimTime::ZERO;
-        for member in group {
+        for &member in group.members() {
+            let member = member as usize;
             if member != landing {
                 let push = |_| member;
-                match send_with_retry("replicate", landing, push, start + latency, retry, net, rng)
-                {
+                let kind = MsgKind::Replicate;
+                match send_with_retry(kind, landing, push, start + latency, retry, net, rng) {
                     Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
@@ -855,20 +959,15 @@ impl PGrid {
             };
         };
         let w = self.cfg.key_bits;
-        let mut answers = Vec::new();
+        let group = self.replica_group(key, alive);
+        let mut answers = Vec::with_capacity(group.members().len());
         let mut max_extra = SimTime::ZERO;
-        for member in self.replica_group_for_key(key, alive) {
+        for &member in group.members() {
+            let member = member as usize;
             if member != landing {
                 let probe = |_| member;
-                match send_with_retry(
-                    "replica_query",
-                    landing,
-                    probe,
-                    start + latency,
-                    retry,
-                    net,
-                    rng,
-                ) {
+                let kind = MsgKind::ReplicaQuery;
+                match send_with_retry(kind, landing, probe, start + latency, retry, net, rng) {
                     Some((_, d)) => max_extra = max_extra.max(d),
                     None => continue,
                 }
@@ -909,7 +1008,7 @@ impl PGrid {
         assert!(idx < u32::MAX as usize, "dense index space exhausted");
         self.paths.push(BitPath::EMPTY);
         self.departed.push(false);
-        self.stores.push(BTreeMap::new());
+        self.stores.push(Vec::new());
         let new_refs = self.refs.len() + d * self.cfg.max_refs;
         self.refs.resize(new_refs, RefEntry::VACANT);
         self.ref_len.resize(self.ref_len.len() + d, 0);
@@ -936,10 +1035,7 @@ impl PGrid {
             } else {
                 // Deepest remaining owner of the newcomer's subspace —
                 // its store covers a superspace, copy it one way.
-                let donor_store = self.stores[donor].clone();
-                for ((by, about), round) in donor_store {
-                    self.store_insert(idx, Complaint { by, about, round });
-                }
+                self.stores[idx] = merged_store(&self.stores[idx], &self.stores[donor]);
             }
         }
         idx
@@ -948,13 +1044,16 @@ impl PGrid {
     /// Samples a uniform peer from the subtree rooted at `path` (peers
     /// whose path equals or extends it), excluding `exclude` — which
     /// must itself sit at exactly `path`. O(depth) via the subtree
-    /// counts.
+    /// counts alone: a node's own bucket holds its count minus its
+    /// children's, and `exclude` sits at `dir_pos[exclude]` of the root
+    /// bucket, so the walk reads a directory bucket only for the pick.
     fn sample_in_subtree(&self, path: BitPath, exclude: usize, rng: &mut SimRng) -> Option<usize> {
         debug_assert_eq!(
             self.paths[exclude], path,
             "exclude sits at the subtree root"
         );
-        let total = self.subtree[path.slot()] as usize;
+        let mut slot = path.slot();
+        let total = self.subtree[slot] as usize;
         if total <= 1 {
             return None;
         }
@@ -962,33 +1061,28 @@ impl PGrid {
         // Walk down: at each node the bucket's own members come first
         // (skipping `exclude`, which only appears in the root bucket),
         // then the 0-subtree, then the 1-subtree.
-        let mut node = path;
+        let mut skip = Some(self.dir_pos[exclude] as usize);
         loop {
-            let bucket = &self.buckets[node.slot()];
-            let skip = bucket.iter().position(|&m| m as usize == exclude);
-            let local = bucket.len() - usize::from(skip.is_some());
+            let (left, right) = match self.subtree.get(slot << 1..(slot << 1) + 2) {
+                Some(&[zero, one]) => (zero as usize, one as usize),
+                _ => (0, 0),
+            };
+            let local = self.subtree[slot] as usize - left - right - usize::from(skip.is_some());
             if r < local {
-                let mut pos = r;
-                if let Some(s) = skip {
-                    if pos >= s {
-                        pos += 1;
-                    }
-                }
-                return Some(bucket[pos] as usize);
+                let pos = match skip {
+                    Some(s) if r >= s => r + 1,
+                    _ => r,
+                };
+                return Some(self.buckets[slot][pos] as usize);
             }
             r -= local;
-            assert!(
-                node.len() < self.cfg.max_depth,
-                "subtree counts out of sync with buckets"
-            );
-            let left = node.child(false);
-            let lcount = self.subtree[left.slot()] as usize;
-            node = if r < lcount {
-                left
-            } else {
-                r -= lcount;
-                node.child(true)
-            };
+            skip = None;
+            assert!(left + right > 0, "subtree counts out of sync with buckets");
+            slot <<= 1;
+            if r >= left {
+                r -= left;
+                slot |= 1;
+            }
         }
     }
 
@@ -1037,7 +1131,8 @@ impl PGrid {
         }
         self.departed[peer] = true;
         self.live -= 1;
-        self.stores[peer].clear();
+        // Free the tombstone's store; `clear` would keep its capacity.
+        self.stores[peer] = Vec::new();
         let d = self.cfg.max_depth as usize;
         for li in peer * d..(peer + 1) * d {
             self.ref_len[li] = 0;
@@ -1157,38 +1252,22 @@ impl PGrid {
     /// collision, under-delivering worst for small live populations.
     ///
     /// Down peers keep their state untouched — when they return, the
-    /// regular meeting protocol reintegrates them.
+    /// regular meeting protocol reintegrates them. On grids of at least
+    /// 8192 peers the eviction sweep runs on the worker pool; the
+    /// repaired grid is the same for every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `alive.len() != self.len()`.
     pub fn repair(&mut self, alive: &[bool], meetings: usize, rng: &mut SimRng) {
         assert_eq!(alive.len(), self.paths.len(), "mask length mismatch");
-        let d = self.cfg.max_depth as usize;
-        let r = self.cfg.max_refs;
-        for peer in 0..self.paths.len() {
-            if !alive[peer] || self.departed[peer] {
-                continue;
-            }
-            for li in peer * d..(peer + 1) * d {
-                let base = li * r;
-                let mut len = self.ref_len[li] as usize;
-                let mut i = 0;
-                while i < len {
-                    let t = self.refs[base + i].peer as usize;
-                    if !alive[t] || self.departed[t] {
-                        len -= 1;
-                        self.refs[base + i] = self.refs[base + len];
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.ref_len[li] = len as u8;
-            }
-        }
-        let live: Vec<usize> = (0..alive.len())
-            .filter(|&i| alive[i] && !self.departed[i])
+        let up: Vec<bool> = alive
+            .iter()
+            .zip(&self.departed)
+            .map(|(&a, &gone)| a && !gone)
             .collect();
+        self.evict_down_references(&up);
+        let live: Vec<usize> = (0..up.len()).filter(|&i| up[i]).collect();
         if live.len() < 2 {
             return;
         }
@@ -1200,6 +1279,55 @@ impl PGrid {
             }
             self.meet(live[a], live[b], rng);
         }
+    }
+
+    /// The eviction sweep of [`PGrid::repair`]: every `up` peer drops
+    /// its references to peers that are not `up`, in the bucket-order
+    /// idiom of `add_ref` (tail overwrite). Buckets are independent, so
+    /// disjoint chunks of at least [`REPAIR_CHUNK`] peers sweep on the
+    /// worker pool with the same result as one sequential pass. Each
+    /// bucket is checked branch-free over its `[0, ref_len)` prefix and
+    /// rewritten only when it holds a dead target; slots past `ref_len`
+    /// are never read (after [`PGrid::compact`] they can hold stale
+    /// indices past the arena).
+    fn evict_down_references(&mut self, up: &[bool]) {
+        let d = self.cfg.max_depth as usize;
+        let r = self.cfg.max_refs;
+        let parts = default_threads().min(up.len() / REPAIR_CHUNK).max(1);
+        let per_chunk = up.len().div_ceil(parts).max(1);
+        let chunks: Vec<_> = self
+            .refs
+            .chunks_mut(per_chunk * d * r)
+            .zip(self.ref_len.chunks_mut(per_chunk * d))
+            .collect();
+        parallel_map(0, chunks, |k, (refs, lens)| {
+            let peers = refs.chunks_mut(d * r).zip(lens.chunks_mut(d));
+            for (peer, (peer_refs, peer_lens)) in (k * per_chunk..).zip(peers) {
+                if !up[peer] {
+                    continue; // down peers keep their state untouched
+                }
+                for (bucket, len) in peer_refs.chunks_mut(r).zip(peer_lens) {
+                    let bucket = &mut bucket[..*len as usize];
+                    let dead = bucket
+                        .iter()
+                        .fold(false, |dead, e| dead | !up[e.peer as usize]);
+                    if !dead {
+                        continue;
+                    }
+                    let mut n = bucket.len();
+                    let mut i = 0;
+                    while i < n {
+                        if up[bucket[i].peer as usize] {
+                            i += 1;
+                        } else {
+                            n -= 1;
+                            bucket[i] = bucket[n];
+                        }
+                    }
+                    *len = n as u8;
+                }
+            }
+        });
     }
 
     /// Distribution of live peers' path depths — diagnostics for the
@@ -1238,6 +1366,7 @@ impl PGrid {
     ///   and no departed or unknown peer;
     /// * the live, occupied-bucket and subtree counts agree with the
     ///   departure flags and the directory;
+    /// * every complaint store is strictly sorted by `(by, about)` pair;
     /// * no path is deeper than `max_depth`;
     /// * reference buckets hold at most `max_refs` entries, are empty
     ///   for departed peers and for levels at or below a peer's path
@@ -1300,6 +1429,13 @@ impl PGrid {
             if self.subtree[slot] != self.buckets[slot].len() as u32 + children {
                 return Err("subtree count out of sync");
             }
+        }
+        if self
+            .stores
+            .iter()
+            .any(|s| s.windows(2).any(|w| pair_order(&w[0], &w[1]).is_ge()))
+        {
+            return Err("complaint store not strictly sorted by pair");
         }
         for peer in 0..n {
             let plen = self.paths[peer].len();
@@ -1387,10 +1523,10 @@ impl Persistable for PGrid {
         }
         for store in &self.stores {
             w.put_len(store.len());
-            for (&(by, about), &round) in store {
-                w.put_u32(by.0);
-                w.put_u32(about.0);
-                w.put_u64(round);
+            for c in store {
+                w.put_u32(c.by.0);
+                w.put_u32(c.about.0);
+                w.put_u64(c.round);
             }
         }
         w.put_len(self.occupied);
@@ -1459,16 +1595,19 @@ impl Persistable for PGrid {
         let mut stores = Vec::with_capacity(n);
         for _ in 0..n {
             let len = r.take_len(16)?;
-            let mut store = BTreeMap::new();
+            let mut store = Vec::with_capacity(len);
             for _ in 0..len {
-                let by = PeerId(r.take_u32()?);
-                let about = PeerId(r.take_u32()?);
-                let round = r.take_u64()?;
-                if store.insert((by, about), round).is_some() {
-                    return Err(PersistError::Invalid {
-                        context: "duplicate complaint pair in a store",
-                    });
-                }
+                store.push(Complaint {
+                    by: PeerId(r.take_u32()?),
+                    about: PeerId(r.take_u32()?),
+                    round: r.take_u64()?,
+                });
+            }
+            store.sort_unstable_by(pair_order);
+            if store.windows(2).any(|w| pair_order(&w[0], &w[1]).is_eq()) {
+                return Err(PersistError::Invalid {
+                    context: "duplicate complaint pair in a store",
+                });
             }
             stores.push(store);
         }
@@ -1764,6 +1903,37 @@ mod tests {
         }
     }
 
+    /// Decode sorts each store by pair, so any entry order restores to
+    /// the canonical grid, and still rejects a pair stored twice; an
+    /// unsorted store in a live arena fails `validate`.
+    #[test]
+    fn decode_sorts_stores_and_rejects_duplicate_pairs() {
+        use trustex_persist::snapshot::{from_bytes, to_bytes};
+        let (mut g, _, _) = grid(8, 2, 48);
+        let c = |by, round| Complaint {
+            by: PeerId(by),
+            about: PeerId(1),
+            round,
+        };
+        g.stores[0] = vec![c(2, 5), c(1, 7)];
+        assert_eq!(
+            g.validate(),
+            Err("complaint store not strictly sorted by pair")
+        );
+        let restored: PGrid = from_bytes(&to_bytes(&g)).expect("unsorted entries restore");
+        assert_eq!(restored.stores[0], vec![c(1, 7), c(2, 5)]);
+        g.stores[0].reverse();
+        assert_eq!(g.validate(), Ok(()));
+        assert_eq!(to_bytes(&restored), to_bytes(&g));
+        g.stores[0] = vec![c(1, 7), c(1, 9)];
+        assert_eq!(
+            from_bytes::<PGrid>(&to_bytes(&g)).map(|_| ()),
+            Err(PersistError::Invalid {
+                context: "duplicate complaint pair in a store",
+            })
+        );
+    }
+
     #[test]
     fn repair_restores_routing_after_churn() {
         let (mut g, mut rng, mut net) = grid(192, 5, 14);
@@ -1821,6 +1991,14 @@ mod tests {
         };
         let before = g.meetings_held();
         g.repair(&solo, 64, &mut rng);
+        assert_eq!(g.meetings_held(), before);
+        // An arena compacted down to nobody repairs to nothing as well.
+        for peer in 0..g.len() {
+            g.leave(peer);
+        }
+        g.compact();
+        assert!(g.is_empty());
+        g.repair(&[], 64, &mut rng);
         assert_eq!(g.meetings_held(), before);
     }
 
