@@ -104,14 +104,6 @@ impl ReportingBehavior {
         }
     }
 
-    /// Whether the agent files an unprovoked slander complaint this round.
-    pub fn slanders_now(self, rng: &mut SimRng) -> bool {
-        match self {
-            ReportingBehavior::Slanderer { slander_prob } => rng.chance(slander_prob),
-            _ => false,
-        }
-    }
-
     /// Which unprovoked campaign report, if any, the agent files after a
     /// session. Behaviours without a campaign never touch the RNG, so
     /// populations without them replay bit-identical streams.
@@ -189,15 +181,17 @@ mod tests {
         let s = ReportingBehavior::Slanderer { slander_prob: 1.0 };
         assert_eq!(s.report(Conduct::Dishonest), Some(Conduct::Dishonest));
         let mut rng = SimRng::new(1);
-        assert!(s.slanders_now(&mut rng));
-        assert!(!ReportingBehavior::Truthful.slanders_now(&mut rng));
+        assert_eq!(s.campaigns_now(&mut rng), Some(Campaign::RandomSlander));
+        assert_eq!(ReportingBehavior::Truthful.campaigns_now(&mut rng), None);
     }
 
     #[test]
     fn slander_rate() {
         let s = ReportingBehavior::Slanderer { slander_prob: 0.25 };
         let mut rng = SimRng::new(2);
-        let hits = (0..10_000).filter(|_| s.slanders_now(&mut rng)).count();
+        let hits = (0..10_000)
+            .filter(|_| s.campaigns_now(&mut rng) == Some(Campaign::RandomSlander))
+            .count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "{rate}");
     }
@@ -273,19 +267,6 @@ mod tests {
             assert_eq!(behaviour.campaigns_now(&mut a), None);
         }
         assert_eq!(a.next_u64(), b.next_u64(), "stream advanced");
-    }
-
-    #[test]
-    fn slanderer_campaign_matches_slanders_now() {
-        let s = ReportingBehavior::Slanderer { slander_prob: 0.25 };
-        let mut a = SimRng::new(11);
-        let mut b = SimRng::new(11);
-        for _ in 0..500 {
-            assert_eq!(
-                s.campaigns_now(&mut a) == Some(Campaign::RandomSlander),
-                s.slanders_now(&mut b)
-            );
-        }
     }
 
     #[test]

@@ -14,17 +14,15 @@ use trustex_core::policy::PaymentPolicy;
 use trustex_core::state::Role;
 use trustex_netsim::rng::SimRng;
 use trustex_reputation::system::{ReputationConfig, ReputationSystem};
-use trustex_trust::confidence::evidence_confidence;
+use trustex_trust::complaints::{complaint_estimate, ComplaintConfig};
 use trustex_trust::model::{PeerId, TrustEstimate};
 
-/// Maps a queried complaint tally to a trust estimate, using the
-/// complaint-product heuristic of `trustex-trust::complaints` with a
-/// median taken over this round's queried products.
+/// Maps a queried complaint tally to a trust estimate with the complaint
+/// model's rule, against a median taken over the last phase's queried
+/// products.
 fn tally_to_estimate(received: u64, filed: u64, median_product: f64) -> TrustEstimate {
-    let product = (received as f64 + 1.0) * (filed as f64 + 1.0);
-    let ratio = product / (4.0 * median_product.max(1.0));
-    let p = 1.0 / (1.0 + ratio * ratio);
-    TrustEstimate::new(p, evidence_confidence((received + filed) as f64))
+    let threshold = ComplaintConfig::default().outlier_factor * median_product.max(1.0);
+    complaint_estimate(received as f64, filed as f64, threshold)
 }
 
 /// E0 — *Figure R1*: the complete feedback loop of the paper's reference

@@ -40,10 +40,7 @@ pub mod workload;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::experiments::{find as find_experiment, Experiment, Scale, ALL as EXPERIMENTS};
-    pub use crate::metrics::{
-        accuracy_metrics, cooperation_truth, decision_accuracy, rank_accuracy, trust_mae,
-        trust_mae_with_truth, AccuracyMetrics,
-    };
+    pub use crate::metrics::{accuracy_metrics, cooperation_truth, AccuracyMetrics};
     pub use crate::persistence::{restore_service, snapshot_service, SERVICE_MAGIC};
     pub use crate::population::{AnyModel, Community, CommunitySnapshot, DefenseConfig, ModelKind};
     pub use crate::replay::{replay, ReplayCheck, ReplayConfig, ReplayReport};

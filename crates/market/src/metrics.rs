@@ -51,11 +51,16 @@ pub fn cooperation_truth(community: &Community) -> Vec<f64> {
 /// evaluator prediction rows by [`accuracy_metrics`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyMetrics {
-    /// Mean absolute error against ground truth ([`trust_mae`]).
+    /// Mean absolute error of the estimates against ground truth,
+    /// averaged over all ordered evaluator→subject pairs
+    /// (`evaluator ≠ subject`).
     pub mae: f64,
-    /// Mann–Whitney ranking accuracy ([`rank_accuracy`]).
+    /// Probability that a uniformly chosen (honest, dishonest) subject
+    /// pair is ranked correctly by a uniformly chosen evaluator (ties
+    /// count ½) — an AUC analogue. 0.5 when either class is empty.
     pub rank_accuracy: f64,
-    /// Thresholded classification accuracy ([`decision_accuracy`]).
+    /// Fraction of evaluator→subject pairs classified correctly by
+    /// thresholding `p_honest` at 0.5 against the binary ground truth.
     pub decision_accuracy: f64,
 }
 
@@ -222,34 +227,6 @@ pub fn accuracy_metrics(community: &Community, truth: &[f64], threads: usize) ->
     }
 }
 
-/// Mean absolute error of trust estimates against ground truth, averaged
-/// over all ordered evaluator→subject pairs (`evaluator ≠ subject`).
-pub fn trust_mae(community: &Community) -> f64 {
-    trust_mae_with_truth(community, &cooperation_truth(community))
-}
-
-/// [`trust_mae`] against a precomputed [`cooperation_truth`] buffer.
-///
-/// # Panics
-///
-/// Panics if `truth.len()` differs from the community size.
-pub fn trust_mae_with_truth(community: &Community, truth: &[f64]) -> f64 {
-    accuracy_metrics(community, truth, 0).mae
-}
-
-/// Probability that a uniformly chosen (honest, dishonest) subject pair
-/// is ranked correctly by a uniformly chosen evaluator (ties count ½) —
-/// an AUC analogue. Returns 0.5 when either class is empty.
-pub fn rank_accuracy(community: &Community) -> f64 {
-    accuracy_metrics(community, &cooperation_truth(community), 0).rank_accuracy
-}
-
-/// Fraction of evaluator→subject pairs classified correctly by
-/// thresholding `p_honest` at 0.5 against the binary ground truth.
-pub fn decision_accuracy(community: &Community) -> f64 {
-    accuracy_metrics(community, &cooperation_truth(community), 0).decision_accuracy
-}
-
 /// The unbatched per-pair metric walks the row kernel replaced, kept
 /// as differential-test oracles: the batched parallel versions must
 /// agree **bit-for-bit** for any community and thread count.
@@ -389,13 +366,18 @@ mod tests {
         }
     }
 
+    /// All three metrics at the process-default thread count.
+    fn metrics(c: &Community) -> AccuracyMetrics {
+        accuracy_metrics(c, &cooperation_truth(c), 0)
+    }
+
     #[test]
     fn mae_decreases_with_evidence() {
         let mut c = community(0.5);
-        let cold = trust_mae(&c);
+        let cold = metrics(&c).mae;
         assert!((cold - 0.5).abs() < 1e-9, "uninformed prior is 0.5 off");
         educate(&mut c, 10);
-        let warm = trust_mae(&c);
+        let warm = metrics(&c).mae;
         assert!(warm < 0.2, "educated community MAE: {warm}");
     }
 
@@ -403,18 +385,18 @@ mod tests {
     fn rank_accuracy_perfect_after_education() {
         let mut c = community(0.5);
         assert!(
-            (rank_accuracy(&c) - 0.5).abs() < 1e-9,
+            (metrics(&c).rank_accuracy - 0.5).abs() < 1e-9,
             "cold start is a coin flip"
         );
         educate(&mut c, 5);
-        assert_eq!(rank_accuracy(&c), 1.0);
+        assert_eq!(metrics(&c).rank_accuracy, 1.0);
     }
 
     #[test]
     fn decision_accuracy_after_education() {
         let mut c = community(0.3);
         educate(&mut c, 10);
-        assert!(decision_accuracy(&c) > 0.95);
+        assert!(metrics(&c).decision_accuracy > 0.95);
     }
 
     /// The naive O(n³) pair walk — one step below even [`naive`]'s
@@ -516,6 +498,9 @@ mod tests {
                     ];
                     for stage in stages {
                         stage(&mut c);
+                        // The naive walks read pair by pair: sealing
+                        // settles each complaint median once for them.
+                        c.seal();
                         let truth = cooperation_truth(&c);
                         let expected_mae = naive::trust_mae_with_truth(&c, &truth);
                         let expected_rank = naive::rank_accuracy(&c);
@@ -524,10 +509,7 @@ mod tests {
                         if n <= 37 {
                             assert_eq!(expected_rank, rank_accuracy_pair_walk(&c), "{at}");
                         }
-                        assert_eq!(trust_mae_with_truth(&c, &truth), expected_mae, "{at}");
-                        assert_eq!(rank_accuracy(&c), expected_rank, "{at}");
-                        assert_eq!(decision_accuracy(&c), expected_decision, "{at}");
-                        for threads in [1usize, 2, 3, 8] {
+                        for threads in [0usize, 1, 2, 3, 8] {
                             let m = accuracy_metrics(&c, &truth, threads);
                             assert_eq!(m.mae, expected_mae, "{at} t={threads}");
                             assert_eq!(m.rank_accuracy, expected_rank, "{at} t={threads}");
@@ -568,19 +550,21 @@ mod tests {
         }
     }
 
+    /// The per-round MAE reuses one truth buffer across rounds; it must
+    /// equal a freshly derived buffer's.
     #[test]
     fn trust_mae_with_truth_matches_allocating_path() {
         let mut c = community(0.4);
-        educate(&mut c, 3);
         let truth = cooperation_truth(&c);
-        assert_eq!(trust_mae(&c), trust_mae_with_truth(&c, &truth));
+        educate(&mut c, 3);
+        assert_eq!(accuracy_metrics(&c, &truth, 1).mae, metrics(&c).mae);
     }
 
     #[test]
     #[should_panic(expected = "truth buffer size mismatch")]
     fn trust_mae_with_wrong_buffer_panics() {
         let c = community(0.4);
-        trust_mae_with_truth(&c, &[0.5; 3]);
+        accuracy_metrics(&c, &[0.5; 3], 0);
     }
 
     #[test]
@@ -593,14 +577,11 @@ mod tests {
     #[test]
     fn degenerate_populations() {
         let c = community(0.0);
-        assert_eq!(rank_accuracy(&c), 0.5, "no dishonest class");
+        let m = accuracy_metrics(&c, &cooperation_truth(&c), 2);
+        assert_eq!(m.rank_accuracy, 0.5, "no dishonest class");
         // Decision accuracy with the cold prior (0.5 ≥ 0.5 ⇒ honest)
         // is exactly the honest fraction.
-        assert!((decision_accuracy(&c) - 1.0).abs() < 1e-9);
-        let truth = cooperation_truth(&c);
-        let m = accuracy_metrics(&c, &truth, 2);
-        assert_eq!(m.rank_accuracy, 0.5);
-        assert_eq!(m.mae, trust_mae(&c));
-        assert_eq!(m.decision_accuracy, decision_accuracy(&c));
+        assert!((m.decision_accuracy - 1.0).abs() < 1e-9);
+        assert_eq!(m, metrics(&c));
     }
 }

@@ -172,12 +172,12 @@ impl TrustModel for AnyModel {
         }
     }
 
-    fn prepare_snapshot(&self) {
+    fn seal(&mut self) {
         match self {
-            AnyModel::Beta(m) => m.prepare_snapshot(),
-            AnyModel::Complaints(m) => m.prepare_snapshot(),
-            AnyModel::Mean(m) => m.prepare_snapshot(),
-            AnyModel::Ewma(m) => m.prepare_snapshot(),
+            AnyModel::Beta(m) => m.seal(),
+            AnyModel::Complaints(m) => m.seal(),
+            AnyModel::Mean(m) => m.seal(),
+            AnyModel::Ewma(m) => m.seal(),
         }
     }
 }
@@ -274,6 +274,9 @@ impl PendingIndex {
 /// through `Arc::make_mut`, which mutates in place while no snapshot is
 /// outstanding and copy-on-writes exactly the models a retained
 /// snapshot still shares.
+///
+/// A model is sealed (see [`TrustModel::seal`]) before it is shared, so
+/// every model a snapshot holds is plain data.
 #[derive(Debug)]
 pub struct Community {
     profiles: Vec<AgentProfile>,
@@ -438,11 +441,26 @@ impl Community {
         self.view.degraded
     }
 
-    /// Takes an immutable snapshot of every agent's model: one `Arc`
-    /// clone per agent, no model data copied. Subsequent community
-    /// writes copy-on-write only the models the snapshot still shares —
-    /// and none at all once the snapshot is dropped.
-    pub fn snapshot(&self) -> CommunitySnapshot {
+    /// Seals every model the community owns alone, that is every model
+    /// written since the last snapshot, so that batch reads (the
+    /// accuracy metrics) and the next snapshot find them settled. A
+    /// model a snapshot still shares was sealed when it was shared and
+    /// has not been written since.
+    pub fn seal(&mut self) {
+        for model in &mut self.view.models {
+            if let Some(model) = Arc::get_mut(model) {
+                model.seal();
+            }
+        }
+    }
+
+    /// Seals the models (see [`Community::seal`]) and takes an immutable
+    /// snapshot of every agent's model: one `Arc` clone per agent, no
+    /// model data copied. Subsequent community writes copy-on-write only
+    /// the models the snapshot still shares — and none at all once the
+    /// snapshot is dropped.
+    pub fn snapshot(&mut self) -> CommunitySnapshot {
+        self.seal();
         self.view.clone()
     }
 
@@ -820,6 +838,43 @@ mod tests {
             snap.predict_row_into(a, &mut row);
             assert_eq!(row[b.index()], frozen, "{kind:?}");
         }
+        // A complaint model's whole row hangs on its population median.
+        // Complaints about most of the community move the evaluator's
+        // median after the snapshot; the snapshot keeps the median it
+        // was sealed with.
+        let mut c = community(ModelKind::Complaints);
+        let a = PeerId(0);
+        let median = |c: &Community| match c.model(a) {
+            AnyModel::Complaints(m) => m.median_product(),
+            _ => unreachable!(),
+        };
+        for s in 1..4 {
+            c.record_direct(a, PeerId(s), Conduct::Dishonest, 0);
+        }
+        let snap = c.snapshot();
+        let mut frozen = vec![TrustEstimate::UNKNOWN; c.len()];
+        snap.predict_row_into(a, &mut frozen);
+        let mut live = frozen.clone();
+        c.predict_row_into(a, &mut live);
+        assert_eq!(live, frozen);
+        let before = median(&c);
+        for s in 1..20 {
+            c.deliver_witness_report(
+                a,
+                WitnessReport {
+                    witness: PeerId(19),
+                    subject: PeerId(s),
+                    conduct: Conduct::Dishonest,
+                    round: 1,
+                },
+            );
+        }
+        assert_ne!(median(&c), before, "the community's median moved");
+        let mut later = frozen.clone();
+        snap.predict_row_into(a, &mut later);
+        assert_eq!(later, frozen, "snapshot moved");
+        c.predict_row_into(a, &mut live);
+        assert_ne!(live, frozen, "community stuck");
     }
 
     #[test]

@@ -493,7 +493,9 @@ impl MarketSim {
         report.honest_gain = self.honest_gain;
         report.dishonest_gain = self.dishonest_gain;
         // One batched row pass yields all three final metrics; each
-        // (evaluator, subject) pair is predicted exactly once.
+        // (evaluator, subject) pair is predicted exactly once, from a
+        // sealed model.
+        self.community.seal();
         let accuracy = accuracy_metrics(&self.community, &self.truth, threads);
         report.final_mae = accuracy.mae;
         report.final_rank_accuracy = accuracy.rank_accuracy;
@@ -608,10 +610,10 @@ impl MarketSim {
         // `Arc::make_mut` writes never pay a copy-on-write clone.
         let (draws, posts) = self.draw_sessions();
         let outcomes: Vec<SessionOutcome> = {
-            let cfg = &self.cfg;
-            let community = &self.community;
             let snapshot = self.community.snapshot();
             let snapshot = &snapshot;
+            let cfg = &self.cfg;
+            let community = &self.community;
             let chunk_len = draws.len().div_ceil(threads.max(1) * 4).max(1);
             let mut chunks: Vec<Vec<SessionDraw>> = Vec::new();
             let mut rest = draws.into_iter();
@@ -776,6 +778,7 @@ impl MarketSim {
             self.round_delivered = 0;
         }
         if self.cfg.track_trust_per_round {
+            self.community.seal();
             stats.trust_mae = Some(accuracy_metrics(&self.community, &self.truth, threads).mae);
         }
         stats

@@ -54,7 +54,6 @@ pub mod churn;
 pub mod crc;
 pub mod event;
 pub mod fault;
-pub mod hash;
 pub mod net;
 pub mod pool;
 pub mod rng;

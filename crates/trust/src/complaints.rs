@@ -24,8 +24,6 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -99,6 +97,9 @@ impl Tally {
 /// exact for the current multiset. `m` is still the median while
 /// `below ≤ len/2 < below + equal`; only when a mutation pushes the
 /// middle rank out of that range does a fresh selection re-centre it.
+///
+/// A model holds a bracket once its first seal has selected, and keeps
+/// it across clones and later seals.
 #[derive(Debug, Clone, Copy)]
 struct Bracket {
     value: f64,
@@ -127,94 +128,9 @@ impl Bracket {
         }
     }
 
-    /// `m`, if it is the element at rank `mid` of the sorted multiset.
-    fn median_at(&self, mid: usize) -> Option<f64> {
-        (self.below <= mid && mid < self.below + self.equal).then_some(self.value)
-    }
-}
-
-/// Selection scratch and the rank bracket, read and written as one unit.
-#[derive(Debug, Default)]
-struct MedianState {
-    /// Scratch for the selection pass, reused across recomputes.
-    products: Vec<f64>,
-    /// Established by the first selection, then kept exact by every
-    /// mutation.
-    bracket: Option<Bracket>,
-}
-
-/// Lazily recomputed population median, shared across concurrent
-/// readers.
-///
-/// Mutations (`&mut self` on the model) raise `dirty` and move the rank
-/// bracket through `Mutex::get_mut`, without locking. The next
-/// `median_product` call — predictions arrive in large read-only batches
-/// between mutations, possibly from several metric worker threads at
-/// once — reads the median off the bracket in O(1) while the middle rank
-/// stays inside it. Otherwise it reselects in O(n) with
-/// `select_nth_unstable_by` into the reused scratch buffer and re-centres
-/// the bracket with one counting pass. Either way it publishes the value
-/// through `bits`. Concurrent recomputes serialise on the state lock, so
-/// no reader sees a torn bracket, and every racer stores identical bits:
-/// the median is a pure function of the (then-immutable) tallies.
-#[derive(Debug)]
-struct MedianCache {
-    /// `f64::to_bits` of the cached median; meaningful only when
-    /// `dirty` is false.
-    bits: AtomicU64,
-    dirty: AtomicBool,
-    state: Mutex<MedianState>,
-}
-
-impl Default for MedianCache {
-    /// Starts dirty so the first read computes rather than trusting the
-    /// placeholder bits.
-    fn default() -> Self {
-        MedianCache {
-            bits: AtomicU64::new(1.0f64.to_bits()),
-            dirty: AtomicBool::new(true),
-            state: Mutex::new(MedianState::default()),
-        }
-    }
-}
-
-impl MedianCache {
-    fn snapshot(&self) -> MedianCache {
-        // Load `dirty` before `bits`: a concurrent recompute publishes
-        // bits first and clears dirty second (release), so observing
-        // dirty == false guarantees the subsequent bits load is the
-        // published value. The reverse order could pair stale bits with
-        // a fresh clean flag.
-        let dirty = self.dirty.load(Ordering::Acquire);
-        MedianCache {
-            bits: AtomicU64::new(self.bits.load(Ordering::Acquire)),
-            dirty: AtomicBool::new(dirty),
-            state: Mutex::new(MedianState {
-                products: Vec::new(),
-                bracket: self.lock().bracket,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MedianState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Marks the cache dirty for a mutation and hands out the bracket,
-    /// if one is established, for the mutation to move.
-    fn touch(&mut self) -> Option<&mut Bracket> {
-        *self.dirty.get_mut() = true;
-        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
-        state.bracket.as_mut()
-    }
-
-    /// Drops the bracket: the next read reselects from scratch.
-    fn invalidate(&mut self) {
-        *self.dirty.get_mut() = true;
-        self.state
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .bracket = None;
+    /// Whether `m` is the element at rank `mid` of the sorted multiset.
+    fn holds(&self, mid: usize) -> bool {
+        self.below <= mid && mid < self.below + self.equal
     }
 }
 
@@ -241,7 +157,7 @@ impl MedianCache {
 /// assert!(model.predict(cheater).p_honest < 0.5);
 /// assert_eq!(model.assess(PeerId(1)), Assessment::Trustworthy);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ComplaintTrust {
     config: ComplaintConfig,
     /// Dense per-peer tallies, indexed by [`PeerId::index`].
@@ -252,19 +168,11 @@ pub struct ComplaintTrust {
     /// Known community size; peers without records count as product 1.0
     /// when computing the population median.
     population: Option<usize>,
-    median: MedianCache,
-}
-
-impl Clone for ComplaintTrust {
-    fn clone(&self) -> Self {
-        ComplaintTrust {
-            config: self.config,
-            tallies: self.tallies.clone(),
-            recorded: self.recorded,
-            population: self.population,
-            median: self.median.snapshot(),
-        }
-    }
+    /// The population median as of the last [`TrustModel::seal`];
+    /// `None` (stale) once a mutation follows it.
+    median: Option<f64>,
+    /// The rank bracket around the last selected median.
+    bracket: Option<Bracket>,
 }
 
 impl Default for ComplaintTrust {
@@ -308,7 +216,8 @@ impl ComplaintTrust {
             tallies: Vec::new(),
             recorded: 0,
             population: None,
-            median: MedianCache::default(),
+            median: None,
+            bracket: None,
         }
     }
 
@@ -337,7 +246,8 @@ impl ComplaintTrust {
     /// overstates the baseline in quiet communities.
     pub fn set_population(&mut self, n: usize) {
         self.population = Some(n);
-        self.median.invalidate();
+        self.median = None;
+        self.bracket = None;
     }
 
     /// The active configuration.
@@ -350,17 +260,18 @@ impl ComplaintTrust {
         self.add_complaint(by, about, 1.0);
     }
 
-    /// Whether the median multiset still pads with at least one silent
-    /// 1.0 (a declared population larger than the recorded peers).
-    fn has_silent(&self) -> bool {
-        self.population.is_some_and(|n| self.recorded < n)
+    /// The silent peers: how far a declared population exceeds the
+    /// recorded peers. Each pads the median multiset with a 1.0.
+    fn silent(&self) -> usize {
+        self.population
+            .map_or(0, |n| n.saturating_sub(self.recorded))
     }
 
     /// Applies `change` to a peer's tally, marking it as recorded (the
     /// dense stand-in for map-entry creation), and moves the median
     /// bracket with the product.
     fn update_tally(&mut self, peer: PeerId, change: impl FnOnce(&mut Tally)) {
-        let had_silent = self.has_silent();
+        let had_silent = self.silent() > 0;
         let slot = dense_slot(&mut self.tallies, peer);
         let (was_seen, before) = (slot.seen, slot.product());
         if !was_seen {
@@ -368,7 +279,8 @@ impl ComplaintTrust {
             self.recorded += 1;
         }
         change(slot);
-        if let Some(bracket) = self.median.touch() {
+        self.median = None;
+        if let Some(bracket) = &mut self.bracket {
             // A newly recorded peer's product was the baseline 1.0: it
             // takes the place of a silent 1.0 if there is one, and joins
             // the multiset otherwise.
@@ -403,60 +315,64 @@ impl ComplaintTrust {
     /// contribute their product, the rest (when a population size is
     /// declared) contribute the baseline 1.0. Returns 1.0 when empty.
     ///
-    /// The value is cached behind a mutation dirty-flag, and the
-    /// prediction batches between mutations read the cached value. After
-    /// a mutation, the next call reads the median off a rank bracket
-    /// (the last median with the counts below and equal to it, which
-    /// every mutation keeps exact in O(1)) while the middle rank stays
-    /// inside it. Only a first call, a re-declared population or a
-    /// middle rank that left the bracket reselects in O(n) via
-    /// `select_nth_unstable_by` (no sort, no allocation after warm-up).
-    /// Both paths return the same element, bit for bit.
+    /// A sealed model (see [`TrustModel::seal`]) returns the median its
+    /// seal stored. A model mutated since then computes the same value
+    /// without storing it, exactly as the next seal will: off the rank
+    /// bracket (the last median with the counts below and equal to it,
+    /// which every mutation keeps exact in O(1)) while the middle rank
+    /// stays inside it, else by a fresh selection. Both paths return the
+    /// same element, bit for bit.
     pub fn median_product(&self) -> f64 {
-        if !self.median.dirty.load(Ordering::Acquire) {
-            return f64::from_bits(self.median.bits.load(Ordering::Acquire));
-        }
-        let median = self.compute_median();
-        self.median.bits.store(median.to_bits(), Ordering::Release);
-        self.median.dirty.store(false, Ordering::Release);
-        median
+        self.median
+            .unwrap_or_else(|| self.locate_median().map_or(1.0, |b| b.value))
     }
 
-    /// The median of the recorded products plus the silent-peer baseline
-    /// padding: off the bracket when it still holds the middle rank,
-    /// else an O(n) selection that re-centres the bracket.
-    fn compute_median(&self) -> f64 {
+    /// The median with its rank counts, or `None` when no peer is
+    /// recorded (the median is then 1.0): the kept bracket while it
+    /// still holds the middle rank, else a fresh selection.
+    fn locate_median(&self) -> Option<Bracket> {
         if self.recorded == 0 {
-            return 1.0;
+            return None;
         }
-        let len = self
-            .population
-            .map_or(self.recorded, |n| n.max(self.recorded));
-        let mid = len / 2;
-        let mut state = self.median.lock();
-        if let Some(median) = state.bracket.and_then(|b| b.median_at(mid)) {
-            return median;
+        let silent = self.silent();
+        let mid = (self.recorded + silent) / 2;
+        if let Some(bracket) = self.bracket.filter(|b| b.holds(mid)) {
+            return Some(bracket);
         }
-        let MedianState { products, bracket } = &mut *state;
-        products.clear();
-        products.extend(self.tallies.iter().filter(|t| t.seen).map(Tally::product));
-        products.resize(len, 1.0);
-        let (left, &mut median, right) = products.select_nth_unstable_by(mid, f64::total_cmp);
+        // Every product (r+1)(f+1) is ≥ 1.0, so the 1.0s (the silent
+        // peers and the recorded peers without complaints) are the
+        // smallest elements of the multiset: only the products above
+        // 1.0 need a buffer, at most one entry per recorded peer.
+        let mut above: Vec<f64> = self
+            .tallies
+            .iter()
+            .filter(|t| t.seen)
+            .map(Tally::product)
+            .filter(|&p| p > 1.0)
+            .collect();
+        let ones = silent + self.recorded - above.len();
+        if mid < ones {
+            return Some(Bracket {
+                value: 1.0,
+                below: 0,
+                equal: ones,
+            });
+        }
+        let (left, &mut value, right) = above.select_nth_unstable_by(mid - ones, f64::total_cmp);
         // The selection leaves only elements ≤ m on the left and ≥ m on
         // the right, so counting the copies of m (equal under total_cmp
         // means bit-equal) on each side places the bracket.
         let copies = |side: &[f64]| {
             side.iter()
-                .filter(|x| x.to_bits() == median.to_bits())
+                .filter(|x| x.to_bits() == value.to_bits())
                 .count()
         };
         let equal_left = copies(left);
-        *bracket = Some(Bracket {
-            value: median,
+        Some(Bracket {
+            value,
             below: mid - equal_left,
             equal: 1 + equal_left + copies(right),
-        });
-        median
+        })
     }
 
     /// The CIKM-style binary decision: untrustworthy when the complaint
@@ -469,15 +385,19 @@ impl ComplaintTrust {
             Assessment::Trustworthy
         }
     }
+}
 
-    fn estimate_of(&self, tally: Tally, threshold: f64) -> TrustEstimate {
-        // Smooth mapping: the farther above the median the product lies,
-        // the lower the honesty estimate. At the median: ~0.5 + baseline;
-        // well below: near the baseline prior of honest communities.
-        let ratio = tally.product() / threshold;
-        let p = 1.0 / (1.0 + ratio * ratio);
-        TrustEstimate::new(p, evidence_confidence(tally.received + tally.filed))
-    }
+/// The complaint rule: the honesty estimate of a peer that received
+/// `received` and filed `filed` complaints, against an outlier
+/// `threshold` (`outlier_factor ×` the population median product).
+///
+/// The farther the complaint product lies above the threshold, the
+/// lower the estimate: exactly at it, 0.5; well below it, near 1.
+/// Confidence grows with the number of complaints.
+pub fn complaint_estimate(received: f64, filed: f64, threshold: f64) -> TrustEstimate {
+    let ratio = (received + 1.0) * (filed + 1.0) / threshold;
+    let p = 1.0 / (1.0 + ratio * ratio);
+    TrustEstimate::new(p, evidence_confidence(received + filed))
 }
 
 impl TrustModel for ComplaintTrust {
@@ -498,6 +418,10 @@ impl TrustModel for ComplaintTrust {
             if self.config.scorer_weighted {
                 // Defense knob: a complainer whose own product is already
                 // outlier-grade gets its relayed complaints deflated.
+                // Sealing first stores the median the predict reads, so
+                // a stream of reports locates it once per mutation, not
+                // once per report and again at the next seal.
+                self.seal();
                 weight *= self.predict(report.witness).p_honest;
             }
             self.add_complaint(report.witness, report.subject, weight);
@@ -511,19 +435,19 @@ impl TrustModel for ComplaintTrust {
             .copied()
             .unwrap_or_default();
         let threshold = self.config.outlier_factor * self.median_product();
-        self.estimate_of(tally, threshold)
+        complaint_estimate(tally.received, tally.filed, threshold)
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        // One median read (amortized O(1)) and one threshold multiply
-        // serve the whole sweep.
+        // One median read and one threshold multiply serve the whole
+        // sweep.
         let threshold = self.config.outlier_factor * self.median_product();
         let covered = self.tallies.len().min(out.len());
         for (slot, tally) in out[..covered].iter_mut().zip(&self.tallies) {
-            *slot = self.estimate_of(*tally, threshold);
+            *slot = complaint_estimate(tally.received, tally.filed, threshold);
         }
         if covered < out.len() {
-            let cold = self.estimate_of(Tally::default(), threshold);
+            let cold = complaint_estimate(0.0, 0.0, threshold);
             out[covered..].fill(cold);
         }
     }
@@ -540,8 +464,9 @@ impl TrustModel for ComplaintTrust {
                 let gone = slot.product();
                 *slot = Tally::default();
                 self.recorded -= 1;
-                let silent = self.has_silent().then_some(1.0);
-                if let Some(bracket) = self.median.touch() {
+                let silent = (self.silent() > 0).then_some(1.0);
+                self.median = None;
+                if let Some(bracket) = &mut self.bracket {
                     bracket.shift(Some(gone), silent);
                 }
             }
@@ -552,11 +477,12 @@ impl TrustModel for ComplaintTrust {
         "complaints"
     }
 
-    fn prepare_snapshot(&self) {
-        // Settle the lazy median now: a sealed model (a snapshot epoch)
-        // has a clean cache, so its readers only ever do atomic loads —
-        // never the median-state mutex.
-        self.median_product();
+    fn seal(&mut self) {
+        if self.median.is_none() {
+            let located = self.locate_median();
+            self.median = Some(located.map_or(1.0, |b| b.value));
+            self.bracket = located.or(self.bracket);
+        }
     }
 }
 
@@ -580,8 +506,8 @@ impl Persistable for ComplaintTrust {
             w.put_f64(t.filed);
             w.put_bool(t.seen);
         }
-        // `recorded` is derived (seen-count) and the median cache is
-        // lazily recomputed — neither travels.
+        // `recorded` is derived (seen-count) and the median and its
+        // bracket are re-derived by the next seal — none of them travels.
     }
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
@@ -620,15 +546,16 @@ impl Persistable for ComplaintTrust {
             recorded += usize::from(t.seen);
             tallies.push(t);
         }
-        // The median cache starts dirty: the first read recomputes it
-        // from the restored tallies — a pure function, so the value is
+        // The median starts stale: the first seal selects it from the
+        // restored tallies — a pure function, so the value is
         // bit-identical to the encoded instance's.
         Ok(ComplaintTrust {
             config,
             tallies,
             recorded,
             population,
-            median: MedianCache::default(),
+            median: None,
+            bracket: None,
         })
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! * **Read side** — [`TrustSnapshot`]: an immutable, cheaply clonable
 //!   (`Arc`) view of a trust model at one published **epoch**. Readers
-//!   never block writers and never touch the complaint model's
-//!   dirty-flag machinery: [`TrustEngine::publish`] seals every cached
-//!   value (via [`TrustModel::prepare_snapshot`]) before the epoch goes
-//!   live, so snapshot predicts are pure table reads.
+//!   never block writers, and the model they read is plain data:
+//!   [`TrustEngine::publish`] seals it (via [`TrustModel::seal`], which
+//!   settles e.g. the complaint model's population median) before the
+//!   epoch goes live, so snapshot predicts are pure table reads.
 //! * **Write side** — [`TrustEngine::submit`]: feedback and witness
 //!   events accumulate in a pending delta, tagged with a caller-chosen
 //!   sequence number. [`TrustEngine::publish`] folds the delta **in
@@ -224,8 +224,8 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
 
     /// Seals `model` and publishes it at `epoch`, with `pending` queued
     /// for the next publish and no standby yet.
-    fn sealed_at(model: M, epoch: u64, pending: Vec<(u64, TrustEvent)>) -> TrustEngine<M> {
-        model.prepare_snapshot();
+    fn sealed_at(mut model: M, epoch: u64, pending: Vec<(u64, TrustEvent)>) -> TrustEngine<M> {
+        model.seal();
         TrustEngine {
             current: RwLock::new(TrustSnapshot {
                 model: Arc::new(model),
@@ -315,9 +315,9 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
         for &(_, event) in pending.iter() {
             event.apply(&mut model);
         }
-        // Seal cached values (e.g. the complaint median) so snapshot
-        // readers never fall into a lazy recompute path.
-        model.prepare_snapshot();
+        // Seal derived values (e.g. the complaint median) so snapshot
+        // readers never compute them.
+        model.seal();
         // This delta is what the retired model lacks.
         *lag = std::mem::take(pending);
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
@@ -473,10 +473,10 @@ mod tests {
 
     #[test]
     fn complaint_snapshot_is_sealed() {
-        // After publish, the snapshot's median cache must be clean: a
-        // predict must not need the lazy recompute (observable only
-        // indirectly — the predict equals the direct model's and the
-        // row sweep agrees with per-subject predicts).
+        // After publish, the snapshot's median must be settled: a
+        // predict must not compute it (observable only indirectly — the
+        // predict equals the direct model's and the row sweep agrees
+        // with per-subject predicts).
         let engine = TrustEngine::new(ComplaintTrust::with_population(8));
         for seq in 0..6 {
             engine.submit(seq, dishonest(3, seq));

@@ -156,8 +156,9 @@ pub trait TrustModel {
     /// sheds its identity (leave + rejoin under a fresh id) and the
     /// rest of the community forgets it. Predictions for the peer must
     /// return the cold-start estimate afterwards; predictions for every
-    /// other subject must be unaffected (up to lazily cached population
-    /// statistics that legitimately included the peer's records). The
+    /// other subject must be unaffected (up to population statistics,
+    /// such as the complaint median, that legitimately included the
+    /// peer's records). The
     /// default is a no-op for stateless models.
     fn forget_peer(&mut self, peer: PeerId) {
         let _ = peer;
@@ -166,14 +167,16 @@ pub trait TrustModel {
     /// Stable model name for experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Seals lazily cached values before the model is frozen into an
-    /// immutable snapshot (see [`crate::engine`]).
+    /// Settles derived state before the model is shared with readers
+    /// (see [`crate::engine`]).
     ///
-    /// Must not change any prediction — it only forces deferred work
-    /// (e.g. the complaint model's dirty median) to happen *now*, on
-    /// the write side, so concurrent snapshot readers get pure table
-    /// reads. The default is a no-op: most models keep no caches.
-    fn prepare_snapshot(&self) {}
+    /// Every owner that shares a model seals it first, so a shared model
+    /// is plain data. Sealing must not change any prediction: it only
+    /// does deferred work (the complaint model's population median) now,
+    /// on the write side, so every read of the sealed model is a table
+    /// read. The next mutation may unseal the model. The default is a
+    /// no-op: most models derive nothing lazily.
+    fn seal(&mut self) {}
 }
 
 #[cfg(test)]

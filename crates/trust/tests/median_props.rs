@@ -1,14 +1,17 @@
 //! Differential suite for the complaint model's rank-bracketed median.
 //!
-//! `ComplaintTrust::median_product` reads the median off a rank bracket
-//! that every tally mutation moves in O(1), and reselects only when the
-//! middle rank leaves it. This suite drives random streams of direct
-//! and witness events, `forget_peer` calls, population re-declarations
-//! and mid-stream clones (which carry the bracket), and after random
+//! `ComplaintTrust` locates its median off a rank bracket that every
+//! tally mutation moves in O(1), and reselects only when the middle rank
+//! leaves it. `seal` stores the located median; `median_product` on a
+//! model mutated since its last seal locates it without storing it.
+//! This suite drives random streams of direct and witness events,
+//! `forget_peer` calls, population re-declarations and mid-stream clones
+//! (which carry the bracket and the sealed median), and after random
 //! steps compares the median's bits with a naive sort of the recorded
-//! products plus the silent-peer 1.0 padding. It covers an undeclared
-//! population and one equal to, below and above the id range, with
-//! scorer weighting on and off.
+//! products plus the silent-peer 1.0 padding: first the stale read,
+//! then the sealed read. It covers an undeclared population and one
+//! equal to, below and above the id range, with scorer weighting on and
+//! off.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -97,9 +100,11 @@ fn check_median(
     // Which peers the model holds a record for (the map keys of the
     // pre-dense storage).
     let mut recorded = BTreeSet::new();
-    let check = |model: &ComplaintTrust, recorded: &BTreeSet<u32>, population| {
-        let want = naive_median(model, recorded, population);
-        prop_assert_eq!(model.median_product().to_bits(), want.to_bits());
+    let check = |model: &mut ComplaintTrust, recorded: &BTreeSet<u32>, population| {
+        let want = naive_median(model, recorded, population).to_bits();
+        prop_assert_eq!(model.median_product().to_bits(), want);
+        model.seal();
+        prop_assert_eq!(model.median_product().to_bits(), want);
         Ok(())
     };
     for &step in steps {
@@ -135,22 +140,22 @@ fn check_median(
                 model.set_population(n);
                 population = Some(n);
             }
-            Step::Read => check(&model, &recorded, population)?,
+            Step::Read => check(&mut model, &recorded, population)?,
         }
         if read_each_step {
-            check(&model, &recorded, population)?;
+            check(&mut model, &recorded, population)?;
         }
     }
-    check(&model, &recorded, population)
+    check(&mut model, &recorded, population)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The bracketed median equals the naive sort, bit for bit, for
-    /// every population shape and both weightings. Witness weight 0.5
-    /// makes many products tie (the bracket's `equal` count), a
-    /// non-dyadic weight makes ties rare. Sparse reads let several
+    /// The stale and the sealed median equal the naive sort, bit for
+    /// bit, for every population shape and both weightings. Witness
+    /// weight 0.5 makes many products tie (the bracket's `equal` count),
+    /// a non-dyadic weight makes ties rare. Sparse reads let several
     /// mutations move the bracket between two reads; reading after
     /// every step checks each single move.
     #[test]
@@ -182,20 +187,24 @@ fn median_tracks_forget_and_refill_of_every_peer() {
             model.set_population(n);
         }
         let mut recorded = BTreeSet::new();
+        let check = |model: &mut ComplaintTrust, recorded: &BTreeSet<u32>| {
+            let want = naive_median(model, recorded, population).to_bits();
+            assert_eq!(model.median_product().to_bits(), want);
+            model.seal();
+            assert_eq!(model.median_product().to_bits(), want);
+        };
         for round in 0..3u32 {
             for p in 0..8u32 {
                 for _ in 0..=(p + round) % 5 {
                     model.record_direct(PeerId(p), Conduct::Dishonest, 0);
                 }
                 recorded.insert(p);
-                let want = naive_median(&model, &recorded, population);
-                assert_eq!(model.median_product().to_bits(), want.to_bits());
+                check(&mut model, &recorded);
             }
             for p in (0..8u32).rev() {
                 model.forget_peer(PeerId(p));
                 recorded.remove(&p);
-                let want = naive_median(&model, &recorded, population);
-                assert_eq!(model.median_product().to_bits(), want.to_bits());
+                check(&mut model, &recorded);
             }
         }
     }

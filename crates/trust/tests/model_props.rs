@@ -1,17 +1,18 @@
 //! Differential suite for the dense-table trust models.
 //!
 //! The models moved from `HashMap<PeerId, …>` to population-sized `Vec`
-//! storage with an amortized (dirty-flag cached) complaint median and a
-//! batched `predict_row_into` read path. This suite pins the refactor to
-//! reference implementations retaining the old map-backed semantics:
+//! storage with a sealed (stored until the next mutation) complaint
+//! median and a batched `predict_row_into` read path. This suite pins
+//! the refactor to reference implementations retaining the old
+//! map-backed semantics:
 //!
 //! * dense storage ≡ the map semantics on random operation streams with
 //!   sparse ids and cold probes (including map-presence subtleties:
 //!   ungraded witnesses, zero-weight complaint entries);
 //! * `predict_row_into` ≡ per-subject `predict`, bit for bit, for all
 //!   four models, for rows shorter and longer than the table;
-//! * the cached median ≡ a from-scratch sort oracle under random
-//!   mutate/predict interleavings.
+//! * the median ≡ a from-scratch sort oracle under random
+//!   mutate/seal/predict interleavings.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -241,8 +242,8 @@ impl RefComplaints {
         (t.received, t.filed)
     }
 
-    /// The old sort-per-call median — the from-scratch oracle the cached
-    /// value must always equal.
+    /// The old sort-per-call median — the from-scratch oracle the stale
+    /// and the sealed value must always equal.
     fn median_product(&self) -> f64 {
         if self.tallies.is_empty() {
             return 1.0;
@@ -364,9 +365,9 @@ proptest! {
         assert_rows_match(&dense, 1024);
     }
 
-    /// The cached median equals the from-scratch sort oracle after
-    /// *every* prefix of a random mutate/read interleaving — reads both
-    /// mid-stream (cache hits and misses) and at the end.
+    /// The median equals the from-scratch sort oracle after *every*
+    /// prefix of a random mutate/seal/read interleaving — reads of a
+    /// sealed model and of one mutated since its last seal.
     #[test]
     fn cached_median_matches_fresh_oracle_under_interleaving(
         ops in ops(80),
@@ -396,8 +397,9 @@ proptest! {
                     reference.population = Some(n);
                 }
                 _ => {
-                    // Read-only batch: repeated reads must keep hitting
-                    // the (already validated) cache.
+                    // Seal, then a read-only batch: repeated reads return
+                    // the stored median.
+                    dense.seal();
                     let m = dense.median_product();
                     prop_assert_eq!(m, dense.median_product());
                 }

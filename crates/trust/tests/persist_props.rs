@@ -14,7 +14,9 @@
 //!    never an `Ok`.
 
 use proptest::prelude::*;
-use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable};
+use trustex_persist::snapshot::{
+    from_bytes, to_bytes, Persistable, SnapshotReader, SnapshotWriter,
+};
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
 use trustex_trust::beta::BetaTrust;
 use trustex_trust::complaints::ComplaintTrust;
@@ -263,6 +265,35 @@ fn engine_corruption_matrix() {
     engine.submit(0, TrustEvent::direct(PeerId(1), Conduct::Dishonest, 9));
     let blob = to_bytes(&engine);
     check_corruption_matrix(&blob, &|b| from_bytes::<TrustEngine<BetaTrust>>(b).is_ok());
+}
+
+/// A CRC-valid engine snapshot whose complaint population is patched to
+/// 2⁴⁴ restores and serves predictions: the restore's seal counts the
+/// silent peers rather than allocating one buffer slot per peer (which
+/// aborted the process with a 128 TiB allocation request).
+#[test]
+fn crafted_complaint_population_restores_and_predicts() {
+    let engine = TrustEngine::new(ComplaintTrust::with_population(POP as usize));
+    engine.submit(0, TrustEvent::direct(PeerId(3), Conduct::Dishonest, 0));
+    engine.publish();
+    let blob = to_bytes(&engine);
+    let magic: [u8; 4] = blob[..4].try_into().unwrap();
+    let tag = TrustEngine::<ComplaintTrust>::TAG;
+    let reader = SnapshotReader::parse(&blob, magic).unwrap();
+    let mut payload = reader.raw_section(tag).unwrap().to_vec();
+    // The engine's epoch (u64), then the model's outlier factor (f64),
+    // witness weight (f64), scorer-weighted flag and population-present
+    // flag (one byte each), then the population (u64).
+    let at = 8 + 8 + 8 + 1 + 1;
+    assert_eq!(payload[at..at + 8], (POP as u64).to_le_bytes());
+    payload[at..at + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
+    let mut crafted = SnapshotWriter::new(magic);
+    crafted.raw_section(tag, payload);
+    let restored = from_bytes::<TrustEngine<ComplaintTrust>>(&crafted.into_bytes())
+        .expect("the crafted snapshot is well-formed");
+    let snap = restored.snapshot();
+    assert_eq!(snap.model().median_product(), 1.0);
+    assert!(snap.predict(PeerId(3)).p_honest < snap.predict(PeerId(1)).p_honest);
 }
 
 /// A snapshot from a hypothetical newer format version must be refused,
