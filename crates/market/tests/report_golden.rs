@@ -3,7 +3,7 @@
 //! The determinism suite proves a report is identical across thread
 //! counts *within* one build. This file pins the exact `f64::to_bits`
 //! of the three final trust-accuracy metrics, plus the witness-delivery
-//! count, for four small configurations, so a refactor of the metrics
+//! count, for five small configurations, so a refactor of the metrics
 //! kernel, the gossip sampler or the fault plane that moves a single
 //! bit fails here instead of slipping through a by-hand table diff.
 //!
@@ -63,11 +63,25 @@ fn config(name: &str) -> MarketConfig {
             },
             ..base(ModelKind::Ewma, 0x601D_0004)
         },
+        // Every community write path at once: scorer-weighted complaint
+        // writes read the evaluator's own model mid-merge, the rate cap
+        // drops deliveries, whitewashers (every 2 rounds at full
+        // coordination) rewrite every model, and per-round tracking
+        // seals the community each round.
+        "defended" => MarketConfig {
+            mix: zoo_mix(0.3, 1.0),
+            defense: DefenseConfig {
+                scorer_weighted: true,
+                report_rate_cap: Some(2),
+            },
+            track_trust_per_round: true,
+            ..base(ModelKind::Complaints, 0x601D_0005)
+        },
         other => unreachable!("no golden config {other}"),
     }
 }
 
-const GOLDEN: [Golden; 4] = [
+const GOLDEN: [Golden; 5] = [
     Golden {
         name: "beta",
         mae: 0x3fdfbfabdb0d8d12,
@@ -95,6 +109,13 @@ const GOLDEN: [Golden; 4] = [
         rank_accuracy: 0x3fe11918a08b4b41,
         decision_accuracy: 0x3fe6b666f2ad7f6f,
         witness_delivered: 2593,
+    },
+    Golden {
+        name: "defended",
+        mae: 0x3fd2c03a7cc2ef8b,
+        rank_accuracy: 0x3fe06b305d1ddf9d,
+        decision_accuracy: 0x3fe665da1f4d5d76,
+        witness_delivered: 2414,
     },
 ];
 
@@ -150,6 +171,20 @@ fn chaos_golden_arm_runs_below_the_witness_quorum() {
     let report = MarketSim::new(config("chaos")).run();
     assert!(
         2 * report.witness_delivered < report.witness_attempted,
+        "delivered {} of {}",
+        report.witness_delivered,
+        report.witness_attempted
+    );
+}
+
+/// The defended arm really exercises the rate cap: some witness
+/// emissions reach a capped reporter and are dropped, on a plane that
+/// loses nothing.
+#[test]
+fn defended_golden_arm_drops_capped_deliveries() {
+    let report = MarketSim::new(config("defended")).run();
+    assert!(
+        report.witness_delivered < report.witness_attempted,
         "delivered {} of {}",
         report.witness_delivered,
         report.witness_attempted
