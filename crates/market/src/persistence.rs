@@ -59,10 +59,7 @@ fn event_stream(n: usize, events: usize, rng: &mut SimRng) -> Vec<TrustEvent> {
             let conduct = Conduct::from_honest(!rng.chance(0.3));
             let round = rng.index(1000) as u64;
             if rng.chance(0.4) {
-                let mut w = rng.index(n.max(2) - 1);
-                if w >= subject.0 as usize {
-                    w += 1;
-                }
+                let w = rng.index_except(n.max(2), subject.index());
                 TrustEvent::Witness(WitnessReport {
                     witness: PeerId(w as u32),
                     subject,

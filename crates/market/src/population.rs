@@ -4,8 +4,12 @@
 //! subjective), selected by [`ModelKind`]. The community also maintains
 //! the witness-corroboration bookkeeping that lets the beta model grade
 //! its informants.
+//!
+//! The community holds its models as plain data. Reads that run
+//! concurrently go through a [`CommunitySnapshot`], which seals the
+//! models and borrows the community, so no write can happen while a
+//! reader exists.
 
-use std::sync::Arc;
 use trustex_agents::profile::{AgentProfile, PopulationMix};
 use trustex_netsim::rng::SimRng;
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
@@ -268,20 +272,24 @@ impl PendingIndex {
 
 /// The community of agents.
 ///
-/// The community reads through the same [`CommunitySnapshot`] it hands
-/// out: each agent's model sits behind an [`Arc`] in it, so
-/// [`Community::snapshot`] is one pointer clone per agent. Writes go
-/// through `Arc::make_mut`, which mutates in place while no snapshot is
-/// outstanding and copy-on-writes exactly the models a retained
-/// snapshot still shares.
-///
-/// A model is sealed (see [`TrustModel::seal`]) before it is shared, so
-/// every model a snapshot holds is plain data.
+/// The community owns every agent's model, the direct ledger and the
+/// degraded flag as plain data. Trust is read to plan an exchange and
+/// written only after the exchange ends, so concurrent readers go
+/// through a [`CommunitySnapshot`], which borrows the sealed community:
+/// the borrow checker rules out any write while a reader exists.
 #[derive(Debug)]
 pub struct Community {
     profiles: Vec<AgentProfile>,
-    /// The live models, direct ledger and degraded flag.
-    view: CommunitySnapshot,
+    /// Every agent's trust model, indexed by agent id.
+    models: Vec<AnyModel>,
+    /// Per-(evaluator, subject) direct-experience ledger backing the
+    /// degraded-mode fallback; only allocated for chaos runs.
+    direct: Option<DirectLedger>,
+    /// When set, predictions use direct evidence only — the graceful
+    /// degradation the market engages while the witness quorum is
+    /// unreachable, instead of trusting estimates that silently read
+    /// lost gossip as absence of complaints.
+    degraded: bool,
     /// Witness reports awaiting corroboration.
     pending: PendingIndex,
     /// Active community-level defenses.
@@ -297,8 +305,8 @@ pub struct Community {
 /// Dense per-(evaluator, subject) counts of direct experiences —
 /// `(honest, total)` — kept outside the trust models so degraded-mode
 /// fallback needs no change to any model's persisted state.
-#[derive(Debug, Clone)]
-pub struct DirectLedger {
+#[derive(Debug)]
+struct DirectLedger {
     n: usize,
     counts: Vec<(u32, u32)>,
 }
@@ -332,52 +340,36 @@ impl DirectLedger {
     }
 }
 
-/// An immutable view of every agent's trust model, taken with
-/// [`Community::snapshot`].
+/// A read-only view of a sealed [`Community`], taken with
+/// [`Community::snapshot`] — the per-round view the sharded session
+/// executor plans against.
 ///
-/// Reads are bit-identical to the source community's at snapshot time
-/// and stay fixed while the community keeps mutating — the per-round
-/// read view the sharded session executor predicts against, and the
-/// community-level analogue of [`trustex_trust::engine::TrustSnapshot`].
-#[derive(Debug, Clone)]
-pub struct CommunitySnapshot {
-    models: Vec<Arc<AnyModel>>,
-    /// Per-(evaluator, subject) direct-experience ledger backing the
-    /// degraded-mode fallback; only allocated for chaos runs.
-    direct: Option<Arc<DirectLedger>>,
-    /// When set, predictions use direct evidence only — the graceful
-    /// degradation the market engages while the witness quorum is
-    /// unreachable, instead of trusting estimates that silently read
-    /// lost gossip as absence of complaints.
-    degraded: bool,
+/// The view borrows the community, so the community cannot be written
+/// until every view is gone: reads are bit-identical to the
+/// community's at snapshot time because nothing can change it. A view
+/// that must outlive writes is [`trustex_trust::engine::TrustSnapshot`]'s
+/// job, whose readers run while an epoch is published.
+#[derive(Debug)]
+pub struct CommunitySnapshot<'a> {
+    community: &'a Community,
 }
 
-impl CommunitySnapshot {
-    /// `evaluator`'s trust estimate of `subject` at snapshot time.
+impl CommunitySnapshot<'_> {
+    /// `evaluator`'s trust estimate of `subject` (see
+    /// [`Community::predict`]).
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
-        if self.degraded {
-            // The models fold witness evidence into one posterior, so
-            // the direct view comes from the ledger; a pair that never
-            // interacted is maximum ignorance.
-            return self
-                .direct
-                .as_deref()
-                .and_then(|l| l.estimate(evaluator, subject))
-                .unwrap_or(TrustEstimate::UNKNOWN);
-        }
-        self.models[evaluator.index()].predict(subject)
+        self.community.predict(evaluator, subject)
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
-    /// in one dense-table sweep.
+    /// in one dense-table sweep (see [`Community::predict_row_into`]).
     pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        if self.degraded {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict(evaluator, PeerId(i as u32));
-            }
-            return;
-        }
-        self.models[evaluator.index()].predict_row_into(out);
+        self.community.predict_row_into(evaluator, out);
+    }
+
+    /// The profile of an agent (see [`Community::profile`]).
+    pub fn profile(&self, agent: PeerId) -> AgentProfile {
+        self.community.profile(agent)
     }
 }
 
@@ -398,15 +390,13 @@ impl Community {
     ) -> Community {
         let profiles = mix.sample(n, rng);
         let models = (0..n)
-            .map(|_| Arc::new(kind.build_defended(n, defense.scorer_weighted)))
+            .map(|_| kind.build_defended(n, defense.scorer_weighted))
             .collect();
         Community {
             profiles,
-            view: CommunitySnapshot {
-                models,
-                direct: None,
-                degraded: false,
-            },
+            models,
+            direct: None,
+            degraded: false,
             pending: PendingIndex::new(n),
             defense,
             witness_filed: vec![0; n],
@@ -420,8 +410,8 @@ impl Community {
     /// model cannot separate direct evidence degrade all the way to
     /// [`TrustEstimate::UNKNOWN`].
     pub fn enable_direct_ledger(&mut self) {
-        if self.view.direct.is_none() {
-            self.view.direct = Some(Arc::new(DirectLedger::new(self.len())));
+        if self.direct.is_none() {
+            self.direct = Some(DirectLedger::new(self.len()));
         }
     }
 
@@ -433,35 +423,28 @@ impl Community {
     /// undelivered complaints as evidence of good behaviour, evaluators
     /// stop consuming the witness channel until it heals.
     pub fn set_degraded(&mut self, on: bool) {
-        self.view.degraded = on;
+        self.degraded = on;
     }
 
     /// Whether degraded (direct-only) prediction is active.
     pub fn degraded(&self) -> bool {
-        self.view.degraded
+        self.degraded
     }
 
-    /// Seals every model the community owns alone, that is every model
-    /// written since the last snapshot, so that batch reads (the
-    /// accuracy metrics) and the next snapshot find them settled. A
-    /// model a snapshot still shares was sealed when it was shared and
-    /// has not been written since.
+    /// Seals every model (see [`TrustModel::seal`]), so that batch reads
+    /// (the accuracy metrics) find them settled.
     pub fn seal(&mut self) {
-        for model in &mut self.view.models {
-            if let Some(model) = Arc::get_mut(model) {
-                model.seal();
-            }
+        for model in &mut self.models {
+            model.seal();
         }
     }
 
-    /// Seals the models (see [`Community::seal`]) and takes an immutable
-    /// snapshot of every agent's model: one `Arc` clone per agent, no
-    /// model data copied. Subsequent community writes copy-on-write only
-    /// the models the snapshot still shares — and none at all once the
-    /// snapshot is dropped.
-    pub fn snapshot(&mut self) -> CommunitySnapshot {
+    /// Seals the models (see [`Community::seal`]) and returns a
+    /// read-only view of the community, which stays sealed for as long
+    /// as the view lives.
+    pub fn snapshot(&mut self) -> CommunitySnapshot<'_> {
         self.seal();
-        self.view.clone()
+        CommunitySnapshot { community: self }
     }
 
     /// Number of agents.
@@ -485,13 +468,23 @@ impl Community {
 
     /// Read access to an agent's trust model.
     pub fn model(&self, agent: PeerId) -> &AnyModel {
-        &self.view.models[agent.index()]
+        &self.models[agent.index()]
     }
 
     /// `evaluator`'s trust estimate of `subject`; direct evidence only
     /// while degraded mode is active (see [`Community::set_degraded`]).
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
-        self.view.predict(evaluator, subject)
+        if self.degraded {
+            // The models fold witness evidence into one posterior, so
+            // the direct view comes from the ledger; a pair that never
+            // interacted is maximum ignorance.
+            return self
+                .direct
+                .as_ref()
+                .and_then(|l| l.estimate(evaluator, subject))
+                .unwrap_or(TrustEstimate::UNKNOWN);
+        }
+        self.models[evaluator.index()].predict(subject)
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
@@ -503,7 +496,13 @@ impl Community {
     ///
     /// Panics if `evaluator` is out of range.
     pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        self.view.predict_row_into(evaluator, out);
+        if self.degraded {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = self.predict(evaluator, PeerId(i as u32));
+            }
+            return;
+        }
+        self.models[evaluator.index()].predict_row_into(out);
     }
 
     /// Ground truth cooperation probability of an agent.
@@ -529,10 +528,10 @@ impl Community {
         conduct: Conduct,
         round: u64,
     ) {
-        if let Some(ledger) = &mut self.view.direct {
-            Arc::make_mut(ledger).observe(evaluator, subject, conduct);
+        if let Some(ledger) = &mut self.direct {
+            ledger.observe(evaluator, subject, conduct);
         }
-        let model = Arc::make_mut(&mut self.view.models[evaluator.index()]);
+        let model = &mut self.models[evaluator.index()];
         model.record_direct(subject, conduct, round);
         self.pending.drain(evaluator, subject, |witness, claimed| {
             model.grade_witness(witness, claimed == conduct, round);
@@ -559,7 +558,7 @@ impl Community {
             }
             *filed += 1;
         }
-        Arc::make_mut(&mut self.view.models[target.index()]).record_witness(report);
+        self.models[target.index()].record_witness(report);
         self.pending
             .push(target, report.subject, report.witness, report.conduct);
         true
@@ -571,9 +570,9 @@ impl Community {
     /// untouched — the operator behind the identity keeps what it knows
     /// about the rest of the community.
     pub fn whitewash(&mut self, agent: PeerId) {
-        for (i, model) in self.view.models.iter_mut().enumerate() {
+        for (i, model) in self.models.iter_mut().enumerate() {
             if i != agent.index() {
-                Arc::make_mut(model).forget_peer(agent);
+                model.forget_peer(agent);
             }
         }
         self.pending.purge(agent);
@@ -680,9 +679,9 @@ mod tests {
         }
         // Snapshots carry the degraded view; healing restores the
         // full-evidence prediction untouched.
+        let mut snap_row = vec![TrustEstimate::UNKNOWN; c.len()];
         let snap = c.snapshot();
         assert_eq!(snap.predict(eval, subject), degraded);
-        let mut snap_row = vec![TrustEstimate::UNKNOWN; c.len()];
         snap.predict_row_into(eval, &mut snap_row);
         assert_eq!(snap_row, row);
         c.set_degraded(false);
@@ -808,73 +807,6 @@ mod tests {
             graded_total > 1_000 && purged_total > 1_000,
             "{graded_total} {purged_total}"
         );
-    }
-
-    /// A snapshot pins the models at snapshot time: reads equal the
-    /// community's then, and do not move when the community keeps
-    /// learning (copy-on-write isolation).
-    #[test]
-    fn snapshot_reads_are_frozen_at_snapshot_time() {
-        for kind in ModelKind::ALL {
-            let mut c = community(kind);
-            let (a, b) = (PeerId(0), PeerId(1));
-            for r in 0..3 {
-                c.record_direct(a, b, Conduct::Dishonest, r);
-            }
-            let snap = c.snapshot();
-            assert_eq!(snap.predict(a, b), c.predict(a, b), "{kind:?}");
-            let frozen = snap.predict(a, b);
-            // More dishonest evidence moves every model (the complaint
-            // model ignores honest conduct entirely — no complaint is
-            // filed — so honest writes would leave it legitimately
-            // unchanged).
-            for r in 3..8 {
-                c.record_direct(a, b, Conduct::Dishonest, r);
-            }
-            assert_eq!(snap.predict(a, b), frozen, "{kind:?}: snapshot moved");
-            assert_ne!(c.predict(a, b), frozen, "{kind:?}: community stuck");
-            // Row sweeps agree with point reads on the frozen view.
-            let mut row = vec![TrustEstimate::UNKNOWN; c.len()];
-            snap.predict_row_into(a, &mut row);
-            assert_eq!(row[b.index()], frozen, "{kind:?}");
-        }
-        // A complaint model's whole row hangs on its population median.
-        // Complaints about most of the community move the evaluator's
-        // median after the snapshot; the snapshot keeps the median it
-        // was sealed with.
-        let mut c = community(ModelKind::Complaints);
-        let a = PeerId(0);
-        let median = |c: &Community| match c.model(a) {
-            AnyModel::Complaints(m) => m.median_product(),
-            _ => unreachable!(),
-        };
-        for s in 1..4 {
-            c.record_direct(a, PeerId(s), Conduct::Dishonest, 0);
-        }
-        let snap = c.snapshot();
-        let mut frozen = vec![TrustEstimate::UNKNOWN; c.len()];
-        snap.predict_row_into(a, &mut frozen);
-        let mut live = frozen.clone();
-        c.predict_row_into(a, &mut live);
-        assert_eq!(live, frozen);
-        let before = median(&c);
-        for s in 1..20 {
-            c.deliver_witness_report(
-                a,
-                WitnessReport {
-                    witness: PeerId(19),
-                    subject: PeerId(s),
-                    conduct: Conduct::Dishonest,
-                    round: 1,
-                },
-            );
-        }
-        assert_ne!(median(&c), before, "the community's median moved");
-        let mut later = frozen.clone();
-        snap.predict_row_into(a, &mut later);
-        assert_eq!(later, frozen, "snapshot moved");
-        c.predict_row_into(a, &mut live);
-        assert_ne!(live, frozen, "community stuck");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::population::ModelKind;
 use std::time::Instant;
 use trustex_netsim::pool::{parallel_map, resolve_threads};
 use trustex_netsim::rng::SimRng;
-use trustex_netsim::stats::{Histogram, Sample};
+use trustex_netsim::stats::Sample;
 use trustex_trust::engine::{TrustEngine, TrustEvent};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, WitnessReport};
 
@@ -93,8 +93,6 @@ pub struct ReplayReport {
     pub p99_us: f64,
     /// 99.9th-percentile query latency, microseconds.
     pub p999_us: f64,
-    /// Query latency distribution (µs buckets, edge-clamped).
-    pub histogram: Histogram,
 }
 
 impl ReplayReport {
@@ -142,7 +140,6 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
         checksum: 0.0,
     };
     let mut latency = Sample::new();
-    let mut histogram = Histogram::new(0.0, 50.0, 50);
     let mut remaining = cfg.events;
     let mut seq: u64 = 0;
     let started = Instant::now();
@@ -209,7 +206,6 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
         for (probed, us) in served.into_iter().flatten() {
             check.checksum += probed;
             latency.push(us);
-            histogram.record(us);
         }
 
         // Window boundary: fold the pending delta (pinned seq order)
@@ -234,7 +230,6 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
         p999_us: latency.quantile(0.999).unwrap_or(0.0),
         check,
         wall_s,
-        histogram,
     }
 }
 
@@ -260,7 +255,6 @@ mod tests {
             assert_eq!(r.check.events, 2000, "{model:?}");
             assert_eq!(r.check.events, r.check.queries + r.check.feedbacks);
             assert_eq!(r.check.epochs, 8, "2000 events / 250-event windows");
-            assert_eq!(r.histogram.total(), r.check.queries);
             assert!(r.check.queries > r.check.feedbacks, "query_share 0.8");
             assert!(r.p50_us <= r.p99_us && r.p99_us <= r.p999_us);
             assert!(r.throughput() > 0.0);

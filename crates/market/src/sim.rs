@@ -16,11 +16,14 @@
 //!    master-stream consumption never depends on trust state or timing.
 //! 2. **Execute** (parallel): sessions are planned against the trust
 //!    state at round start and executed concurrently via
-//!    [`trustex_netsim::pool::parallel_map`]; each session only reads
-//!    the shared community and owns its pre-forked streams.
+//!    [`trustex_netsim::pool::parallel_map`]; each session reads the
+//!    community through one borrowed, sealed [`CommunitySnapshot`] and
+//!    owns its pre-forked streams.
 //! 3. **Merge** (sequential): outcomes are folded in session order —
 //!    accounting, direct-experience feedback, witness gossip and slander
 //!    all replay deterministically from each session's feedback fork.
+//!    The snapshot is gone by now, so the merge writes the community's
+//!    models in place.
 //!
 //! The thread count therefore changes wall-clock time, never the
 //! [`MarketReport`]: `threads ∈ {1, 2, 8}` produce identical output for
@@ -345,8 +348,7 @@ fn pick_other(pool: &[PeerId], exclude: PeerId, rng: &mut SimRng) -> Option<Peer
             if pool.len() <= 1 {
                 None
             } else {
-                let raw = rng.index(pool.len() - 1);
-                Some(pool[if raw >= at { raw + 1 } else { raw }])
+                Some(pool[rng.index_except(pool.len(), at)])
             }
         }
         Err(_) => {
@@ -367,7 +369,7 @@ struct RetxEntry {
     emission: u64,
     target: PeerId,
     report: WitnessReport,
-    /// Failed wire attempts so far (original send included).
+    /// Failed wire attempts so far (0 before the first send).
     attempts: u32,
 }
 
@@ -543,14 +545,12 @@ impl MarketSim {
     }
 
     /// Phase 2 worker: plans and executes one session against the
-    /// round-start trust epoch. Trust reads go through the immutable
-    /// [`CommunitySnapshot`] (behaviour profiles are construction-fixed
-    /// and read from the community directly), so any number of sessions
-    /// can run concurrently without touching mutable model state.
+    /// round-start trust state. Trust and behaviour profiles are read
+    /// through the borrowed [`CommunitySnapshot`], so any number of
+    /// sessions can run concurrently and none can write.
     fn run_session(
         cfg: &MarketConfig,
-        community: &Community,
-        snapshot: &CommunitySnapshot,
+        snapshot: &CommunitySnapshot<'_>,
         round: u64,
         draw: SessionDraw,
     ) -> SessionOutcome {
@@ -568,8 +568,8 @@ impl MarketSim {
         };
         let mut rng_s = draw.rng_supplier;
         let mut rng_c = draw.rng_consumer;
-        let s_behavior = community.profile(draw.supplier).exchange;
-        let c_behavior = community.profile(draw.consumer).exchange;
+        let s_behavior = snapshot.profile(draw.supplier).exchange;
+        let c_behavior = snapshot.profile(draw.consumer).exchange;
         let outcome = {
             let mut s_oracle = s_behavior.oracle(round, &mut rng_s);
             let mut c_oracle = c_behavior.oracle(round, &mut rng_c);
@@ -605,15 +605,12 @@ impl MarketSim {
         // are chunks of consecutive sessions (~4 per worker) so queue
         // traffic amortises over many ~µs sessions; chunk boundaries
         // cannot affect results because execution is pure per session.
-        // Sessions predict against the round-start epoch: a snapshot
-        // taken here and dropped before the merge phase, so the merge's
-        // `Arc::make_mut` writes never pay a copy-on-write clone.
+        // Sessions predict against the round-start state: a snapshot
+        // taken here and dropped before the merge phase writes.
         let (draws, posts) = self.draw_sessions();
         let outcomes: Vec<SessionOutcome> = {
-            let snapshot = self.community.snapshot();
-            let snapshot = &snapshot;
+            let snapshot = &self.community.snapshot();
             let cfg = &self.cfg;
-            let community = &self.community;
             let chunk_len = draws.len().div_ceil(threads.max(1) * 4).max(1);
             let mut chunks: Vec<Vec<SessionDraw>> = Vec::new();
             let mut rest = draws.into_iter();
@@ -627,7 +624,7 @@ impl MarketSim {
             parallel_map(threads, chunks, |_, chunk| {
                 chunk
                     .into_iter()
-                    .map(|draw| Self::run_session(cfg, community, snapshot, round, draw))
+                    .map(|draw| Self::run_session(cfg, snapshot, round, draw))
                     .collect::<Vec<SessionOutcome>>()
             })
             .into_iter()
@@ -712,12 +709,7 @@ impl MarketSim {
                         // from the full range and dropped observer
                         // collisions, silently losing 1/n of the
                         // configured slander volume.)
-                        let raw = rng_feedback.index(n - 1);
-                        let victim = PeerId(if raw >= observer.index() {
-                            raw + 1
-                        } else {
-                            raw
-                        } as u32);
+                        let victim = PeerId(rng_feedback.index_except(n, observer.index()) as u32);
                         self.gossip(
                             observer,
                             victim,
@@ -906,32 +898,44 @@ impl MarketSim {
     fn transmit_report(&mut self, target: PeerId, report: WitnessReport) {
         self.witness_attempted += 1;
         self.round_attempted += 1;
-        let emission = self.gossip_seq;
-        self.gossip_seq += 1;
-        let at = Self::round_time(report.round);
-        match self.plane.decide(report.witness.0, target.0, emission, at) {
-            FaultFate::Deliver { .. } => self.deliver(target, report),
-            FaultFate::Lost | FaultFate::Blocked => {
-                if self.cfg.chaos.retry {
-                    self.schedule_retx(
-                        RetxEntry {
-                            emission,
-                            target,
-                            report,
-                            attempts: 1,
-                        },
-                        at,
-                    );
-                }
-            }
-        }
+        let first = RetxEntry {
+            emission: self.gossip_seq,
+            target,
+            report,
+            attempts: 0,
+        };
+        self.attempt(first, Self::round_time(report.round));
     }
 
-    /// Hands one arrived report to its target's model.
-    fn deliver(&mut self, target: PeerId, report: WitnessReport) {
-        if self.community.deliver_witness_report(target, report) {
-            self.witness_delivered += 1;
-            self.round_delivered += 1;
+    /// One wire attempt of `entry` at virtual time `at`, keyed by the
+    /// next gossip sequence number. An arrived report goes to its
+    /// target's model; a lost or blocked one is queued for another
+    /// attempt (with retry on) until the policy's budget runs out.
+    fn attempt(&mut self, mut entry: RetxEntry, at: SimTime) {
+        let wire_seq = self.gossip_seq;
+        self.gossip_seq += 1;
+        match self
+            .plane
+            .decide(entry.report.witness.0, entry.target.0, wire_seq, at)
+        {
+            FaultFate::Deliver { .. } => {
+                if self
+                    .community
+                    .deliver_witness_report(entry.target, entry.report)
+                {
+                    self.witness_delivered += 1;
+                    self.round_delivered += 1;
+                }
+            }
+            FaultFate::Lost | FaultFate::Blocked if self.cfg.chaos.retry => {
+                entry.attempts += 1;
+                if RETX_POLICY.allows(entry.attempts) {
+                    self.schedule_retx(entry, at);
+                } else {
+                    self.retx_exhausted += 1;
+                }
+            }
+            FaultFate::Lost | FaultFate::Blocked => {}
         }
     }
 
@@ -948,28 +952,12 @@ impl MarketSim {
     }
 
     /// Drains every retransmission due by the start of `round`: each
-    /// gets a fresh wire attempt through the plane, re-queueing on
-    /// failure until the policy's attempt budget runs out.
+    /// gets a fresh wire attempt through the plane.
     fn pump_retx(&mut self, round: u64) {
         let now = Self::round_time(round);
         while self.retx.peek_time().is_some_and(|t| t <= now) {
-            let (due, mut entry) = self.retx.pop().expect("peeked entry");
-            let wire_seq = self.gossip_seq;
-            self.gossip_seq += 1;
-            match self
-                .plane
-                .decide(entry.report.witness.0, entry.target.0, wire_seq, due)
-            {
-                FaultFate::Deliver { .. } => self.deliver(entry.target, entry.report),
-                FaultFate::Lost | FaultFate::Blocked => {
-                    entry.attempts += 1;
-                    if RETX_POLICY.allows(entry.attempts) {
-                        self.schedule_retx(entry, due);
-                    } else {
-                        self.retx_exhausted += 1;
-                    }
-                }
-            }
+            let (due, entry) = self.retx.pop().expect("peeked entry");
+            self.attempt(entry, due);
         }
     }
 }

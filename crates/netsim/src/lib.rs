@@ -18,8 +18,8 @@
 //!   lifecycle rejoin scheduler and fault-plane retries.
 //! * [`churn`] — node availability timelines (alternating exponential
 //!   up/down periods), used for the churn experiments.
-//! * [`stats`] — small statistics helpers (quantile samples, fixed-width
-//!   histograms) shared by the experiment harness.
+//! * [`stats`] — exact-quantile samples shared by the experiment
+//!   harness.
 //! * [`crc`] — CRC-32C checksums backing the durable-evidence codec in
 //!   `trustex-persist` (snapshot sections, evidence-log frames).
 //!
@@ -68,5 +68,5 @@ pub use fault::{FaultConfig, FaultFate, FaultPlane, PartitionSpec};
 pub use net::{Latency, MsgKind, NetConfig, Network, NodeId};
 pub use pool::{parallel_map, resolve_threads, set_default_threads};
 pub use rng::SimRng;
-pub use stats::{Histogram, Sample};
+pub use stats::Sample;
 pub use time::SimTime;

@@ -138,6 +138,20 @@ impl SimRng {
         self.below(n as u64) as usize
     }
 
+    /// Returns a uniform index in `[0, n)` other than `skip` (which
+    /// must lie in `[0, n)`): one [`SimRng::index`] draw over the `n − 1`
+    /// eligible values, shifted up by one at and past `skip`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    #[inline]
+    pub fn index_except(&mut self, n: usize, skip: usize) -> usize {
+        assert!(n >= 2, "SimRng::index_except requires n >= 2");
+        let raw = self.index(n - 1);
+        raw + usize::from(raw >= skip)
+    }
+
     /// Returns a uniform integer in `[lo, hi)`.
     ///
     /// # Panics
@@ -316,6 +330,27 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `index_except` is the written-out exclusion shift: the same draw
+    /// as `index(n − 1)`, bumped past `skip`, never equal to `skip`.
+    #[test]
+    fn index_except_is_the_written_out_shift() {
+        let n = 7;
+        for skip in [0, n / 2, n - 1] {
+            let mut rng = SimRng::new(0x5EED ^ skip as u64);
+            let mut oracle = rng.clone();
+            for _ in 0..500 {
+                let got = rng.index_except(n, skip);
+                let mut want = oracle.index(n - 1);
+                if want >= skip {
+                    want += 1;
+                }
+                assert_eq!(got, want, "skip {skip}");
+                assert!(got < n && got != skip);
+            }
+            assert_eq!(rng, oracle, "the same stream is consumed");
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -1,7 +1,5 @@
-//! Small statistics helpers used throughout the experiment harness.
-//!
-//! * [`Sample`] — stored samples with exact quantiles.
-//! * [`Histogram`] — fixed-width bucket counts for report rendering.
+//! Small statistics helpers used throughout the experiment harness:
+//! [`Sample`] stores samples and answers exact quantiles.
 
 /// A stored sample supporting exact quantiles.
 ///
@@ -101,69 +99,6 @@ impl Extend<f64> for Sample {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range clamping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_buckets` equal buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_buckets == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n_buckets: usize) -> Self {
-        assert!(n_buckets > 0 && lo < hi);
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n_buckets],
-        }
-    }
-
-    /// Records an observation; values outside `[lo, hi)` land in the
-    /// nearest edge bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN (matching [`Sample::push`]) — `NaN as usize` is 0,
-    /// so it would otherwise be silently filed into bucket 0.
-    pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "Histogram does not accept NaN");
-        let n = self.buckets.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.buckets[idx.min(n - 1)] += 1;
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total recorded observations.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// `(bucket_lower_bound, count)` pairs for rendering.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, c)| (self.lo + width * i as f64, *c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,42 +133,5 @@ mod tests {
         s.extend([1.0, 2.0, 3.0]);
         assert_eq!(s.len(), 3);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        assert!(h.buckets().iter().all(|&c| c == 1));
-        assert_eq!(h.total(), 10);
-    }
-
-    #[test]
-    fn histogram_clamps_edges() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-5.0);
-        h.record(99.0);
-        h.record(1.0); // hi is exclusive -> last bucket
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[3], 2);
-    }
-
-    /// Regression: NaN fails both range guards and `NaN as usize == 0`,
-    /// so it used to be filed silently into bucket 0 while the sibling
-    /// `Sample::push` panics. The two must be consistent.
-    #[test]
-    #[should_panic(expected = "Histogram does not accept NaN")]
-    fn histogram_rejects_nan_like_sample() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(f64::NAN);
-    }
-
-    #[test]
-    fn histogram_iter_bounds() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        let lows: Vec<f64> = h.iter().map(|(lo, _)| lo).collect();
-        assert_eq!(lows, vec![0.0, 1.0, 2.0, 3.0]);
     }
 }

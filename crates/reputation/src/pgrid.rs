@@ -433,10 +433,7 @@ impl PGrid {
             let meetings = cfg.meetings_per_peer.saturating_mul(n) / 2;
             for _ in 0..meetings {
                 let a = rng.index(n);
-                let mut b = rng.index(n - 1);
-                if b >= a {
-                    b += 1;
-                }
+                let b = rng.index_except(n, a);
                 grid.meet(a, b, rng);
             }
         }
@@ -1095,10 +1092,7 @@ impl PGrid {
         let path = self.paths[idx];
         let bucket = &self.buckets[path.slot()];
         if bucket.len() > 1 {
-            let mut pos = rng.index(bucket.len() - 1);
-            if pos >= self.dir_pos[idx] as usize {
-                pos += 1;
-            }
+            let pos = rng.index_except(bucket.len(), self.dir_pos[idx] as usize);
             return Some(bucket[pos] as usize);
         }
         for len in (0..path.len()).rev() {
@@ -1273,10 +1267,7 @@ impl PGrid {
         }
         for _ in 0..meetings {
             let a = rng.index(live.len());
-            let mut b = rng.index(live.len() - 1);
-            if b >= a {
-                b += 1;
-            }
+            let b = rng.index_except(live.len(), a);
             self.meet(live[a], live[b], rng);
         }
     }

@@ -342,6 +342,14 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
 /// at the saved epoch, so snapshots resume exactly where the saved
 /// engine's would, and a subsequent `publish` folds the restored delta
 /// identically to the live engine.
+///
+/// Folding an event about a peer past a model's dense tables grows
+/// them to that id. So restore bounds every id in the pending delta by
+/// the payload's length in bytes, as [`ByteReader::take_len`] bounds
+/// every count it reads: a snapshot can only make the next publish
+/// allocate in proportion to its own size. Every model here encodes
+/// each table slot in at least 16 bytes, so an id the restored model
+/// holds a slot for always passes.
 impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
     const TAG: [u8; 4] = *b"TENG";
 
@@ -360,6 +368,7 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
     }
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
+        let id_bound = r.remaining();
         let epoch = r.take_u64()?;
         let model = M::decode_state(r)?;
         // Smallest pending frame: seq (8) + direct event (14).
@@ -367,7 +376,17 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
         let mut pending = Vec::with_capacity(n);
         for _ in 0..n {
             let seq = r.take_u64()?;
-            pending.push((seq, TrustEvent::decode_from(r)?));
+            let event = TrustEvent::decode_from(r)?;
+            let (a, b) = match event {
+                TrustEvent::Direct { subject, .. } => (subject, subject),
+                TrustEvent::Witness(report) => (report.witness, report.subject),
+            };
+            if a.index().max(b.index()) >= id_bound {
+                return Err(PersistError::Invalid {
+                    context: "pending trust event names a peer id the payload cannot back",
+                });
+            }
+            pending.push((seq, event));
         }
         Ok(TrustEngine::sealed_at(model, epoch, pending))
     }

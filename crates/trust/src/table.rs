@@ -9,9 +9,14 @@
 //! The contract is *grow-on-write*: constructors take an optional
 //! population hint (`with_population`) that pre-sizes the table, writes
 //! to ids beyond the current capacity grow it ([`dense_slot`]), and reads
-//! of never-written ids observe the cold default without allocating —
-//! standalone use with sparse or unbounded ids keeps working exactly
-//! like the old map-backed storage.
+//! of never-written ids observe the cold default without allocating.
+//!
+//! A table therefore costs memory in proportion to the largest id ever
+//! written, not to the number of peers seen: one write about
+//! `PeerId(u32::MAX)` asks for 2³² slots. Ids must be dense, and an id
+//! read from outside the program must be bounded before it reaches a
+//! write (a restored engine bounds its pending delta; see
+//! [`crate::engine`]).
 
 use crate::model::PeerId;
 

@@ -296,6 +296,48 @@ fn crafted_complaint_population_restores_and_predicts() {
     assert!(snap.predict(PeerId(3)).p_honest < snap.predict(PeerId(1)).p_honest);
 }
 
+/// A CRC-valid engine snapshot whose pending delta names peer
+/// 0xFFFF_FFF0 is refused at restore. Accepting it handed back an
+/// engine whose first publish grew the model's table to 2³² slots and
+/// aborted the process on a 64 GiB allocation request.
+#[test]
+fn pending_event_about_a_huge_peer_id_is_refused() {
+    use trustex_persist::PersistError;
+    let engine = TrustEngine::new(MeanTrust::with_population(POP as usize));
+    engine.submit(
+        0,
+        TrustEvent::direct(PeerId(0xFFFF_FFF0), Conduct::Dishonest, 0),
+    );
+    let restored = from_bytes::<TrustEngine<MeanTrust>>(&to_bytes(&engine));
+    if let Ok(engine) = &restored {
+        engine.publish();
+    }
+    assert!(
+        matches!(restored, Err(PersistError::Invalid { .. })),
+        "{restored:?}"
+    );
+    // A witness event is checked on both of its ids.
+    let engine = TrustEngine::new(MeanTrust::with_population(POP as usize));
+    let report = WitnessReport {
+        witness: PeerId(0xFFFF_FFF0),
+        subject: PeerId(1),
+        conduct: Conduct::Dishonest,
+        round: 0,
+    };
+    engine.submit(0, TrustEvent::Witness(report));
+    assert!(matches!(
+        from_bytes::<TrustEngine<MeanTrust>>(&to_bytes(&engine)),
+        Err(PersistError::Invalid { .. })
+    ));
+    // A model that grows on write still restores a delta about peers
+    // past its (empty) tables.
+    let engine = TrustEngine::new(MeanTrust::new());
+    engine.submit(0, TrustEvent::direct(PeerId(POP), Conduct::Dishonest, 0));
+    let restored = from_bytes::<TrustEngine<MeanTrust>>(&to_bytes(&engine)).unwrap();
+    restored.publish();
+    assert!(restored.snapshot().predict(PeerId(POP)).p_honest < 0.5);
+}
+
 /// A snapshot from a hypothetical newer format version must be refused,
 /// not guessed at.
 #[test]
