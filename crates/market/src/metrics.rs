@@ -8,7 +8,7 @@
 //! chunk asks every evaluator's model for its whole prediction row at
 //! once
 //! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
-//! — a single dense-table sweep that hoists per-call work, notably the
+//! — a single table sweep that hoists per-call work, notably the
 //! complaint model's population median, out of the loop) and reduces
 //! the row:
 //!

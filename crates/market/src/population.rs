@@ -16,6 +16,7 @@ use trustex_trust::baselines::{EwmaTrust, MeanTrust};
 use trustex_trust::beta::{BetaConfig, BetaTrust};
 use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
+use trustex_trust::table::PeerTable;
 
 /// Community-level defenses against coordinated reporting attacks.
 ///
@@ -67,10 +68,12 @@ impl ModelKind {
         }
     }
 
-    /// Builds a model pre-sized for a community of `n` peers: every
-    /// model's dense evidence tables are allocated once up front (and
-    /// the complaint model learns the population for its median), so
-    /// the simulation's record/predict hot paths never grow storage.
+    /// Builds a model sized for a community of `n` peers, so the
+    /// simulation's record path never grows a table index: the Beta,
+    /// mean and EWMA models pre-size their [`PeerTable`] indexes (4 B
+    /// per peer) and allocate evidence slots only for the peers written,
+    /// and the complaint model allocates its dense table up front and
+    /// learns the population for its median.
     pub(crate) fn build(self, n: usize) -> AnyModel {
         self.build_defended(n, false)
     }
@@ -148,8 +151,8 @@ impl TrustModel for AnyModel {
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        // One dispatch per row (not per cell) into the models' dense
-        // table sweeps.
+        // One dispatch per row (not per cell) into the models' table
+        // sweeps.
         match self {
             AnyModel::Beta(m) => m.predict_row_into(out),
             AnyModel::Complaints(m) => m.predict_row_into(out),
@@ -302,25 +305,24 @@ pub struct Community {
     witness_filed: Vec<u32>,
 }
 
-/// Dense per-(evaluator, subject) counts of direct experiences —
+/// Per-(evaluator, subject) counts of direct experiences —
 /// `(honest, total)` — kept outside the trust models so degraded-mode
-/// fallback needs no change to any model's persisted state.
+/// fallback needs no change to any model's persisted state. One
+/// [`PeerTable`] row per evaluator holds only the pairs that traded.
 #[derive(Debug)]
 struct DirectLedger {
-    n: usize,
-    counts: Vec<(u32, u32)>,
+    rows: Vec<PeerTable<(u32, u32)>>,
 }
 
 impl DirectLedger {
     fn new(n: usize) -> DirectLedger {
         DirectLedger {
-            n,
-            counts: vec![(0, 0); n * n],
+            rows: (0..n).map(|_| PeerTable::default()).collect(),
         }
     }
 
     fn observe(&mut self, evaluator: PeerId, subject: PeerId, conduct: Conduct) {
-        let slot = &mut self.counts[evaluator.index() * self.n + subject.index()];
+        let slot = self.rows[evaluator.index()].slot_mut(subject);
         if conduct.is_honest() {
             slot.0 += 1;
         }
@@ -330,7 +332,7 @@ impl DirectLedger {
     /// Laplace-smoothed direct-only estimate, or `None` when the
     /// evaluator has never interacted with the subject.
     fn estimate(&self, evaluator: PeerId, subject: PeerId) -> Option<TrustEstimate> {
-        let (honest, total) = self.counts[evaluator.index() * self.n + subject.index()];
+        let (honest, total) = self.rows[evaluator.index()].get(subject);
         if total == 0 {
             return None;
         }
@@ -362,7 +364,7 @@ impl CommunitySnapshot<'_> {
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
-    /// in one dense-table sweep (see [`Community::predict_row_into`]).
+    /// in one table sweep (see [`Community::predict_row_into`]).
     pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
         self.community.predict_row_into(evaluator, out);
     }
@@ -488,7 +490,7 @@ impl Community {
     }
 
     /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
-    /// in one dense-table sweep — bit-identical to calling
+    /// in one table sweep — bit-identical to calling
     /// [`Community::predict`] per subject, and the read path the batched
     /// accuracy metrics are built on.
     ///

@@ -7,7 +7,7 @@
 
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
-use crate::table::dense_slot;
+use crate::table::PeerTable;
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -17,9 +17,9 @@ use trustex_persist::PersistError;
 /// discounting) — deliberately gullible.
 #[derive(Debug, Clone, Default)]
 pub struct MeanTrust {
-    /// Dense `(honest, total)` counts indexed by [`PeerId::index`];
+    /// `(honest, total)` counts indexed by [`PeerId::index`];
     /// `total == 0` marks a never-observed subject.
-    counts: Vec<(u64, u64)>,
+    counts: PeerTable<(u64, u64)>,
     /// Scorer-weighted aggregation: drop witness reports from reporters
     /// whose own observed mean sits below coin-flip. The crudest form of
     /// the defense the principled models apply continuously — still a
@@ -33,23 +33,24 @@ impl MeanTrust {
         MeanTrust::default()
     }
 
-    /// Creates a model pre-sized for a community of `n` peers.
+    /// Creates a model whose table index is pre-sized for a community
+    /// of `n` peers (see [`MeanTrust::ensure_capacity`]).
     pub fn with_population(n: usize) -> MeanTrust {
         let mut model = MeanTrust::new();
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes the count table to hold peers `0..n` (never shrinks).
+    /// Pre-sizes the count table's index for peers `0..n` (never
+    /// shrinks), at 4 B per id; count slots are still allocated only for
+    /// the peers written.
     pub fn ensure_capacity(&mut self, n: usize) {
-        if self.counts.len() < n {
-            self.counts.resize(n, (0, 0));
-        }
+        self.counts.ensure_capacity(n);
     }
 
     /// `(honest, total)` observation counts for a subject.
     pub fn counts(&self, subject: PeerId) -> (u64, u64) {
-        self.counts.get(subject.index()).copied().unwrap_or((0, 0))
+        self.counts.get(subject)
     }
 
     /// Enables (or disables) the scorer-weighted witness gate; returns
@@ -60,7 +61,7 @@ impl MeanTrust {
     }
 
     fn add(&mut self, subject: PeerId, conduct: Conduct) {
-        let e = dense_slot(&mut self.counts, subject);
+        let e = self.counts.slot_mut(subject);
         if conduct.is_honest() {
             e.0 += 1;
         }
@@ -95,17 +96,11 @@ impl TrustModel for MeanTrust {
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        let covered = self.counts.len().min(out.len());
-        for (slot, counts) in out[..covered].iter_mut().zip(&self.counts) {
-            *slot = Self::estimate_of(*counts);
-        }
-        out[covered..].fill(TrustEstimate::UNKNOWN);
+        self.counts.map_row_into(out, Self::estimate_of);
     }
 
     fn forget_peer(&mut self, peer: PeerId) {
-        if let Some(slot) = self.counts.get_mut(peer.index()) {
-            *slot = (0, 0);
-        }
+        self.counts.forget(peer);
     }
 
     fn name(&self) -> &'static str {
@@ -122,18 +117,18 @@ impl TrustModel for MeanTrust {
 pub struct EwmaTrust {
     /// Learning rate λ in `(0, 1]`.
     rate: f64,
-    /// Dense `(score, observations)` slots indexed by
-    /// [`PeerId::index`]; `observations == 0` marks a never-observed
-    /// subject (the score slot idles at the 0.5 starting point).
-    scores: Vec<(f64, u64)>,
+    /// `(score, observations)` slots indexed by [`PeerId::index`];
+    /// `observations == 0` marks a never-observed subject (the score
+    /// slot idles at the 0.5 starting point, the table's cold value).
+    scores: PeerTable<(f64, u64)>,
     /// Scorer-weighted aggregation: drop witness reports from reporters
     /// whose own EWMA score sits below coin-flip (see
     /// [`MeanTrust`]'s gate; cold reporters at 0.5 pass).
     scorer_weighted: bool,
 }
 
-/// The dense-slot default for an untouched EWMA score: the 0.5 starting
-/// point with zero observations.
+/// The cold value of an untouched EWMA score: the 0.5 starting point
+/// with zero observations.
 const EWMA_COLD: (f64, u64) = (0.5, 0);
 
 /// The EWMA learning-rate rule: `0 < rate ≤ 1` (NaN violates it).
@@ -157,7 +152,7 @@ impl EwmaTrust {
         }
         EwmaTrust {
             rate,
-            scores: Vec::new(),
+            scores: PeerTable::new(EWMA_COLD),
             scorer_weighted: false,
         }
     }
@@ -169,19 +164,20 @@ impl EwmaTrust {
         self
     }
 
-    /// Creates a model with learning rate `rate` pre-sized for a
-    /// community of `n` peers.
+    /// Creates a model with learning rate `rate` whose table index is
+    /// pre-sized for a community of `n` peers (see
+    /// [`EwmaTrust::ensure_capacity`]).
     pub fn with_population(rate: f64, n: usize) -> EwmaTrust {
         let mut model = EwmaTrust::new(rate);
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes the score table to hold peers `0..n` (never shrinks).
+    /// Pre-sizes the score table's index for peers `0..n` (never
+    /// shrinks), at 4 B per id; score slots are still allocated only for
+    /// the peers written.
     pub fn ensure_capacity(&mut self, n: usize) {
-        if self.scores.len() < n {
-            self.scores.resize(n, EWMA_COLD);
-        }
+        self.scores.ensure_capacity(n);
     }
 
     /// The learning rate λ.
@@ -190,11 +186,7 @@ impl EwmaTrust {
     }
 
     fn update(&mut self, subject: PeerId, conduct: Conduct, weight: f64) {
-        let index = subject.index();
-        if index >= self.scores.len() {
-            self.scores.resize(index + 1, EWMA_COLD);
-        }
-        let (score, n) = &mut self.scores[index];
+        let (score, n) = self.scores.slot_mut(subject);
         let target = if conduct.is_honest() { 1.0 } else { 0.0 };
         let lambda = self.rate * weight;
         *score = (1.0 - lambda) * *score + lambda * target;
@@ -229,26 +221,15 @@ impl TrustModel for EwmaTrust {
     }
 
     fn predict(&self, subject: PeerId) -> TrustEstimate {
-        Self::estimate_of(
-            self.scores
-                .get(subject.index())
-                .copied()
-                .unwrap_or(EWMA_COLD),
-        )
+        Self::estimate_of(self.scores.get(subject))
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        let covered = self.scores.len().min(out.len());
-        for (slot, score) in out[..covered].iter_mut().zip(&self.scores) {
-            *slot = Self::estimate_of(*score);
-        }
-        out[covered..].fill(TrustEstimate::UNKNOWN);
+        self.scores.map_row_into(out, Self::estimate_of);
     }
 
     fn forget_peer(&mut self, peer: PeerId) {
-        if let Some(slot) = self.scores.get_mut(peer.index()) {
-            *slot = EWMA_COLD;
-        }
+        self.scores.forget(peer);
     }
 
     fn name(&self) -> &'static str {
@@ -262,7 +243,7 @@ impl Persistable for MeanTrust {
     fn encode_state(&self, w: &mut ByteWriter) {
         w.put_bool(self.scorer_weighted);
         w.put_len(self.counts.len());
-        for &(honest, total) in &self.counts {
+        for (honest, total) in self.counts.iter() {
             w.put_u64(honest);
             w.put_u64(total);
         }
@@ -271,8 +252,7 @@ impl Persistable for MeanTrust {
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
         let scorer_weighted = r.take_bool()?;
         let n = r.take_len(16)?;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
+        let take_counts = || {
             let honest = r.take_u64()?;
             let total = r.take_u64()?;
             if honest > total {
@@ -280,8 +260,9 @@ impl Persistable for MeanTrust {
                     context: "mean-trust honest count exceeds total",
                 });
             }
-            counts.push((honest, total));
-        }
+            Ok((honest, total))
+        };
+        let counts = PeerTable::try_from_dense((0, 0), n, take_counts, |&c| c == (0, 0))?;
         Ok(MeanTrust {
             counts,
             scorer_weighted,
@@ -296,7 +277,7 @@ impl Persistable for EwmaTrust {
         w.put_f64(self.rate);
         w.put_bool(self.scorer_weighted);
         w.put_len(self.scores.len());
-        for &(score, n) in &self.scores {
+        for (score, n) in self.scores.iter() {
             w.put_f64(score);
             w.put_u64(n);
         }
@@ -307,8 +288,7 @@ impl Persistable for EwmaTrust {
         validate_rate(rate).map_err(|context| PersistError::Invalid { context })?;
         let scorer_weighted = r.take_bool()?;
         let n = r.take_len(16)?;
-        let mut scores = Vec::with_capacity(n);
-        for _ in 0..n {
+        let take_score = || {
             let score = r.take_finite_f64()?;
             let observations = r.take_u64()?;
             // Scores are convex combinations of {0, 1} seeded at 0.5, so
@@ -324,8 +304,11 @@ impl Persistable for EwmaTrust {
                     context: "ewma cold slot with non-default score",
                 });
             }
-            scores.push((score, observations));
-        }
+            Ok((score, observations))
+        };
+        let scores = PeerTable::try_from_dense(EWMA_COLD, n, take_score, |&(score, n)| {
+            score.to_bits() == EWMA_COLD.0.to_bits() && n == 0
+        })?;
         Ok(EwmaTrust {
             rate,
             scores,

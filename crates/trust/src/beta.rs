@@ -13,7 +13,7 @@
 
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
-use crate::table::dense_slot;
+use crate::table::PeerTable;
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -100,6 +100,14 @@ impl Evidence {
         self.last_round = self.last_round.max(round);
     }
 
+    /// Whether the evidence is bit-identical to the cold default; a
+    /// `-0.0` count is not cold (it must survive a persist round trip).
+    fn is_cold(&self) -> bool {
+        self.honest.to_bits() == 0.0f64.to_bits()
+            && self.dishonest.to_bits() == 0.0f64.to_bits()
+            && self.last_round == 0
+    }
+
     fn add(&mut self, conduct: Conduct, weight: f64) {
         match conduct {
             Conduct::Honest => self.honest += weight,
@@ -126,12 +134,18 @@ impl Evidence {
 
 /// A witness's own evidence plus an explicit graded marker: an ungraded
 /// witness gets [`BetaConfig::witness_prior`], which differs from the
-/// posterior of empty evidence — the dense table must keep the two
-/// apart just like a `HashMap` miss did.
+/// posterior of empty evidence — the table must keep the two apart just
+/// like a `HashMap` miss did.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct WitnessSlot {
     evidence: Evidence,
     graded: bool,
+}
+
+impl WitnessSlot {
+    fn is_cold(&self) -> bool {
+        !self.graded && self.evidence.is_cold()
+    }
 }
 
 /// The beta-posterior trust model.
@@ -156,12 +170,12 @@ struct WitnessSlot {
 #[derive(Debug, Clone)]
 pub struct BetaTrust {
     config: BetaConfig,
-    /// Dense per-subject evidence, indexed by [`PeerId::index`]; ids
-    /// beyond the table read as cold (no evidence).
-    evidence: Vec<Evidence>,
+    /// Per-subject evidence, indexed by [`PeerId::index`]; unwritten
+    /// ids read as cold (no evidence).
+    evidence: PeerTable<Evidence>,
     /// Witness reliability estimates (their own beta evidence), used to
     /// discount their reports.
-    witness_evidence: Vec<WitnessSlot>,
+    witness_evidence: PeerTable<WitnessSlot>,
 }
 
 impl Default for BetaTrust {
@@ -187,28 +201,27 @@ impl BetaTrust {
         }
         BetaTrust {
             config,
-            evidence: Vec::new(),
-            witness_evidence: Vec::new(),
+            evidence: PeerTable::default(),
+            witness_evidence: PeerTable::default(),
         }
     }
 
-    /// Creates a default-configured model pre-sized for a community of
-    /// `n` peers, so no table growth happens on the record path.
+    /// Creates a default-configured model whose table indexes are
+    /// pre-sized for a community of `n` peers (see
+    /// [`BetaTrust::ensure_capacity`]).
     pub fn with_population(n: usize) -> BetaTrust {
         let mut model = BetaTrust::new();
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes the evidence tables to hold peers `0..n` (never
-    /// shrinks). Writes beyond the capacity still grow on demand.
+    /// Pre-sizes both tables' indexes for peers `0..n` (never shrinks),
+    /// at 4 B per id and table, so the record path does not grow them;
+    /// evidence slots are still allocated only for the peers written.
+    /// Writes beyond the capacity grow on demand.
     pub fn ensure_capacity(&mut self, n: usize) {
-        if self.evidence.len() < n {
-            self.evidence.resize(n, Evidence::default());
-        }
-        if self.witness_evidence.len() < n {
-            self.witness_evidence.resize(n, WitnessSlot::default());
-        }
+        self.evidence.ensure_capacity(n);
+        self.witness_evidence.ensure_capacity(n);
     }
 
     /// The active configuration.
@@ -221,7 +234,7 @@ impl BetaTrust {
     /// reliability used for discounting.
     pub fn grade_witness(&mut self, witness: PeerId, corroborated: bool, round: u64) {
         let forgetting = self.config.forgetting;
-        let slot = dense_slot(&mut self.witness_evidence, witness);
+        let slot = self.witness_evidence.slot_mut(witness);
         slot.graded = true;
         slot.evidence
             .observe(Conduct::from_honest(corroborated), 1.0, round, forgetting);
@@ -229,25 +242,20 @@ impl BetaTrust {
 
     /// The evaluator's reliability estimate for a witness in `[0, 1]`.
     pub fn witness_reliability(&self, witness: PeerId) -> f64 {
-        match self.witness_evidence.get(witness.index()) {
-            Some(slot) if slot.graded => {
-                (self.config.prior_honest + slot.evidence.honest)
-                    / (self.config.prior_honest
-                        + self.config.prior_dishonest
-                        + slot.evidence.honest
-                        + slot.evidence.dishonest)
-            }
-            _ => self.config.witness_prior,
+        let slot = self.witness_evidence.get(witness);
+        if !slot.graded {
+            return self.config.witness_prior;
         }
+        (self.config.prior_honest + slot.evidence.honest)
+            / (self.config.prior_honest
+                + self.config.prior_dishonest
+                + slot.evidence.honest
+                + slot.evidence.dishonest)
     }
 
     /// Raw posterior parameters `(α, β)` for a subject (including priors).
     pub fn posterior(&self, subject: PeerId) -> (f64, f64) {
-        let e = self
-            .evidence
-            .get(subject.index())
-            .copied()
-            .unwrap_or_default();
+        let e = self.evidence.get(subject);
         (
             self.config.prior_honest + e.honest,
             self.config.prior_dishonest + e.dishonest,
@@ -267,7 +275,9 @@ impl BetaTrust {
 impl TrustModel for BetaTrust {
     fn record_direct(&mut self, subject: PeerId, conduct: Conduct, round: u64) {
         let forgetting = self.config.forgetting;
-        dense_slot(&mut self.evidence, subject).observe(conduct, 1.0, round, forgetting);
+        self.evidence
+            .slot_mut(subject)
+            .observe(conduct, 1.0, round, forgetting);
     }
 
     fn record_witness(&mut self, report: WitnessReport) {
@@ -287,7 +297,7 @@ impl TrustModel for BetaTrust {
             return;
         }
         let forgetting = self.config.forgetting;
-        dense_slot(&mut self.evidence, report.subject).observe(
+        self.evidence.slot_mut(report.subject).observe(
             report.conduct,
             weight,
             report.round,
@@ -296,23 +306,11 @@ impl TrustModel for BetaTrust {
     }
 
     fn predict(&self, subject: PeerId) -> TrustEstimate {
-        let e = self
-            .evidence
-            .get(subject.index())
-            .copied()
-            .unwrap_or_default();
-        self.estimate_of(e)
+        self.estimate_of(self.evidence.get(subject))
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
-        let covered = self.evidence.len().min(out.len());
-        for (slot, e) in out[..covered].iter_mut().zip(&self.evidence) {
-            *slot = self.estimate_of(*e);
-        }
-        if covered < out.len() {
-            let cold = self.estimate_of(Evidence::default());
-            out[covered..].fill(cold);
-        }
+        self.evidence.map_row_into(out, |e| self.estimate_of(e));
     }
 
     fn forget_peer(&mut self, peer: PeerId) {
@@ -320,12 +318,8 @@ impl TrustModel for BetaTrust {
         // accumulated witness standing. Estimates for other subjects keep
         // whatever weight the peer's past reports already contributed —
         // absorbed gossip is not re-attributable.
-        if let Some(slot) = self.evidence.get_mut(peer.index()) {
-            *slot = Evidence::default();
-        }
-        if let Some(slot) = self.witness_evidence.get_mut(peer.index()) {
-            *slot = WitnessSlot::default();
-        }
+        self.evidence.forget(peer);
+        self.witness_evidence.forget(peer);
     }
 
     fn name(&self) -> &'static str {
@@ -344,13 +338,13 @@ impl Persistable for BetaTrust {
         w.put_f64(self.config.witness_prior);
         w.put_bool(self.config.scorer_weighted);
         w.put_len(self.evidence.len());
-        for e in &self.evidence {
+        for e in self.evidence.iter() {
             w.put_f64(e.honest);
             w.put_f64(e.dishonest);
             w.put_u64(e.last_round);
         }
         w.put_len(self.witness_evidence.len());
-        for s in &self.witness_evidence {
+        for s in self.witness_evidence.iter() {
             w.put_f64(s.evidence.honest);
             w.put_f64(s.evidence.dishonest);
             w.put_u64(s.evidence.last_round);
@@ -384,18 +378,24 @@ impl Persistable for BetaTrust {
             Ok(e)
         };
         let n = r.take_len(24)?;
-        let mut evidence = Vec::with_capacity(n);
-        for _ in 0..n {
-            evidence.push(take_evidence(r)?);
-        }
+        let evidence = PeerTable::try_from_dense(
+            Evidence::default(),
+            n,
+            || take_evidence(r),
+            Evidence::is_cold,
+        )?;
         let n = r.take_len(25)?;
-        let mut witness_evidence = Vec::with_capacity(n);
-        for _ in 0..n {
-            witness_evidence.push(WitnessSlot {
-                evidence: take_evidence(r)?,
-                graded: r.take_bool()?,
-            });
-        }
+        let witness_evidence = PeerTable::try_from_dense(
+            WitnessSlot::default(),
+            n,
+            || {
+                Ok(WitnessSlot {
+                    evidence: take_evidence(r)?,
+                    graded: r.take_bool()?,
+                })
+            },
+            WitnessSlot::is_cold,
+        )?;
         Ok(BetaTrust {
             config,
             evidence,

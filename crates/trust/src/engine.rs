@@ -343,8 +343,8 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
 /// engine's would, and a subsequent `publish` folds the restored delta
 /// identically to the live engine.
 ///
-/// Folding an event about a peer past a model's dense tables grows
-/// them to that id. So restore bounds every id in the pending delta by
+/// Folding an event about a peer past a model's tables grows them (or,
+/// for a [`crate::table::PeerTable`], its index) to that id. So restore bounds every id in the pending delta by
 /// the payload's length in bytes, as [`ByteReader::take_len`] bounds
 /// every count it reads: a snapshot can only make the next publish
 /// allocate in proportion to its own size. Every model here encodes

@@ -42,7 +42,7 @@ pub mod confidence;
 pub mod engine;
 pub mod evidence_log;
 pub mod model;
-mod table;
+pub mod table;
 
 /// Commonly used items, for glob import.
 pub mod prelude {

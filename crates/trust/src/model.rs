@@ -139,7 +139,7 @@ pub trait TrustModel {
     /// batched read path of the accuracy metrics.
     ///
     /// Must be bit-identical to calling [`TrustModel::predict`] per
-    /// subject; models with dense evidence tables override it with a
+    /// subject; models with per-peer evidence tables override it with a
     /// single table sweep that hoists every per-call invariant (priors,
     /// the complaint median, bounds checks) out of the loop.
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {

@@ -14,8 +14,9 @@
 //!    never an `Ok`.
 
 use proptest::prelude::*;
+use trustex_persist::codec::ByteWriter;
 use trustex_persist::snapshot::{
-    from_bytes, to_bytes, Persistable, SnapshotReader, SnapshotWriter,
+    from_bytes, to_bytes, Persistable, SnapshotReader, SnapshotWriter, VALUE_MAGIC,
 };
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
 use trustex_trust::beta::BetaTrust;
@@ -336,6 +337,91 @@ fn pending_event_about_a_huge_peer_id_is_refused() {
     let restored = from_bytes::<TrustEngine<MeanTrust>>(&to_bytes(&engine)).unwrap();
     restored.publish();
     assert!(restored.snapshot().predict(PeerId(POP)).p_honest < 0.5);
+}
+
+/// Wraps a hand-written model payload in a `to_bytes` container.
+fn crafted_blob<M: Persistable>(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut payload = ByteWriter::new();
+    write(&mut payload);
+    let mut blob = SnapshotWriter::new(VALUE_MAGIC);
+    blob.raw_section(M::TAG, payload.into_bytes());
+    blob.into_bytes()
+}
+
+/// Decodes `blob` and re-encodes it byte for byte.
+fn assert_reencodes<M: Persistable>(blob: &[u8]) {
+    let model: M = from_bytes(blob).expect("the crafted payload is valid");
+    assert_eq!(to_bytes(&model), blob, "re-encode must be byte-identical");
+}
+
+/// Slots that look cold but are not, and cold slots amid written ones,
+/// survive decode → encode byte for byte. A decoder that skips slots
+/// equal to the cold value (rather than bit-identical to it) loses the
+/// `-0.0` count, and one that skips by evidence alone loses the graded
+/// flag or the evidence of an ungraded witness.
+#[test]
+fn cold_looking_slots_round_trip_byte_identical() {
+    let put_evidence = |w: &mut ByteWriter, honest: f64, dishonest: f64, round: u64| {
+        w.put_f64(honest);
+        w.put_f64(dishonest);
+        w.put_u64(round);
+    };
+    let beta = crafted_blob::<BetaTrust>(|w| {
+        // Configuration: priors 1/1, no forgetting, witness weight ½,
+        // witness prior 0.6, no scorer weighting.
+        for v in [1.0, 1.0, 1.0, 0.5, 0.6] {
+            w.put_f64(v);
+        }
+        w.put_bool(false);
+        w.put_len(3);
+        put_evidence(w, 2.0, 1.0, 4);
+        put_evidence(w, -0.0, 0.0, 0);
+        put_evidence(w, 0.0, 0.0, 0);
+        w.put_len(4);
+        // A graded witness with zero evidence, an ungraded one with
+        // evidence, a cold slot, and a graded one with evidence.
+        put_evidence(w, 0.0, 0.0, 0);
+        w.put_bool(true);
+        put_evidence(w, 3.0, 0.0, 2);
+        w.put_bool(false);
+        put_evidence(w, 0.0, 0.0, 0);
+        w.put_bool(false);
+        put_evidence(w, 1.0, 1.0, 1);
+        w.put_bool(true);
+    });
+    assert_reencodes::<BetaTrust>(&beta);
+    let restored: BetaTrust = from_bytes(&beta).unwrap();
+    assert_eq!(
+        restored.witness_reliability(PeerId(0)),
+        0.5,
+        "graded at 1/2"
+    );
+    assert_eq!(
+        restored.witness_reliability(PeerId(1)),
+        0.6,
+        "ungraded prior"
+    );
+
+    let mean = crafted_blob::<MeanTrust>(|w| {
+        w.put_bool(false);
+        w.put_len(3);
+        for (honest, total) in [(2u64, 3u64), (0, 0), (1, 1)] {
+            w.put_u64(honest);
+            w.put_u64(total);
+        }
+    });
+    assert_reencodes::<MeanTrust>(&mean);
+
+    let ewma = crafted_blob::<EwmaTrust>(|w| {
+        w.put_f64(0.3);
+        w.put_bool(false);
+        w.put_len(3);
+        for (score, n) in [(0.7, 2u64), (0.5, 0), (0.3, 1)] {
+            w.put_f64(score);
+            w.put_u64(n);
+        }
+    });
+    assert_reencodes::<EwmaTrust>(&ewma);
 }
 
 /// A snapshot from a hypothetical newer format version must be refused,
