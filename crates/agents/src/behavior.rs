@@ -162,7 +162,7 @@ mod tests {
     use trustex_core::goods::Goods;
     use trustex_core::policy::PaymentPolicy;
     use trustex_core::safety::SafetyMargins;
-    use trustex_core::scheduler::{schedule, Algorithm};
+    use trustex_core::scheduler::schedule;
     use trustex_core::sequence::ExchangeSequence;
 
     fn deal() -> Deal {
@@ -172,7 +172,7 @@ mod tests {
 
     fn plan(deal: &Deal, eps_units: i64) -> ExchangeSequence {
         let m = SafetyMargins::symmetric(Money::from_units(eps_units)).unwrap();
-        schedule(deal, m, PaymentPolicy::Lazy, Algorithm::Greedy)
+        schedule(deal, m, PaymentPolicy::Lazy)
             .unwrap()
             .into_sequence()
     }

@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of `EXPERIMENTS.md`.
+//! Regenerates every table and figure listed in the README's
+//! Experiments table.
 //!
 //! ```text
 //! cargo run --release -p trustex-bench --bin repro            # all, paper scale

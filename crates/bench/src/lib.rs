@@ -1,9 +1,10 @@
 //! # trustex-bench — experiment reproduction
 //!
 //! This crate carries the `repro` binary, which regenerates every
-//! table/figure of `EXPERIMENTS.md` (`cargo run --release -p trustex-bench
-//! --bin repro`), optionally a single experiment by id (`… -- e4`) and at
-//! smoke scale (`… -- --smoke`), and records each experiment's wall clock.
+//! table/figure listed in the README's Experiments table (`cargo run
+//! --release -p trustex-bench --bin repro`), optionally a single
+//! experiment by id (`… -- e4`) and at smoke scale (`… -- --smoke`), and
+//! records each experiment's wall clock.
 //! The closed-loop performance benchmark lives in `perfbench/`.
 //!
 //! The library portion holds the small helpers the binary shares with

@@ -286,7 +286,7 @@ mod tests {
     use crate::goods::Goods;
     use crate::policy::PaymentPolicy;
     use crate::safety::SafetyMargins;
-    use crate::scheduler::{schedule, Algorithm};
+    use crate::scheduler::schedule;
 
     fn deal() -> Deal {
         let goods = Goods::from_f64_pairs(&[(2.0, 5.0), (1.0, 4.0), (3.0, 3.0)]).unwrap();
@@ -295,7 +295,7 @@ mod tests {
 
     fn scheduled(deal: &Deal, eps: f64) -> ExchangeSequence {
         let m = SafetyMargins::symmetric(Money::from_f64(eps / 2.0)).unwrap();
-        schedule(deal, m, PaymentPolicy::Lazy, Algorithm::Greedy)
+        schedule(deal, m, PaymentPolicy::Lazy)
             .unwrap()
             .into_sequence()
     }

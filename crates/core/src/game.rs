@@ -181,7 +181,7 @@ mod tests {
     use crate::goods::Goods;
     use crate::policy::PaymentPolicy;
     use crate::safety::SafetyMargins;
-    use crate::scheduler::{schedule, Algorithm};
+    use crate::scheduler::schedule;
 
     fn deal() -> Deal {
         let goods = Goods::from_f64_pairs(&[(2.0, 5.0), (1.0, 4.0), (3.0, 3.0)]).unwrap();
@@ -190,7 +190,7 @@ mod tests {
 
     fn planned(deal: &Deal, eps_units: f64) -> ExchangeSequence {
         let margins = SafetyMargins::symmetric(Money::from_f64(eps_units)).unwrap();
-        schedule(deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+        schedule(deal, margins, PaymentPolicy::Lazy)
             .unwrap()
             .into_sequence()
     }
@@ -332,14 +332,9 @@ mod tests {
     fn min_stake_zero_for_zero_cost_goods() {
         let goods = Goods::from_f64_pairs(&[(0.0, 3.0)]).unwrap();
         let d = Deal::new(goods, Money::from_units(2)).unwrap();
-        let seq = schedule(
-            &d,
-            SafetyMargins::fully_safe(),
-            PaymentPolicy::Lazy,
-            Algorithm::Greedy,
-        )
-        .unwrap()
-        .into_sequence();
+        let seq = schedule(&d, SafetyMargins::fully_safe(), PaymentPolicy::Lazy)
+            .unwrap()
+            .into_sequence();
         assert_eq!(min_supporting_stake(&d, &seq), Some(Money::ZERO));
     }
 

@@ -39,7 +39,7 @@
 //!
 //! // …but partners who tolerate 1.0 of exposure each can trade safely:
 //! let margins = SafetyMargins::symmetric(Money::from_units(1))?;
-//! let plan = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)?;
+//! let plan = schedule(&deal, margins, PaymentPolicy::Lazy)?;
 //!
 //! // Execution between honest parties completes and realizes the gains.
 //! let outcome = execute(&deal, plan.sequence(), &mut Honest, &mut Honest);
@@ -77,9 +77,7 @@ pub mod prelude {
     pub use crate::money::Money;
     pub use crate::policy::PaymentPolicy;
     pub use crate::safety::{SafetyCheck, SafetyMargins, SafetyWindow};
-    pub use crate::scheduler::{
-        feasible, min_required_margin, schedule, Algorithm, ScheduleError, Scheduler,
-    };
+    pub use crate::scheduler::{feasible, min_required_margin, schedule, ScheduleError};
     pub use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence, VerifyError};
     pub use crate::state::{ExchangeState, Progress, Role, StateView};
 }

@@ -1,7 +1,8 @@
-//! Exchange schedulers: the paper's quadratic algorithm (kept as a
-//! reference oracle), an indexed `O(n log n)` equivalent, an optimal
-//! `O(n log n)` greedy with an allocation-free hot path, and an exact
-//! branch-and-bound ground-truth solver.
+//! The exchange scheduler — an optimal `O(n log n)` greedy delivery
+//! order with interleaved payments and an independent verifier — plus
+//! the reference order sources it is cross-checked against: the paper's
+//! stepwise construction (quadratic scan and an `O(n log n)` equivalent)
+//! and an exact branch-and-bound solver.
 //!
 //! # Theory
 //!
@@ -31,28 +32,41 @@
 //! sequence** — the impossibility the paper cites from Sandholm, and the
 //! reason reputation/trust must widen the window.
 //!
-//! # The implementations
+//! # Entry points
 //!
-//! * [`greedy_order`] — sorts negative-surplus items by ascending `Vc`,
-//!   then positive-surplus items by descending `Vs`. An adjacent-exchange
-//!   argument (see `min_required_margin`) shows this order minimises
+//! * [`schedule`] — the scheduler every production caller runs: the
+//!   greedy order, [`interleave_payments`], then the independent
+//!   [`verify`]. Fails with [`ScheduleError::Infeasible`], carrying the
+//!   minimal margin, when the margins are too tight.
+//! * [`greedy_order`] — sorts non-positive-surplus items by ascending
+//!   `Vc`, then positive-surplus items by descending `Vs`. An
+//!   adjacent-exchange argument shows this order minimises
 //!   `max_j req(j)` — *simultaneously for every ε* — so it is feasible
-//!   whenever any order is. `O(n log n)`; [`greedy_order_into`] and the
-//!   [`Scheduler`] scratch struct expose the same computation with zero
-//!   per-call allocation, which is what takes it to `n = 10⁶`.
+//!   whenever any order is. `O(n log n)`.
+//! * [`requirement_profile`], [`required_margin_of_order`],
+//!   [`min_required_margin`] and [`feasible`] — the per-position
+//!   requirements (†) of an order, their maximum, that maximum on the
+//!   greedy order, and the margin check built on it.
+//! * [`interleave_payments`] — turns any feasible delivery order into a
+//!   complete exchange sequence under a [`PaymentPolicy`].
+//!
+//! Two reference order sources cross-check the greedy one:
+//!
 //! * [`sandholm_order`] — the step-by-step construction in the style of
 //!   the algorithm the paper cites: build the order from the **last**
 //!   delivery backwards, at each step taking the best placeable item.
-//!   Two ordered candidate indexes (minimum-`Vs` positives, then
-//!   maximum-`Vc` negatives) walked behind a budget-threshold cursor
-//!   replace the quadratic per-step scan, giving `O(n log n)` with output
+//!   One placement-order sort walked behind a budget cursor replaces the
+//!   quadratic per-step scan, giving `O(n log n)` with output
 //!   bit-identical to [`sandholm_order_scan`], the original `O(n²)` scan
-//!   kept as a test oracle.
+//!   kept as a test oracle and as the baseline the scaling experiment
+//!   times.
 //! * [`branch_and_bound_order`] — exact feasibility by depth-first
 //!   search over delivery suffixes with surplus-based pruning, failed-
 //!   state memoisation and a greedy completion bound; the ground truth
 //!   for optimality claims, practical to `n ≈ 30` (and far beyond on
 //!   feasible instances, where the completion bound fires at the root).
+//!   It refuses deals above [`BRANCH_AND_BOUND_MAX_ITEMS`] with
+//!   [`TooManyItems`].
 
 use crate::deal::Deal;
 use crate::goods::{Goods, Item, ItemId};
@@ -63,38 +77,6 @@ use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
-
-/// Which scheduling algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Algorithm {
-    /// Optimal `O(n log n)` sort (default).
-    #[default]
-    Greedy,
-    /// Indexed `O(n log n)` stepwise construction (paper-style; output
-    /// bit-identical to the original quadratic scan).
-    Sandholm,
-    /// Branch-and-bound exact solver (ground truth; ≤
-    /// [`BRANCH_AND_BOUND_MAX_ITEMS`] items).
-    BranchAndBound,
-}
-
-impl Algorithm {
-    /// All algorithms, for cross-validation sweeps.
-    pub const ALL: [Algorithm; 3] = [
-        Algorithm::Greedy,
-        Algorithm::Sandholm,
-        Algorithm::BranchAndBound,
-    ];
-
-    /// Stable label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algorithm::Greedy => "greedy",
-            Algorithm::Sandholm => "sandholm",
-            Algorithm::BranchAndBound => "bnb",
-        }
-    }
-}
 
 /// Largest item count accepted by [`branch_and_bound_order`].
 ///
@@ -118,14 +100,6 @@ pub enum ScheduleError {
         /// The margin that was available (`ε_s + ε_c`).
         available: Money,
     },
-    /// The exact solver refuses instances beyond its cap
-    /// ([`BRANCH_AND_BOUND_MAX_ITEMS`]).
-    TooManyItems {
-        /// Items in the deal.
-        n_items: usize,
-        /// The hard limit.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -138,14 +112,33 @@ impl fmt::Display for ScheduleError {
                 f,
                 "no feasible exchange sequence: requires total margin {required}, available {available}"
             ),
-            ScheduleError::TooManyItems { n_items, limit } => {
-                write!(f, "exact solver limited to {limit} items, got {n_items}")
-            }
         }
     }
 }
 
 impl std::error::Error for ScheduleError {}
+
+/// An exact solver refused an instance beyond its size cap
+/// ([`BRANCH_AND_BOUND_MAX_ITEMS`] for [`branch_and_bound_order`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyItems {
+    /// Items in the deal.
+    pub n_items: usize,
+    /// The hard limit.
+    pub limit: usize,
+}
+
+impl fmt::Display for TooManyItems {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "exact solver limited to {} items, got {}",
+            self.limit, self.n_items
+        )
+    }
+}
+
+impl std::error::Error for TooManyItems {}
 
 /// The greedy delivery order: non-positive-surplus items first (ascending
 /// `Vc`, ties by id), then positive-surplus items (descending `Vs`, ties
@@ -185,56 +178,37 @@ fn sandholm_placement_cmp(a: &Item, b: &Item) -> Ordering {
     }
 }
 
-/// The greedy delivery order: negative-surplus items first (ascending
-/// `Vc`), then positive-surplus items (descending `Vs`). Ties break by
-/// item id so the order is deterministic.
+/// The greedy delivery order: non-positive-surplus items first
+/// (ascending `Vc`), then positive-surplus items (descending `Vs`). Ties
+/// break by item id so the order is deterministic.
 ///
 /// This order minimises `max_j req(j)` over all orders (see module docs),
 /// independent of the margins.
 pub fn greedy_order(goods: &Goods) -> Vec<ItemId> {
-    let mut order = Vec::new();
-    greedy_order_into(goods, &mut order);
+    let mut order: Vec<ItemId> = goods.ids().collect();
+    order.sort_unstable_by(|a, b| greedy_cmp(goods.item(*a), goods.item(*b)));
     order
 }
 
-/// [`greedy_order`] into a caller-reusable buffer: a single index-based
-/// unstable sort, no allocation once `out` has warmed to capacity.
-pub fn greedy_order_into(goods: &Goods, out: &mut Vec<ItemId>) {
-    out.clear();
-    out.extend(goods.ids());
-    out.sort_unstable_by(|a, b| greedy_cmp(goods.item(*a), goods.item(*b)));
-}
-
 /// The per-position requirement profile of a delivery order:
-/// `req(j) = Vs(x_j) − Σ_{i>j} s(x_i)` for each position `j` (0-based).
+/// `req(j) = Vs(x_j) − Σ_{i>j} s(x_i)` for each position `j` (0-based),
+/// in one reverse suffix-sum pass.
 ///
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the goods' item ids (checked
 /// via length and per-item lookup).
 pub fn requirement_profile(goods: &Goods, order: &[ItemId]) -> Vec<Money> {
-    let mut reqs = Vec::new();
-    requirement_profile_into(goods, order, &mut reqs);
-    reqs
-}
-
-/// [`requirement_profile`] into a caller-reusable buffer: one reverse
-/// suffix-sum pass, no allocation once `out` has warmed to capacity.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the goods' item ids.
-pub fn requirement_profile_into(goods: &Goods, order: &[ItemId], out: &mut Vec<Money>) {
     assert_eq!(order.len(), goods.len(), "order must cover all items");
-    out.clear();
-    out.resize(order.len(), Money::ZERO);
-    // Suffix surpluses: suffix[j] = Σ_{i>j} s(x_i).
+    let mut reqs = vec![Money::ZERO; order.len()];
+    // Suffix surpluses: suffix = Σ_{i>j} s(x_i).
     let mut suffix = Money::ZERO;
     for j in (0..order.len()).rev() {
         let item = goods.item(order[j]);
-        out[j] = item.supplier_cost() - suffix;
+        reqs[j] = item.supplier_cost() - suffix;
         suffix += item.surplus();
     }
+    reqs
 }
 
 /// The margin a given delivery order requires:
@@ -259,45 +233,9 @@ pub fn required_margin_of_order(goods: &Goods, order: &[ItemId]) -> Money {
 /// The minimal total margin `ε_s + ε_c` for which *any* feasible delivery
 /// order exists — evaluated on the greedy order, which is minimax-optimal.
 ///
-/// A fully safe exchange exists iff this is zero.
-///
-/// One-shot convenience over [`Scheduler::min_required_margin`]; callers
-/// probing many instances (or one instance at many margins) should hold a
-/// [`Scheduler`] to skip the per-call allocation.
-///
-/// # Examples
-///
-/// ```
-/// use trustex_core::goods::Goods;
-/// use trustex_core::money::Money;
-/// use trustex_core::scheduler::min_required_margin;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Single item with positive cost: isolated safe exchange impossible —
-/// // the required margin equals the cost of the last delivery.
-/// let goods = Goods::from_f64_pairs(&[(3.0, 10.0)])?;
-/// assert_eq!(min_required_margin(&goods), Money::from_units(3));
-/// # Ok(())
-/// # }
-/// ```
-pub fn min_required_margin(goods: &Goods) -> Money {
-    Scheduler::new().min_required_margin(goods)
-}
-
-/// Whether the goods admit any delivery order under the given margins.
-pub fn feasible(goods: &Goods, margins: SafetyMargins) -> bool {
-    min_required_margin(goods) <= margins.total()
-}
-
-/// Reusable scratch buffers for the scheduler hot path.
-///
-/// [`min_required_margin`](Scheduler::min_required_margin),
-/// [`feasible`](Scheduler::feasible) and
-/// [`sandholm_order_into`](Scheduler::sandholm_order_into) perform zero
-/// per-call heap allocation once the buffers have warmed to the largest
-/// instance size seen, which is what lets the greedy hot path stream
-/// `n = 10⁶` instances. The struct is cheap to create; hold one per
-/// worker and feed it every instance.
+/// A fully safe exchange exists iff this is zero. The requirement is a
+/// property of the goods alone: callers checking one instance against
+/// many margins call this once and compare totals themselves.
 ///
 /// # Examples
 ///
@@ -305,92 +243,25 @@ pub fn feasible(goods: &Goods, margins: SafetyMargins) -> bool {
 /// use trustex_core::goods::Goods;
 /// use trustex_core::money::Money;
 /// use trustex_core::safety::SafetyMargins;
-/// use trustex_core::scheduler::Scheduler;
+/// use trustex_core::scheduler::{feasible, min_required_margin};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut sched = Scheduler::new();
-/// let goods = Goods::from_f64_pairs(&[(3.0, 10.0), (2.0, 1.0)])?;
-/// // One derivation answers any number of margin checks.
-/// let req = sched.min_required_margin(&goods);
-/// assert!(!sched.feasible(&goods, SafetyMargins::fully_safe()));
-/// assert!(sched.feasible(&goods, SafetyMargins::new(req, Money::ZERO)?));
+/// // Single item with positive cost: isolated safe exchange impossible —
+/// // the required margin equals the cost of the last delivery.
+/// let goods = Goods::from_f64_pairs(&[(3.0, 10.0)])?;
+/// assert_eq!(min_required_margin(&goods), Money::from_units(3));
+/// assert!(!feasible(&goods, SafetyMargins::fully_safe()));
+/// assert!(feasible(&goods, SafetyMargins::new(Money::from_units(3), Money::ZERO)?));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
-pub struct Scheduler {
-    order: Vec<ItemId>,
+pub fn min_required_margin(goods: &Goods) -> Money {
+    required_margin_of_order(goods, &greedy_order(goods))
 }
 
-impl Scheduler {
-    /// A scheduler with empty scratch buffers.
-    pub fn new() -> Scheduler {
-        Scheduler::default()
-    }
-
-    /// [`min_required_margin`] without per-call allocation: derives the
-    /// greedy order into the internal scratch buffer and folds the
-    /// requirement profile in the same pass.
-    pub fn min_required_margin(&mut self, goods: &Goods) -> Money {
-        let mut order = std::mem::take(&mut self.order);
-        greedy_order_into(goods, &mut order);
-        let req = required_margin_of_order(goods, &order);
-        self.order = order;
-        req
-    }
-
-    /// [`feasible`] without per-call allocation. Callers checking one
-    /// instance against a batch of margins should call
-    /// [`min_required_margin`](Scheduler::min_required_margin) once and
-    /// compare totals themselves — the requirement does not depend on the
-    /// margin.
-    pub fn feasible(&mut self, goods: &Goods, margins: SafetyMargins) -> bool {
-        self.min_required_margin(goods) <= margins.total()
-    }
-
-    /// [`sandholm_order`] into a caller-reusable buffer; zero per-call
-    /// allocation on the success path once the buffers have warmed.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError::Infeasible`] when no order fits the margins; the
-    /// exact `required` margin is derived once, from the scratch buffers.
-    pub fn sandholm_order_into(
-        &mut self,
-        goods: &Goods,
-        margins: SafetyMargins,
-        out: &mut Vec<ItemId>,
-    ) -> Result<(), ScheduleError> {
-        let eps = margins.total();
-        // The quadratic scan provably interleaves nothing: while any
-        // positive-surplus item remains it either places the placeable
-        // positive with minimal (Vs, id) or fails (an unplaceable
-        // minimal-Vs positive means no positive is placeable, and placing
-        // a negative first shrinks the budget and can never help); only
-        // then come negatives by maximal (Vc, −id). So the whole
-        // construction is the placement-order sort walked once behind a
-        // budget cursor. The budget grows monotonically through the
-        // positive phase and shrinks monotonically through the negative
-        // phase, so the first unplaced index is always the scan's pick,
-        // and a blocked head item can never become placeable later —
-        // failure here is exactly the scan's eventual failure.
-        out.clear();
-        out.extend(goods.ids());
-        out.sort_unstable_by(|a, b| sandholm_placement_cmp(goods.item(*a), goods.item(*b)));
-        let mut budget = eps;
-        for &id in out.iter() {
-            let item = goods.item(id);
-            if item.supplier_cost() > budget {
-                return Err(ScheduleError::Infeasible {
-                    required: self.min_required_margin(goods),
-                    available: eps,
-                });
-            }
-            budget += item.surplus();
-        }
-        out.reverse();
-        Ok(())
-    }
+/// Whether the goods admit any delivery order under the given margins.
+pub fn feasible(goods: &Goods, margins: SafetyMargins) -> bool {
+    min_required_margin(goods) <= margins.total()
 }
 
 /// Paper-style stepwise construction: chooses deliveries from the last
@@ -401,18 +272,43 @@ impl Scheduler {
 /// for everything placed earlier); once no positive-surplus item remains,
 /// negative-surplus items with maximal `Vc`.
 ///
-/// This is the indexed `O(n log n)` form: two ordered candidate indexes
-/// (minimum-`Vs` positives, maximum-`Vc` negatives) walked once behind a
-/// budget cursor. Output — success order, error, and error payload — is
-/// bit-identical to [`sandholm_order_scan`], the original `O(n²)`
-/// formulation kept as a test oracle.
+/// This is the `O(n log n)` form: one placement-order sort walked once
+/// behind a budget cursor. Output — success order, error, and error
+/// payload — is bit-identical to [`sandholm_order_scan`], the original
+/// `O(n²)` formulation kept as a test oracle.
 ///
 /// # Errors
 ///
-/// [`ScheduleError::Infeasible`] when at some step nothing is placeable.
+/// [`ScheduleError::Infeasible`] when at some step nothing is placeable;
+/// `required` is [`min_required_margin`].
 pub fn sandholm_order(goods: &Goods, margins: SafetyMargins) -> Result<Vec<ItemId>, ScheduleError> {
-    let mut order = Vec::new();
-    Scheduler::new().sandholm_order_into(goods, margins, &mut order)?;
+    let eps = margins.total();
+    // The quadratic scan provably interleaves nothing: while any
+    // positive-surplus item remains it either places the placeable
+    // positive with minimal (Vs, id) or fails (an unplaceable
+    // minimal-Vs positive means no positive is placeable, and placing
+    // a negative first shrinks the budget and can never help); only
+    // then come negatives by maximal (Vc, −id). So the whole
+    // construction is the placement-order sort walked once behind a
+    // budget cursor. The budget grows monotonically through the
+    // positive phase and shrinks monotonically through the negative
+    // phase, so the first unplaced index is always the scan's pick,
+    // and a blocked head item can never become placeable later —
+    // failure here is exactly the scan's eventual failure.
+    let mut order: Vec<ItemId> = goods.ids().collect();
+    order.sort_unstable_by(|a, b| sandholm_placement_cmp(goods.item(*a), goods.item(*b)));
+    let mut budget = eps;
+    for &id in &order {
+        let item = goods.item(id);
+        if item.supplier_cost() > budget {
+            return Err(ScheduleError::Infeasible {
+                required: min_required_margin(goods),
+                available: eps,
+            });
+        }
+        budget += item.surplus();
+    }
+    order.reverse();
     Ok(order)
 }
 
@@ -702,15 +598,14 @@ impl BnbSearch<'_> {
 ///
 /// # Errors
 ///
-/// [`ScheduleError::TooManyItems`] beyond
-/// [`BRANCH_AND_BOUND_MAX_ITEMS`] items.
+/// [`TooManyItems`] beyond [`BRANCH_AND_BOUND_MAX_ITEMS`] items.
 pub fn branch_and_bound_order(
     goods: &Goods,
     margins: SafetyMargins,
-) -> Result<Option<Vec<ItemId>>, ScheduleError> {
+) -> Result<Option<Vec<ItemId>>, TooManyItems> {
     let n = goods.len();
     if n > BRANCH_AND_BOUND_MAX_ITEMS {
-        return Err(ScheduleError::TooManyItems {
+        return Err(TooManyItems {
             n_items: n,
             limit: BRANCH_AND_BOUND_MAX_ITEMS,
         });
@@ -815,14 +710,13 @@ pub fn interleave_payments(
     Ok(ExchangeSequence::new(actions))
 }
 
-/// Runs the chosen algorithm end to end: order the deliveries, interleave
-/// payments, and independently [`verify`] the result.
+/// The scheduler: orders the deliveries greedily, interleaves payments
+/// by `policy`, and independently [`verify`]s the result.
 ///
 /// # Errors
 ///
-/// [`ScheduleError::Infeasible`] when the margins are too tight, or
-/// [`ScheduleError::TooManyItems`] for [`Algorithm::BranchAndBound`] on
-/// large deals.
+/// [`ScheduleError::Infeasible`] when the margins are too tight;
+/// `required` is [`min_required_margin`].
 ///
 /// # Panics
 ///
@@ -837,17 +731,17 @@ pub fn interleave_payments(
 /// use trustex_core::money::Money;
 /// use trustex_core::policy::PaymentPolicy;
 /// use trustex_core::safety::SafetyMargins;
-/// use trustex_core::scheduler::{schedule, Algorithm};
+/// use trustex_core::scheduler::schedule;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let goods = Goods::from_f64_pairs(&[(2.0, 5.0), (1.0, 4.0), (3.0, 3.0)])?;
 /// let deal = Deal::new(goods, Money::from_units(9))?;
 /// // Fully safe is impossible (every item costs the supplier something)…
 /// let margins = SafetyMargins::fully_safe();
-/// assert!(schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy).is_err());
+/// assert!(schedule(&deal, margins, PaymentPolicy::Lazy).is_err());
 /// // …but a small trust-backed margin makes the deal schedulable.
 /// let margins = SafetyMargins::symmetric(Money::from_units(1))?;
-/// let verified = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)?;
+/// let verified = schedule(&deal, margins, PaymentPolicy::Lazy)?;
 /// assert!(verified.max_consumer_temptation() <= margins.eps_supplier());
 /// # Ok(())
 /// # }
@@ -856,32 +750,16 @@ pub fn schedule(
     deal: &Deal,
     margins: SafetyMargins,
     policy: PaymentPolicy,
-    algorithm: Algorithm,
 ) -> Result<VerifiedSequence, ScheduleError> {
     let goods = deal.goods();
-    let order = match algorithm {
-        Algorithm::Greedy => {
-            let order = greedy_order(goods);
-            let required = required_margin_of_order(goods, &order);
-            if required > margins.total() {
-                return Err(ScheduleError::Infeasible {
-                    required,
-                    available: margins.total(),
-                });
-            }
-            order
-        }
-        Algorithm::Sandholm => sandholm_order(goods, margins)?,
-        Algorithm::BranchAndBound => match branch_and_bound_order(goods, margins)? {
-            Some(order) => order,
-            None => {
-                return Err(ScheduleError::Infeasible {
-                    required: min_required_margin(goods),
-                    available: margins.total(),
-                });
-            }
-        },
-    };
+    let order = greedy_order(goods);
+    let required = required_margin_of_order(goods, &order);
+    if required > margins.total() {
+        return Err(ScheduleError::Infeasible {
+            required,
+            available: margins.total(),
+        });
+    }
     let sequence = interleave_payments(deal, margins, &order, policy)?;
     Ok(verify(deal, margins, &sequence)
         .expect("scheduler produced a sequence rejected by the verifier (bug)"))
@@ -966,17 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_order_into_reuses_buffer() {
-        let g1 = goods(&[(5.0, 1.0), (1.0, 8.0)]);
-        let g2 = goods(&[(2.0, 5.0), (1.0, 4.0), (3.0, 3.0)]);
-        let mut buf = Vec::new();
-        greedy_order_into(&g1, &mut buf);
-        assert_eq!(buf, greedy_order(&g1));
-        greedy_order_into(&g2, &mut buf);
-        assert_eq!(buf, greedy_order(&g2));
-    }
-
-    #[test]
     fn requirement_profile_matches_manual() {
         // Two items: a (Vs=2, Vc=5, s=3), b (Vs=1, Vc=4, s=3).
         // Order [a, b]: req(a) = 2 - s(b) = -1 ; req(b) = 1 - 0 = 1.
@@ -985,22 +852,6 @@ mod tests {
         let reqs = requirement_profile(&g, &ids);
         assert_eq!(reqs, vec![Money::from_units(-1), Money::from_units(1)]);
         assert_eq!(required_margin_of_order(&g, &ids), Money::from_units(1));
-    }
-
-    #[test]
-    fn scheduler_scratch_matches_free_functions() {
-        let mut sched = Scheduler::new();
-        let gs = [
-            goods(&[(3.0, 10.0)]),
-            goods(&[(2.0, 6.0), (5.0, 6.0)]),
-            goods(&[(0.0, 5.0), (2.0, 4.0), (7.0, 1.0)]),
-        ];
-        for g in &gs {
-            assert_eq!(sched.min_required_margin(g), min_required_margin(g));
-            for eps in [0.0, 1.5, 4.0] {
-                assert_eq!(sched.feasible(g, margins(eps)), feasible(g, margins(eps)));
-            }
-        }
     }
 
     // --- cross-validation of the algorithms -----------------------------
@@ -1065,17 +916,28 @@ mod tests {
         let g = goods(&[(2.0, 5.0), (1.0, 4.0), (3.0, 3.0), (0.5, 2.0)]);
         let deal = Deal::with_split_surplus(g).unwrap();
         let m = margins(4.0);
-        for alg in Algorithm::ALL {
+        let g = deal.goods();
+        let orders = [
+            ("greedy", greedy_order(g)),
+            ("sandholm", sandholm_order(g, m).unwrap()),
+            ("bnb", branch_and_bound_order(g, m).unwrap().unwrap()),
+        ];
+        for (source, order) in orders {
             for policy in PaymentPolicy::ALL {
-                let v = schedule(&deal, m, policy, alg)
-                    .unwrap_or_else(|e| panic!("{alg:?}/{policy:?}: {e}"));
-                assert_eq!(v.sequence().delivery_count(), 4, "{alg:?}/{policy:?}");
+                let seq = interleave_payments(&deal, m, &order, policy)
+                    .unwrap_or_else(|e| panic!("{source}/{policy:?}: {e}"));
+                let v =
+                    verify(&deal, m, &seq).unwrap_or_else(|e| panic!("{source}/{policy:?}: {e}"));
+                assert_eq!(v.sequence().delivery_count(), 4, "{source}/{policy:?}");
                 assert_eq!(
                     v.sequence().total_paid(),
                     deal.price(),
-                    "{alg:?}/{policy:?}"
+                    "{source}/{policy:?}"
                 );
             }
+        }
+        for policy in PaymentPolicy::ALL {
+            assert!(schedule(&deal, m, policy).is_ok(), "{policy:?}");
         }
     }
 
@@ -1083,23 +945,14 @@ mod tests {
     fn infeasible_error_reports_required_margin() {
         let g = goods(&[(3.0, 10.0)]);
         let deal = Deal::with_split_surplus(g).unwrap();
-        let err = schedule(
-            &deal,
-            SafetyMargins::fully_safe(),
-            PaymentPolicy::Lazy,
-            Algorithm::Greedy,
-        )
-        .unwrap_err();
-        match err {
+        let err = schedule(&deal, SafetyMargins::fully_safe(), PaymentPolicy::Lazy).unwrap_err();
+        assert_eq!(
+            err,
             ScheduleError::Infeasible {
-                required,
-                available,
-            } => {
-                assert_eq!(required, Money::from_units(3));
-                assert_eq!(available, Money::ZERO);
+                required: Money::from_units(3),
+                available: Money::ZERO,
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert!(err.to_string().contains("requires total margin"));
     }
 
@@ -1109,12 +962,9 @@ mod tests {
         let req = min_required_margin(&g);
         let deal = Deal::with_split_surplus(g).unwrap();
         let m = SafetyMargins::new(req, Money::ZERO).unwrap();
-        for alg in Algorithm::ALL {
-            assert!(
-                schedule(&deal, m, PaymentPolicy::Lazy, alg).is_ok(),
-                "{alg:?} must schedule at the exact margin"
-            );
-        }
+        assert!(schedule(&deal, m, PaymentPolicy::Lazy).is_ok());
+        assert!(sandholm_order(deal.goods(), m).is_ok());
+        assert!(branch_and_bound_order(deal.goods(), m).unwrap().is_some());
     }
 
     #[test]
@@ -1125,7 +975,7 @@ mod tests {
         let err = branch_and_bound_order(&g, margins(1000.0)).unwrap_err();
         assert_eq!(
             err,
-            ScheduleError::TooManyItems {
+            TooManyItems {
                 n_items: over,
                 limit: BRANCH_AND_BOUND_MAX_ITEMS
             }
@@ -1197,26 +1047,11 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_labels() {
-        assert_eq!(Algorithm::Greedy.label(), "greedy");
-        assert_eq!(Algorithm::default(), Algorithm::Greedy);
-        assert_eq!(Algorithm::ALL.len(), 3);
-        assert_eq!(Algorithm::Sandholm.label(), "sandholm");
-        assert_eq!(Algorithm::BranchAndBound.label(), "bnb");
-    }
-
-    #[test]
     fn required_margin_zero_for_all_zero_cost() {
         let g = goods(&[(0.0, 3.0), (0.0, 1.0)]);
         assert_eq!(min_required_margin(&g), Money::ZERO);
         let deal = Deal::new(g, Money::from_units(2)).unwrap();
-        let v = schedule(
-            &deal,
-            SafetyMargins::fully_safe(),
-            PaymentPolicy::Lazy,
-            Algorithm::Greedy,
-        )
-        .unwrap();
+        let v = schedule(&deal, SafetyMargins::fully_safe(), PaymentPolicy::Lazy).unwrap();
         assert_eq!(v.max_consumer_temptation(), Money::ZERO);
         assert_eq!(v.max_supplier_temptation(), Money::ZERO);
     }

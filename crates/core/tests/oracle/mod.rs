@@ -1,15 +1,40 @@
-//! The subset-DP feasibility oracle shared by the scheduler property
-//! suites.
+//! The subset-DP feasibility oracle and the order-source sweep shared by
+//! the scheduler property suites.
 //!
-//! It is exponential in time and memory, so no production path runs it;
-//! it stays here as an exact cross-check for branch-and-bound, greedy and
-//! Sandholm on small instances (`n ≤ 16` in the proptests, `n = 18` at
-//! the boundary probe, and the cap itself).
+//! The DP is exponential in time and memory, so no production path runs
+//! it; it stays here as an exact cross-check for branch-and-bound, greedy
+//! and Sandholm on small instances (`n ≤ 16` in the proptests, `n = 18`
+//! at the boundary probe, and the cap itself).
 
 use trustex_core::goods::{Goods, ItemId};
 use trustex_core::money::Money;
 use trustex_core::safety::SafetyMargins;
-use trustex_core::scheduler::ScheduleError;
+use trustex_core::scheduler::{
+    branch_and_bound_order, greedy_order, required_margin_of_order, sandholm_order, TooManyItems,
+};
+
+/// Each order source's delivery order under `margins`, `None` where it
+/// finds none: the greedy order when its requirement fits, the Sandholm
+/// construction, and branch-and-bound.
+///
+/// # Panics
+///
+/// Panics beyond `BRANCH_AND_BOUND_MAX_ITEMS` items.
+pub fn order_sources(
+    goods: &Goods,
+    margins: SafetyMargins,
+) -> [(&'static str, Option<Vec<ItemId>>); 3] {
+    let greedy = greedy_order(goods);
+    let greedy_fits = required_margin_of_order(goods, &greedy) <= margins.total();
+    [
+        ("greedy", greedy_fits.then_some(greedy)),
+        ("sandholm", sandholm_order(goods, margins).ok()),
+        (
+            "bnb",
+            branch_and_bound_order(goods, margins).expect("within the bnb cap"),
+        ),
+    ]
+}
 
 /// Largest item count accepted by [`subset_dp_order`].
 pub const SUBSET_DP_MAX_ITEMS: usize = 24;
@@ -26,14 +51,14 @@ pub const SUBSET_DP_MAX_ITEMS: usize = 24;
 ///
 /// # Errors
 ///
-/// `ScheduleError::TooManyItems` beyond [`SUBSET_DP_MAX_ITEMS`] items.
+/// [`TooManyItems`] beyond [`SUBSET_DP_MAX_ITEMS`] items.
 pub fn subset_dp_order(
     goods: &Goods,
     margins: SafetyMargins,
-) -> Result<Option<Vec<ItemId>>, ScheduleError> {
+) -> Result<Option<Vec<ItemId>>, TooManyItems> {
     let n = goods.len();
     if n > SUBSET_DP_MAX_ITEMS {
-        return Err(ScheduleError::TooManyItems {
+        return Err(TooManyItems {
             n_items: n,
             limit: SUBSET_DP_MAX_ITEMS,
         });

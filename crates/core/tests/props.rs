@@ -4,8 +4,9 @@
 //!
 //! 1. The greedy scheduler and the subset-DP ground truth agree on
 //!    feasibility for every instance and margin.
-//! 2. Every sequence any scheduler produces passes the independent
-//!    verifier, and its realized exposure stays within the margins.
+//! 2. Every order source's delivery order, under every payment policy,
+//!    yields a sequence that passes the independent verifier, and its
+//!    realized exposure stays within the margins.
 //! 3. `min_required_margin` is exact: scheduling succeeds at the reported
 //!    margin and fails one micro-unit below it.
 //! 4. Feasibility is monotone in the margin.
@@ -14,10 +15,12 @@
 
 mod oracle;
 
-use oracle::subset_dp_order;
+use oracle::{order_sources, subset_dp_order};
 use proptest::prelude::*;
 use trustex_core::prelude::*;
-use trustex_core::scheduler::{greedy_order, required_margin_of_order, sandholm_order};
+use trustex_core::scheduler::{
+    greedy_order, interleave_payments, required_margin_of_order, sandholm_order,
+};
 
 /// Strategy: a goods set of 1..=8 items with costs/values in 0..=10 units
 /// (micro-precision comes from the i64 micros range).
@@ -102,10 +105,13 @@ proptest! {
     ) {
         prop_assume!(feasible(&goods, margins));
         let Some(deal) = deal_for(goods, t) else { return Ok(()); };
-        for alg in Algorithm::ALL {
+        for (source, order) in order_sources(deal.goods(), margins) {
+            let order = order.expect("feasible instance must yield an order");
             for policy in PaymentPolicy::ALL {
-                let v = schedule(&deal, margins, policy, alg);
-                let v = v.expect("feasible instance must schedule");
+                let seq = interleave_payments(&deal, margins, &order, policy)
+                    .expect("feasible order must interleave");
+                let v = verify(&deal, margins, &seq)
+                    .unwrap_or_else(|e| panic!("{source}/{policy:?}: {e}"));
                 // Exposure bounded by the margins.
                 prop_assert!(v.max_consumer_temptation() <= margins.eps_supplier());
                 prop_assert!(v.max_supplier_temptation() <= margins.eps_consumer());
@@ -113,6 +119,10 @@ proptest! {
                 prop_assert_eq!(v.sequence().delivery_count(), deal.goods().len());
                 prop_assert_eq!(v.sequence().total_paid(), deal.price());
             }
+        }
+        for policy in PaymentPolicy::ALL {
+            let v = schedule(&deal, margins, policy).expect("feasible instance must schedule");
+            prop_assert_eq!(v.sequence().delivery_count(), deal.goods().len());
         }
     }
 
@@ -139,7 +149,7 @@ proptest! {
         let margins = SafetyMargins::new(eps, eps).unwrap();
         prop_assume!(feasible(&goods, margins));
         let Some(deal) = deal_for(goods, t) else { return Ok(()); };
-        let seq = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+        let seq = schedule(&deal, margins, PaymentPolicy::Lazy)
             .expect("must schedule")
             .into_sequence();
         let out = execute(&deal, &seq, &mut Honest, &mut Honest);
@@ -161,7 +171,7 @@ proptest! {
         ).unwrap();
         prop_assume!(feasible(&goods, margins));
         let Some(deal) = deal_for(goods, 0.5) else { return Ok(()); };
-        let seq = schedule(&deal, margins, PaymentPolicy::Balanced, Algorithm::Greedy)
+        let seq = schedule(&deal, margins, PaymentPolicy::Balanced)
             .expect("must schedule")
             .into_sequence();
         // A rational party whose outside stake equals the tolerated bound
@@ -183,7 +193,7 @@ proptest! {
         let margins = SafetyMargins::new(eps, eps).unwrap();
         prop_assume!(feasible(&goods, margins));
         let Some(deal) = deal_for(goods, 0.5) else { return Ok(()); };
-        let seq = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+        let seq = schedule(&deal, margins, PaymentPolicy::Lazy)
             .expect("must schedule")
             .into_sequence();
 
@@ -236,7 +246,7 @@ mod game_props {
             ).unwrap();
             prop_assume!(feasible(&goods, margins));
             let Some(deal) = deal_for(goods, 0.5) else { return Ok(()); };
-            let seq = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+            let seq = schedule(&deal, margins, PaymentPolicy::Lazy)
                 .expect("feasible")
                 .into_sequence();
             // Consumer temptation ≤ ε_s ⇒ consumer stake ε_s suffices;
@@ -261,7 +271,7 @@ mod game_props {
             let margins = SafetyMargins::symmetric(Money::from_micros(eps)).unwrap();
             prop_assume!(feasible(&goods, margins));
             let Some(deal) = deal_for(goods, 0.5) else { return Ok(()); };
-            let seq = schedule(&deal, margins, PaymentPolicy::Balanced, Algorithm::Greedy)
+            let seq = schedule(&deal, margins, PaymentPolicy::Balanced)
                 .expect("feasible")
                 .into_sequence();
             let stake = min_supporting_stake(&deal, &seq).expect("verified sequences supportable");
@@ -281,7 +291,7 @@ mod game_props {
             let margins = SafetyMargins::new(eps, eps).unwrap();
             prop_assume!(feasible(&goods, margins));
             let Some(deal) = deal_for(goods, 0.5) else { return Ok(()); };
-            let seq = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+            let seq = schedule(&deal, margins, PaymentPolicy::Lazy)
                 .expect("feasible")
                 .into_sequence();
             let stakes = Stakes::symmetric(Money::from_micros(stake));

@@ -12,19 +12,20 @@
 //! 4. The indexed `O(n log n)` sandholm reproduces the original `O(n²)`
 //!    scan bit-for-bit on the identical instance stream.
 //!
-//! Plus error-path coverage: `Infeasible` carries the true minimal
-//! margin, `TooManyItems` fires exactly at each exact-solver cap, and
+//! Plus error-path coverage: below the minimal margin no order source
+//! finds an order and `Infeasible` carries the true minimal margin,
+//! `TooManyItems` fires exactly at each exact-solver cap, and
 //! `interleave_payments` preserves action-count and running-balance
 //! invariants under random feasible orders.
 
 mod oracle;
 
-use oracle::{subset_dp_order, SUBSET_DP_MAX_ITEMS};
+use oracle::{order_sources, subset_dp_order, SUBSET_DP_MAX_ITEMS};
 use proptest::prelude::*;
 use trustex_core::prelude::*;
 use trustex_core::scheduler::{
     branch_and_bound_order, greedy_order, interleave_payments, required_margin_of_order,
-    sandholm_order, sandholm_order_scan, BRANCH_AND_BOUND_MAX_ITEMS,
+    sandholm_order, sandholm_order_scan, TooManyItems, BRANCH_AND_BOUND_MAX_ITEMS,
 };
 
 /// Goods of `1..=max_n` items with costs/values in 0..=10 units.
@@ -101,7 +102,6 @@ proptest! {
                 prop_assert_eq!(required, min_required_margin(&goods));
                 prop_assert_eq!(available, margins.total());
             }
-            Err(other) => prop_assert!(false, "unexpected error {:?}", other),
         }
     }
 
@@ -130,9 +130,11 @@ proptest! {
         }
     }
 
-    /// Every scheduler's `Infeasible` carries the true minimal margin:
-    /// the reported `required` is itself schedulable (certified by the
-    /// exact oracle) and matches `min_required_margin`.
+    /// Below the minimum margin no order source finds an order, and every
+    /// `Infeasible` carries the true minimal margin: `schedule`'s and
+    /// sandholm's reported `required` matches `min_required_margin`,
+    /// branch-and-bound answers `Ok(None)`, and the reported requirement
+    /// is itself schedulable (certified by the exact oracle).
     #[test]
     fn infeasible_error_carries_true_min_margin(
         goods in goods_strategy(12),
@@ -142,17 +144,18 @@ proptest! {
         let req = min_required_margin(&goods);
         prop_assume!(req > Money::ZERO);
         let m = at((req - Money::from_micros(below)).max(Money::ZERO));
-        let Some(deal) = deal_for(goods.clone(), t) else { return Ok(()); };
-        for alg in Algorithm::ALL {
-            let err = schedule(&deal, m, PaymentPolicy::Lazy, alg)
+        let infeasible = ScheduleError::Infeasible { required: req, available: m.total() };
+        for (source, order) in order_sources(&goods, m) {
+            prop_assert!(order.is_none(), "{} ordered below the minimum margin", source);
+        }
+        prop_assert_eq!(sandholm_order(&goods, m), Err(infeasible.clone()));
+        if let Some(deal) = deal_for(goods.clone(), t) {
+            let err = schedule(&deal, m, PaymentPolicy::Lazy)
                 .expect_err("margins below the minimum must fail");
-            match err {
-                ScheduleError::Infeasible { required, available } => {
-                    prop_assert_eq!(required, req, "{:?}", alg);
-                    prop_assert_eq!(available, m.total(), "{:?}", alg);
-                }
-                other => prop_assert!(false, "{:?}: unexpected {:?}", alg, other),
-            }
+            prop_assert_eq!(err, infeasible.clone());
+            let err = interleave_payments(&deal, m, &greedy_order(&goods), PaymentPolicy::Lazy)
+                .expect_err("an order below its requirement must not interleave");
+            prop_assert_eq!(err, infeasible);
         }
         // The reported requirement is tight: the exact oracle schedules at it.
         prop_assert!(branch_and_bound_order(&goods, at(req)).expect("size ok").is_some());
@@ -340,7 +343,6 @@ fn dp_cross_checks_bnb_at_n18() {
 /// under passes, one item over errors with the right payload.
 #[test]
 fn too_many_items_fires_exactly_at_the_caps() {
-    let wide = at(Money::from_units(1_000_000));
     // All-expensive items (every Vs above any achievable collateral at
     // ε = 0) so the at-cap runs answer `Ok(None)` without exploring the
     // exponential state space — the cap check happens before any search.
@@ -353,7 +355,7 @@ fn too_many_items_fires_exactly_at_the_caps() {
     );
     assert_eq!(
         subset_dp_order(&instance(SUBSET_DP_MAX_ITEMS + 1), tight).unwrap_err(),
-        ScheduleError::TooManyItems {
+        TooManyItems {
             n_items: SUBSET_DP_MAX_ITEMS + 1,
             limit: SUBSET_DP_MAX_ITEMS
         }
@@ -365,20 +367,9 @@ fn too_many_items_fires_exactly_at_the_caps() {
     );
     assert_eq!(
         branch_and_bound_order(&instance(BRANCH_AND_BOUND_MAX_ITEMS + 1), tight).unwrap_err(),
-        ScheduleError::TooManyItems {
+        TooManyItems {
             n_items: BRANCH_AND_BOUND_MAX_ITEMS + 1,
             limit: BRANCH_AND_BOUND_MAX_ITEMS
         }
     );
-
-    // The cap surfaces through `schedule` for deals too.
-    let pairs: Vec<(f64, f64)> = (0..BRANCH_AND_BOUND_MAX_ITEMS + 1)
-        .map(|i| (1.0, 2.0 + i as f64))
-        .collect();
-    let goods = Goods::from_f64_pairs(&pairs).expect("non-empty");
-    let deal = Deal::with_split_surplus(goods).expect("positive surplus");
-    assert!(matches!(
-        schedule(&deal, wide, PaymentPolicy::Lazy, Algorithm::BranchAndBound),
-        Err(ScheduleError::TooManyItems { .. })
-    ));
 }

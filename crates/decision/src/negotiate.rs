@@ -12,7 +12,7 @@ use crate::exposure::{exposure_bound, ExposurePolicy};
 use trustex_core::deal::Deal;
 use trustex_core::policy::PaymentPolicy;
 use trustex_core::safety::SafetyMargins;
-use trustex_core::scheduler::{min_required_margin, schedule, Algorithm, ScheduleError};
+use trustex_core::scheduler::{min_required_margin, schedule, ScheduleError};
 use trustex_core::sequence::VerifiedSequence;
 use trustex_trust::model::TrustEstimate;
 
@@ -142,7 +142,7 @@ pub fn plan_exchange(
 
     let margins =
         SafetyMargins::new(eps_s, eps_c).expect("exposure bounds are non-negative by construction");
-    match schedule(deal, margins, policy, Algorithm::Greedy) {
+    match schedule(deal, margins, policy) {
         Ok(plan) => Ok(NegotiatedExchange { margins, plan }),
         Err(ScheduleError::Infeasible {
             required,
@@ -151,9 +151,6 @@ pub fn plan_exchange(
             required_micros: required.as_micros(),
             available_micros: available.as_micros(),
         }),
-        Err(ScheduleError::TooManyItems { .. }) => {
-            unreachable!("greedy scheduler has no size limit")
-        }
     }
 }
 

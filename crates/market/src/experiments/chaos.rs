@@ -14,10 +14,10 @@
 //! direct-evidence-only prediction while the witness quorum is
 //! unreachable. Every row reports its distance to the clean arm.
 //!
-//! The plane's `delay` knob acts on the overlay half only. Market
-//! gossip ignores a fate's extra delay (see [`ChaosConfig::fault`]):
-//! a report delivered on its first attempt lands in its emission round,
-//! so the market arms configure no delay.
+//! The overlay arms add delay jitter; the market arms set only loss and
+//! a partition, the two fault knobs gossip honours (see
+//! [`ChaosConfig`]): a report delivered on its first attempt lands in
+//! its emission round whatever its delay.
 
 use super::community::run_arms;
 use super::storage::build_base;
@@ -130,12 +130,8 @@ fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, ChaosConfig)> 
                 kind,
                 defended,
                 ChaosConfig {
-                    fault: FaultConfig {
-                        loss,
-                        duplicate: 0.01,
-                        extra_delay_max_us: 0,
-                        partition: partition(kind, heal_at),
-                    },
+                    loss,
+                    partition: partition(kind, heal_at),
                     retry: defended,
                     degrade: defended,
                 },

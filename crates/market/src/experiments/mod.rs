@@ -1,10 +1,11 @@
-//! The experiment suite: every table and figure of `EXPERIMENTS.md`.
+//! The experiment suite: every table and figure listed in the README's
+//! Experiments table.
 //!
 //! The paper itself publishes **no** tables or experimental figures (it
 //! is a 2-page paper whose only figure is the architecture diagram), so
-//! this suite operationalises its *claims*; `DESIGN.md` §4 maps each
-//! experiment to the claim it validates. Every experiment is a
-//! deterministic function of [`Scale`] and returns a renderable
+//! this suite operationalises its *claims*; the README's Experiments
+//! table names the claim each experiment validates. Every experiment is
+//! a deterministic function of [`Scale`] and returns a renderable
 //! [`Table`].
 
 use crate::table::Table;
@@ -32,7 +33,7 @@ pub use crate::persistence::e13_persistence;
 pub enum Scale {
     /// Seconds-scale sizes for tests and CI.
     Smoke,
-    /// The sizes reported in `EXPERIMENTS.md`.
+    /// The sizes the committed baselines and the README report.
     Paper,
 }
 

@@ -319,9 +319,8 @@ pub fn e6_pgrid(scale: Scale) -> Table {
     table
 }
 
-/// E10 — *Table R4*: ablations of the design choices `DESIGN.md` calls
-/// out: payment policy, gossip fan-out, storage replication and risk
-/// attitude.
+/// E10 — *Table R4*: ablations of four design choices: payment policy,
+/// gossip fan-out, storage replication and risk attitude.
 ///
 /// The market arms of all three simulation groups fan out across the
 /// worker pool in one batch (each arm pins its own seed); rows are

@@ -42,7 +42,7 @@ use trustex_core::policy::PaymentPolicy;
 use trustex_core::state::Role;
 use trustex_netsim::backoff::RetryPolicy;
 use trustex_netsim::event::EventQueue;
-use trustex_netsim::fault::{FaultConfig, FaultFate, FaultPlane};
+use trustex_netsim::fault::{FaultConfig, FaultFate, FaultPlane, PartitionSpec};
 use trustex_netsim::pool::{parallel_map, resolve_threads};
 use trustex_netsim::rng::SimRng;
 use trustex_netsim::time::SimTime;
@@ -77,20 +77,34 @@ const RETX_QUEUE_CAP: usize = 65_536;
 /// reports and optional quorum-gated graceful degradation. The default
 /// is a zero-fault plane with both defenses off, which delivers every
 /// report exactly once.
+///
+/// The plane is seeded from the market seed and built from the two
+/// fault knobs gossip honours, loss and partitions. Gossip reads only a
+/// fate's kind (delivered, lost or blocked), so the plane injects no
+/// wire duplicates and no extra delay.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChaosConfig {
-    /// The fault plane's knobs (loss, duplication, delay, partitions);
-    /// the plane itself is seeded from the market seed. Gossip reads
-    /// only a fate's kind (delivered, lost or blocked) and its
-    /// duplicates: `extra_delay_max_us` has no effect here, and a
-    /// report delivered on its first attempt lands in the round it was
-    /// emitted in whatever delay is configured.
-    pub fault: FaultConfig,
+    /// Independent per-wire-attempt loss probability in `[0, 1]`.
+    pub loss: f64,
+    /// Partition episode the gossip crosses, if any.
+    pub partition: PartitionSpec,
     /// Retransmit lost/blocked reports on a bounded backoff schedule.
     pub retry: bool,
     /// Fall back to direct-evidence-only prediction while the witness
     /// quorum is unreachable, instead of treating silence as absence.
     pub degrade: bool,
+}
+
+impl ChaosConfig {
+    /// The gossip plane's configuration: this config's loss and
+    /// partition, no duplicates, no extra delay.
+    fn plane(&self) -> FaultConfig {
+        FaultConfig {
+            loss: self.loss,
+            partition: self.partition,
+            ..FaultConfig::default()
+        }
+    }
 }
 
 /// Configuration of one market simulation.
@@ -154,8 +168,8 @@ impl Default for MarketConfig {
 impl MarketConfig {
     /// The configuration's rules: at least two agents (a session needs
     /// two distinct parties, and the distinct-consumer rejection loop in
-    /// the session draw would otherwise never terminate), and a valid
-    /// chaos fault plane (see [`FaultConfig::validate`]). Returns the
+    /// the session draw would otherwise never terminate), and a chaos
+    /// loss in `[0, 1]` (see [`FaultConfig::validate`]). Returns the
     /// first rule violated.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.n_agents < 2 {
@@ -163,7 +177,7 @@ impl MarketConfig {
                 "MarketConfig::n_agents must be ≥ 2 (a session needs two distinct parties)",
             );
         }
-        self.chaos.fault.validate()
+        self.chaos.plane().validate()
     }
 }
 
@@ -425,7 +439,7 @@ impl MarketSim {
         // chaos-free runs consume an unchanged RNG stream.
         let plane = FaultPlane::new(
             trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
-            cfg.chaos.fault,
+            cfg.chaos.plane(),
         );
         if cfg.chaos.degrade {
             community.enable_direct_ledger();
@@ -892,9 +906,9 @@ impl MarketSim {
     /// transparent (every emission arrives) when no chaos is configured.
     ///
     /// Each emission reaches its target at most once by construction:
-    /// wire duplicates of a `Deliver` fate collapse into one delivery,
-    /// a lost or blocked emission sits in the retransmission queue at
-    /// most once, and a delivered retransmission is never re-queued.
+    /// a `Deliver` fate is one delivery, a lost or blocked emission sits
+    /// in the retransmission queue at most once, and a delivered
+    /// retransmission is never re-queued.
     fn transmit_report(&mut self, target: PeerId, report: WitnessReport) {
         self.witness_attempted += 1;
         self.round_attempted += 1;
@@ -1003,10 +1017,7 @@ mod tests {
         assert_eq!(MarketConfig::default().validate(), Ok(()));
         let lossy = |loss| MarketConfig {
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    loss,
-                    ..FaultConfig::default()
-                },
+                loss,
                 ..ChaosConfig::default()
             },
             ..MarketConfig::default()
@@ -1028,14 +1039,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault duplicate must be in [0, 1]")]
+    #[should_panic(expected = "fault loss must be in [0, 1]")]
     fn invalid_fault_plane_rejected() {
         MarketSim::new(MarketConfig {
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    duplicate: 1.5,
-                    ..FaultConfig::default()
-                },
+                loss: 1.5,
                 ..ChaosConfig::default()
             },
             ..MarketConfig::default()
@@ -1426,9 +1434,9 @@ mod tests {
         for (retry, degrade) in [(true, false), (false, true), (true, true)] {
             let chaotic = MarketSim::new(MarketConfig {
                 chaos: ChaosConfig {
-                    fault: FaultConfig::default(),
                     retry,
                     degrade,
+                    ..ChaosConfig::default()
                 },
                 ..smoke_cfg(Strategy::TrustAware)
             })
@@ -1450,12 +1458,9 @@ mod tests {
         let cfg = MarketConfig {
             n_agents: 8,
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    partition: trustex_netsim::fault::PartitionSpec::Bisect { heal_at },
-                    ..FaultConfig::default()
-                },
+                partition: PartitionSpec::Bisect { heal_at },
                 retry: true,
-                degrade: false,
+                ..ChaosConfig::default()
             },
             ..MarketConfig::default()
         };
@@ -1485,40 +1490,6 @@ mod tests {
         sim.pump_retx(2);
         assert_eq!(sim.witness_delivered, 1);
         assert_eq!(sim.community.pending_report_count(), 1);
-    }
-
-    /// Wire duplication puts extra copies of an emission on the wire;
-    /// they collapse at the fate, so exactly one reaches the model.
-    #[test]
-    fn duplicated_wire_copies_are_suppressed_by_dedup() {
-        let cfg = MarketConfig {
-            n_agents: 6,
-            chaos: ChaosConfig {
-                fault: FaultConfig {
-                    duplicate: 1.0,
-                    ..FaultConfig::default()
-                },
-                ..ChaosConfig::default()
-            },
-            ..MarketConfig::default()
-        };
-        let mut sim = MarketSim::new(cfg);
-        for round in 0..5 {
-            let report = WitnessReport {
-                witness: PeerId(0),
-                subject: PeerId(1),
-                conduct: Conduct::Honest,
-                round,
-            };
-            sim.transmit_report(PeerId(2), report);
-        }
-        assert_eq!(sim.witness_attempted, 5);
-        assert_eq!(sim.witness_delivered, 5, "first copies all arrive");
-        assert_eq!(
-            sim.community.pending_report_count(),
-            5,
-            "duplicate wire copies must not double-deliver"
-        );
     }
 
     /// A full retransmission queue drops the next entry and counts it
@@ -1560,12 +1531,9 @@ mod tests {
             rounds: 40,
             sessions_per_round: 12,
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    loss: 1.0,
-                    ..FaultConfig::default()
-                },
+                loss: 1.0,
                 retry: true,
-                degrade: false,
+                ..ChaosConfig::default()
             },
             ..MarketConfig::default()
         };

@@ -14,7 +14,7 @@ use trustex_core::deal::Deal;
 use trustex_core::money::Money;
 use trustex_core::policy::PaymentPolicy;
 use trustex_core::safety::SafetyMargins;
-use trustex_core::scheduler::{schedule, Algorithm};
+use trustex_core::scheduler::schedule;
 use trustex_core::sequence::ExchangeSequence;
 use trustex_decision::engage::EngagementRule;
 use trustex_decision::exposure::ExposurePolicy;
@@ -72,11 +72,9 @@ pub fn plan(
     policy: PaymentPolicy,
 ) -> Result<ExchangeSequence, NoTrade> {
     match strategy {
-        Strategy::SafeOnly => {
-            schedule(deal, SafetyMargins::fully_safe(), policy, Algorithm::Greedy)
-                .map(|v| v.into_sequence())
-                .map_err(|_| NoTrade::Infeasible)
-        }
+        Strategy::SafeOnly => schedule(deal, SafetyMargins::fully_safe(), policy)
+            .map(|v| v.into_sequence())
+            .map_err(|_| NoTrade::Infeasible),
         Strategy::TrustAware => {
             let mk_inputs = |trust: TrustEstimate| PartyInputs {
                 trust_in_opponent: trust,
@@ -105,7 +103,7 @@ pub fn plan(
                 Strategy::UnsafeDeliverFirst => PaymentPolicy::Lazy,
                 _ => PaymentPolicy::Eager,
             };
-            schedule(deal, margins, pay_policy, Algorithm::Greedy)
+            schedule(deal, margins, pay_policy)
                 .map(|v| v.into_sequence())
                 .map_err(|_| NoTrade::Infeasible)
         }

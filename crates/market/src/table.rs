@@ -1,8 +1,8 @@
 //! Plain-text result tables.
 //!
 //! Every experiment produces a [`Table`]; the `repro` binary renders them
-//! to aligned text (and CSV) so the tables/figures of `EXPERIMENTS.md`
-//! can be regenerated with one command.
+//! to aligned text (and CSV) so the tables and figures listed in the
+//! README's Experiments table can be regenerated with one command.
 
 use std::fmt;
 

@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 use trustex_market::prelude::*;
 use trustex_netsim::backoff::RetryPolicy;
-use trustex_netsim::fault::{FaultConfig, FaultPlane, PartitionSpec};
+use trustex_netsim::fault::{FaultPlane, PartitionSpec};
 use trustex_netsim::net::{NetConfig, Network};
 use trustex_netsim::pool::set_default_threads;
 use trustex_netsim::rng::SimRng;
@@ -30,21 +30,17 @@ static THREAD_DEFAULT: Mutex<()> = Mutex::new(());
 
 fn zero_chaos(retry: bool, degrade: bool) -> ChaosConfig {
     ChaosConfig {
-        fault: FaultConfig::default(),
         retry,
         degrade,
+        ..ChaosConfig::default()
     }
 }
 
 fn faulty_chaos() -> ChaosConfig {
     ChaosConfig {
-        fault: FaultConfig {
-            loss: 0.05,
-            duplicate: 0.02,
-            extra_delay_max_us: 0,
-            partition: PartitionSpec::Bisect {
-                heal_at: SimTime::from_millis(40),
-            },
+        loss: 0.05,
+        partition: PartitionSpec::Bisect {
+            heal_at: SimTime::from_millis(40),
         },
         retry: true,
         degrade: true,

@@ -1,19 +1,18 @@
 //! Property tests for the chaos plane's delivery discipline.
 //!
 //! The load-bearing invariant: **no fault mechanism may double-count a
-//! report's feedback effects**. Wire duplication and bounded
-//! retransmission both produce extra copies of an emission on the wire,
-//! yet each emission reaches a model at most once by construction — so
-//! a run with duplication is *bit-identical* to the same run without
-//! it, and arming the defenses on a zero-fault plane is bit-identical to
-//! the default clean run, across arbitrary small configurations. The
-//! per-reporter rate cap holds under every fault mix as well.
+//! report's feedback effects**. Bounded retransmission puts extra
+//! copies of an emission on the wire, yet each emission reaches a model
+//! at most once by construction, and arming the defenses on a
+//! zero-fault plane is bit-identical to the default clean run, across
+//! arbitrary small configurations. The per-reporter rate cap holds
+//! under every fault mix as well.
 
 use proptest::prelude::any;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use trustex_agents::profile::PopulationMix;
 use trustex_market::prelude::*;
-use trustex_netsim::fault::{FaultConfig, PartitionSpec};
+use trustex_netsim::fault::PartitionSpec;
 use trustex_netsim::time::SimTime;
 
 fn base(n_agents: usize, rounds: u64, sessions: usize, seed: u64, dishonest: f64) -> MarketConfig {
@@ -31,47 +30,6 @@ fn base(n_agents: usize, rounds: u64, sessions: usize, seed: u64, dishonest: f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Wire duplication (any probability, with loss, a partition and
-    /// retransmission active at the same time) never changes the
-    /// report: the duplicate copies of an emission collapse at its fate
-    /// before they can touch a model, and deciding a fate consumes no
-    /// RNG.
-    #[test]
-    fn duplication_never_duplicates_feedback_effects(
-        n_agents in 3usize..30,
-        rounds in 1u64..6,
-        sessions in 1usize..40,
-        seed in 0u64..1_000_000,
-        dishonest in 0.0f64..0.9,
-        duplicate in 0.01f64..1.0,
-        loss in 0.0f64..0.3,
-        retry in any::<bool>(),
-    ) {
-        let chaos = |duplicate: f64| ChaosConfig {
-            fault: FaultConfig {
-                loss,
-                duplicate,
-                extra_delay_max_us: 0,
-                partition: PartitionSpec::Bisect {
-                    heal_at: SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros()),
-                },
-            },
-            retry,
-            degrade: retry,
-        };
-        let with_dups = MarketSim::new(MarketConfig {
-            chaos: chaos(duplicate),
-            ..base(n_agents, rounds, sessions, seed, dishonest)
-        })
-        .run();
-        let without = MarketSim::new(MarketConfig {
-            chaos: chaos(0.0),
-            ..base(n_agents, rounds, sessions, seed, dishonest)
-        })
-        .run();
-        prop_assert_eq!(with_dups, without);
-    }
-
     /// A zero-fault plane is a perfect no-op for arbitrary small
     /// configurations and any defense combination: the run with the
     /// defenses armed equals the default clean run bit-for-bit.
@@ -88,9 +46,9 @@ proptest! {
         let clean = MarketSim::new(base(n_agents, rounds, sessions, seed, dishonest)).run();
         let chaotic = MarketSim::new(MarketConfig {
             chaos: ChaosConfig {
-                fault: FaultConfig::default(),
                 retry,
                 degrade,
+                ..ChaosConfig::default()
             },
             ..base(n_agents, rounds, sessions, seed, dishonest)
         })
@@ -100,10 +58,10 @@ proptest! {
 
     /// Retransmissions never double-count: `witness_delivered` counts
     /// *unique logical emissions* accepted by a model (each emission
-    /// arrives at most once), so under any mix of loss, duplication,
-    /// partitions and aggressive retransmission the delivered count can
-    /// never exceed the attempted count — a double-delivered retry or
-    /// duplicate would push it past. (Runs
+    /// arrives at most once), so under any mix of loss, partitions and
+    /// aggressive retransmission the delivered count can never exceed
+    /// the attempted count — a double-delivered retry would push it
+    /// past. (Runs
     /// with retry on and off are *not* compared: delivered reports feed
     /// back into trust state and legitimately change trade volume.)
     #[test]
@@ -117,14 +75,10 @@ proptest! {
     ) {
         let report = MarketSim::new(MarketConfig {
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    loss,
-                    duplicate: 0.1,
-                    extra_delay_max_us: 0,
-                    partition: PartitionSpec::Islands {
-                        islands: 3,
-                        heal_at: SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros()),
-                    },
+                loss,
+                partition: PartitionSpec::Islands {
+                    islands: 3,
+                    heal_at: SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros()),
                 },
                 retry,
                 degrade: false,
@@ -139,7 +93,7 @@ proptest! {
 
     /// The report rate cap holds under chaos: each reporter gets at most
     /// `cap` deliveries per delivery round, retransmissions included, so
-    /// no mix of loss, duplication, partition and retry can push the
+    /// no mix of loss, partition and retry can push the
     /// delivered count past `rounds · n_agents · cap` — a bound of zero,
     /// so nothing at all is admitted, when the cap is zero.
     #[test]
@@ -150,7 +104,6 @@ proptest! {
         seed in 0u64..1_000_000,
         cap in 0u32..4,
         loss in 0.0f64..0.3,
-        duplicate in 0.0f64..1.0,
         partitioned in any::<bool>(),
         retry in any::<bool>(),
     ) {
@@ -161,15 +114,11 @@ proptest! {
                 ..DefenseConfig::default()
             },
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    loss,
-                    duplicate,
-                    extra_delay_max_us: 0,
-                    partition: if partitioned {
-                        PartitionSpec::Bisect { heal_at }
-                    } else {
-                        PartitionSpec::None
-                    },
+                loss,
+                partition: if partitioned {
+                    PartitionSpec::Bisect { heal_at }
+                } else {
+                    PartitionSpec::None
                 },
                 retry,
                 degrade: false,

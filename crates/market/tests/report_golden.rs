@@ -15,7 +15,7 @@
 
 use trustex_agents::adversary::zoo_mix;
 use trustex_market::prelude::*;
-use trustex_netsim::fault::{FaultConfig, PartitionSpec};
+use trustex_netsim::fault::PartitionSpec;
 use trustex_netsim::time::SimTime;
 
 /// One pinned configuration's expected report bits.
@@ -51,12 +51,9 @@ fn config(name: &str) -> MarketConfig {
         // degraded (direct evidence only).
         "chaos" => MarketConfig {
             chaos: ChaosConfig {
-                fault: FaultConfig {
-                    loss: 0.3,
-                    partition: PartitionSpec::Bisect {
-                        heal_at: SimTime::from_millis(3_600_000),
-                    },
-                    ..FaultConfig::default()
+                loss: 0.3,
+                partition: PartitionSpec::Bisect {
+                    heal_at: SimTime::from_millis(3_600_000),
                 },
                 retry: true,
                 degrade: true,

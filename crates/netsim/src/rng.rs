@@ -184,15 +184,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Draws from a normal distribution via the Box–Muller transform.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        // Avoid ln(0) by mapping the first draw into (0, 1].
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let mag = (-2.0 * u1.ln()).sqrt();
-        mean + std_dev * mag * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
     /// Draws from an exponential distribution with the given rate (λ).
     ///
     /// # Panics
@@ -303,27 +294,6 @@ impl SimRng {
                 displaced.insert(j, value_at_i);
             }
         }
-    }
-
-    /// Picks an index in `[0, weights.len())` with probability proportional
-    /// to each non-negative weight. Returns `None` when all weights are
-    /// zero or the slice is empty.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        if total <= 0.0 || !total.is_finite() {
-            return None;
-        }
-        let mut target = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if *w > 0.0 {
-                if target < *w {
-                    return Some(i);
-                }
-                target -= *w;
-            }
-        }
-        // Floating-point edge: return the last positive-weight index.
-        weights.iter().rposition(|w| *w > 0.0)
     }
 }
 
@@ -448,17 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let mut rng = SimRng::new(21);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
     fn exponential_mean() {
         let mut rng = SimRng::new(31);
         let n = 200_000;
@@ -566,26 +525,6 @@ mod tests {
         t.dedup();
         assert_eq!(t.len(), 64, "sparse sample repeated an index");
         assert!(t.iter().all(|i| *i < 100_000));
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::new(29);
-        let w = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[rng.weighted_index(&w).unwrap()] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn weighted_index_all_zero() {
-        let mut rng = SimRng::new(1);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), None);
-        assert_eq!(rng.weighted_index(&[]), None);
     }
 
     #[test]

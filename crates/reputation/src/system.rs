@@ -56,15 +56,6 @@ impl ReputationSystem {
         }
     }
 
-    /// Sets the storage behaviour of one peer (dense index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range.
-    pub fn set_storage_behavior(&mut self, peer: usize, behavior: StorageBehavior) {
-        self.behavior[peer] = behavior;
-    }
-
     /// Makes a random `fraction` of storage peers liars (half
     /// suppressors, half fabricators).
     pub fn corrupt_fraction(&mut self, fraction: f64) {

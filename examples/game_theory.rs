@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Schedule under a modest trust-backed margin.
     let margins = SafetyMargins::symmetric(Money::from_f64(0.75))?;
-    let plan = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)?;
+    let plan = schedule(&deal, margins, PaymentPolicy::Lazy)?;
     let seq = plan.sequence();
     println!("scheduled {} steps under margins {margins}\n", seq.len());
 

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (backed by trust) can trade. Grant each side half the requirement
     // plus a hair more.
     let margins = SafetyMargins::symmetric(needed.scale(0.5) + Money::from_micros(1))?;
-    let plan = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)?;
+    let plan = schedule(&deal, margins, PaymentPolicy::Lazy)?;
     println!("\nscheduled sequence ({} steps):", plan.sequence().len());
     for (i, action) in plan.sequence().actions().iter().enumerate() {
         println!("  {i:2}. {action}");

@@ -127,8 +127,8 @@ fn verified_sequences_complete_under_covered_stakes() {
             let deal = workload.generate_deal(&mut rng);
             let margins =
                 SafetyMargins::symmetric(deal.goods().total_surplus()).expect("non-negative");
-            let plan = schedule(&deal, margins, PaymentPolicy::Balanced, Algorithm::Greedy)
-                .expect("wide margins schedule");
+            let plan =
+                schedule(&deal, margins, PaymentPolicy::Balanced).expect("wide margins schedule");
             let mut s = RationalDefector {
                 stake: margins.eps_consumer(),
             };

@@ -93,7 +93,7 @@ fn exit_scam_is_caught_after_the_turn() {
     let goods = Goods::from_f64_pairs(&[(1.0, 3.0), (2.0, 4.0)]).unwrap();
     let deal = Deal::with_split_surplus(goods).unwrap();
     let margins = SafetyMargins::symmetric(Money::from_units(2)).unwrap();
-    let seq = schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy)
+    let seq = schedule(&deal, margins, PaymentPolicy::Lazy)
         .unwrap()
         .into_sequence();
 
@@ -153,7 +153,7 @@ fn verifier_rejects_adversarial_schedules() {
     assert!(verify(&deal, margins, &scam).is_err());
 
     // The legitimate schedule for the same margins passes.
-    assert!(schedule(&deal, margins, PaymentPolicy::Lazy, Algorithm::Greedy).is_ok());
+    assert!(schedule(&deal, margins, PaymentPolicy::Lazy).is_ok());
 }
 
 /// Slanderers flood the gossip channel; the beta model's witness
