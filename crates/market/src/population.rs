@@ -68,12 +68,11 @@ impl ModelKind {
         }
     }
 
-    /// Builds a model sized for a community of `n` peers, so the
-    /// simulation's record path never grows a table index: the Beta,
-    /// mean and EWMA models pre-size their [`PeerTable`] indexes (4 B
-    /// per peer) and allocate evidence slots only for the peers written,
-    /// and the complaint model allocates its dense table up front and
-    /// learns the population for its median.
+    /// Builds a model sized for a community of `n` peers: the Beta,
+    /// mean and EWMA models set their [`PeerTable`]s' dense length to
+    /// `n` and allocate evidence slots (and index space) only for the
+    /// peers written, and the complaint model allocates its dense table
+    /// up front and learns the population for its median.
     pub(crate) fn build(self, n: usize) -> AnyModel {
         self.build_defended(n, false)
     }

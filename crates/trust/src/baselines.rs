@@ -17,7 +17,7 @@ use trustex_persist::PersistError;
 /// discounting) — deliberately gullible.
 #[derive(Debug, Clone, Default)]
 pub struct MeanTrust {
-    /// `(honest, total)` counts indexed by [`PeerId::index`];
+    /// `(honest, total)` counts keyed by [`PeerId`];
     /// `total == 0` marks a never-observed subject.
     counts: PeerTable<(u64, u64)>,
     /// Scorer-weighted aggregation: drop witness reports from reporters
@@ -33,17 +33,17 @@ impl MeanTrust {
         MeanTrust::default()
     }
 
-    /// Creates a model whose table index is pre-sized for a community
-    /// of `n` peers (see [`MeanTrust::ensure_capacity`]).
+    /// Creates a model whose table covers a community of `n` peers (see
+    /// [`MeanTrust::ensure_capacity`]).
     pub fn with_population(n: usize) -> MeanTrust {
         let mut model = MeanTrust::new();
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes the count table's index for peers `0..n` (never
-    /// shrinks), at 4 B per id; count slots are still allocated only for
-    /// the peers written.
+    /// Raises the count table's dense length to `n` (never lowers it),
+    /// so the persisted form covers peers `0..n`. Allocates nothing:
+    /// count slots are allocated only for the peers written.
     pub fn ensure_capacity(&mut self, n: usize) {
         self.counts.ensure_capacity(n);
     }
@@ -117,7 +117,7 @@ impl TrustModel for MeanTrust {
 pub struct EwmaTrust {
     /// Learning rate λ in `(0, 1]`.
     rate: f64,
-    /// `(score, observations)` slots indexed by [`PeerId::index`];
+    /// `(score, observations)` slots keyed by [`PeerId`];
     /// `observations == 0` marks a never-observed subject (the score
     /// slot idles at the 0.5 starting point, the table's cold value).
     scores: PeerTable<(f64, u64)>,
@@ -164,18 +164,17 @@ impl EwmaTrust {
         self
     }
 
-    /// Creates a model with learning rate `rate` whose table index is
-    /// pre-sized for a community of `n` peers (see
-    /// [`EwmaTrust::ensure_capacity`]).
+    /// Creates a model with learning rate `rate` whose table covers a
+    /// community of `n` peers (see [`EwmaTrust::ensure_capacity`]).
     pub fn with_population(rate: f64, n: usize) -> EwmaTrust {
         let mut model = EwmaTrust::new(rate);
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes the score table's index for peers `0..n` (never
-    /// shrinks), at 4 B per id; score slots are still allocated only for
-    /// the peers written.
+    /// Raises the score table's dense length to `n` (never lowers it),
+    /// so the persisted form covers peers `0..n`. Allocates nothing:
+    /// score slots are allocated only for the peers written.
     pub fn ensure_capacity(&mut self, n: usize) {
         self.scores.ensure_capacity(n);
     }

@@ -170,7 +170,7 @@ impl WitnessSlot {
 #[derive(Debug, Clone)]
 pub struct BetaTrust {
     config: BetaConfig,
-    /// Per-subject evidence, indexed by [`PeerId::index`]; unwritten
+    /// Per-subject evidence, keyed by [`PeerId`]; unwritten
     /// ids read as cold (no evidence).
     evidence: PeerTable<Evidence>,
     /// Witness reliability estimates (their own beta evidence), used to
@@ -206,19 +206,18 @@ impl BetaTrust {
         }
     }
 
-    /// Creates a default-configured model whose table indexes are
-    /// pre-sized for a community of `n` peers (see
-    /// [`BetaTrust::ensure_capacity`]).
+    /// Creates a default-configured model whose tables cover a
+    /// community of `n` peers (see [`BetaTrust::ensure_capacity`]).
     pub fn with_population(n: usize) -> BetaTrust {
         let mut model = BetaTrust::new();
         model.ensure_capacity(n);
         model
     }
 
-    /// Pre-sizes both tables' indexes for peers `0..n` (never shrinks),
-    /// at 4 B per id and table, so the record path does not grow them;
-    /// evidence slots are still allocated only for the peers written.
-    /// Writes beyond the capacity grow on demand.
+    /// Raises both tables' dense length to `n` (never lowers it), so
+    /// the persisted form covers peers `0..n`. Allocates nothing:
+    /// evidence slots are allocated only for the peers written, and
+    /// writes beyond `n` raise the length on demand.
     pub fn ensure_capacity(&mut self, n: usize) {
         self.evidence.ensure_capacity(n);
         self.witness_evidence.ensure_capacity(n);

@@ -343,10 +343,12 @@ impl<M: TrustModel + Clone> TrustEngine<M> {
 /// engine's would, and a subsequent `publish` folds the restored delta
 /// identically to the live engine.
 ///
-/// Folding an event about a peer past a model's tables grows them (or,
-/// for a [`crate::table::PeerTable`], its index) to that id. So restore bounds every id in the pending delta by
-/// the payload's length in bytes, as [`ByteReader::take_len`] bounds
-/// every count it reads: a snapshot can only make the next publish
+/// Folding an event about a peer past a model's tables grows them to
+/// that id: the complaint model's dense table, and the dense length of
+/// a [`crate::table::PeerTable`], which the next encode walks id by id.
+/// So restore bounds every id in the pending delta by the payload's
+/// length in bytes, as [`ByteReader::take_len`] bounds every count it
+/// reads: a snapshot can only make the next publish and the next encode
 /// allocate in proportion to its own size. Every model here encodes
 /// each table slot in at least 16 bytes, so an id the restored model
 /// holds a slot for always passes.
