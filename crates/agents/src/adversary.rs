@@ -20,9 +20,7 @@
 //!   milking decayed history.
 //! * **Whitewashing** ([`Adversary::Whitewasher`]) — identity churn:
 //!   the community's memory of the agent is wiped every `period`
-//!   rounds, as if it had left and rejoined with a fresh id (the
-//!   overlay-side counterpart is `Lifecycle::whitewash` in
-//!   `trustex-reputation`).
+//!   rounds, as if it had left and rejoined with a fresh id.
 //!
 //! Every archetype is parameterised by a **coordination level** `c ∈
 //! [0, 1]`. At `c == 0` each degrades *exactly* to the independent

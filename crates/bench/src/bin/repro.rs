@@ -5,15 +5,14 @@
 //! cargo run --release -p trustex-bench --bin repro            # all, paper scale
 //! cargo run --release -p trustex-bench --bin repro -- --smoke # all, smoke scale
 //! cargo run --release -p trustex-bench --bin repro -- e4 e6   # a subset
-//! cargo run --release -p trustex-bench --bin repro -- --only e5,e8,e9
+//! cargo run --release -p trustex-bench --bin repro -- --threads 1 e5 e8 e9
 //! cargo run --release -p trustex-bench --bin repro -- --threads 8
 //! ```
 //!
-//! `--only ID[,ID...]` selects a comma-separated subset in one flag —
-//! the form perf iteration on a hot path wants (e.g. `--only e6`
-//! isolates the P-Grid overlay ladder, `--only e5,e8,e9` the trust
-//! layer); it composes with positional ids and rejects unknown or empty
-//! ids with exit code 2 before any work runs.
+//! Positional ids select a subset — the form perf iteration on a hot
+//! path wants (e.g. `e6` isolates the P-Grid overlay ladder, `e5 e8 e9`
+//! the trust layer). Unknown or repeated ids are rejected with exit
+//! code 2 before any work runs.
 //!
 //! `--threads N` pins the worker-pool size used by the arm-parallel
 //! experiment runner and the sharded market simulator (default: detected
@@ -46,9 +45,7 @@ struct Args {
 
 fn usage_exit(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!(
-        "usage: repro [--smoke] [--threads N] [--bench-out PATH] [--only ID[,ID...]] [id...]"
-    );
+    eprintln!("usage: repro [--smoke] [--threads N] [--bench-out PATH] [id...]");
     eprintln!(
         "known ids: {}",
         ALL.iter().map(|e| e.id).collect::<Vec<_>>().join(", ")
@@ -82,22 +79,6 @@ fn parse_args(raw: Vec<String>) -> Args {
                         .unwrap_or_else(|| usage_exit("--bench-out requires a path")),
                 );
             }
-            "--only" => {
-                let value = iter
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--only requires a comma-separated id list"));
-                let before = args.ids.len();
-                for id in value.split(',') {
-                    let id = id.trim();
-                    if id.is_empty() {
-                        usage_exit(&format!("--only has an empty experiment id: {value:?}"));
-                    }
-                    args.ids.push(id.to_owned());
-                }
-                if args.ids.len() == before {
-                    usage_exit("--only requires at least one experiment id");
-                }
-            }
             other if other.starts_with("--") => {
                 usage_exit(&format!("unknown flag: {other}"));
             }
@@ -121,9 +102,9 @@ fn main() {
     let selected: Vec<_> = if args.ids.is_empty() {
         ALL.iter().collect()
     } else {
-        // Duplicates (positional or via --only) would run an experiment
-        // twice and emit duplicate keys in the timings JSON — reject
-        // them up front like unknown ids.
+        // Duplicates would run an experiment twice and emit duplicate
+        // keys in the timings JSON — reject them up front like unknown
+        // ids.
         let mut seen: Vec<&str> = Vec::with_capacity(args.ids.len());
         args.ids
             .iter()

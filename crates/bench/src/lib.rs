@@ -11,14 +11,6 @@
 //! its tests.
 
 pub use trustex_market::experiments::{find, Scale, ALL};
-pub use trustex_market::table::Table;
-
-/// Renders a table with a trailing blank line (the repro output format).
-pub fn render_block(table: &Table) -> String {
-    let mut s = table.render();
-    s.push('\n');
-    s
-}
 
 /// Serializes per-experiment wall-clock timings as the `BENCH_repro.json`
 /// document: a flat JSON object mapping experiment id → milliseconds.
@@ -45,12 +37,6 @@ pub fn timings_to_json(timings: &[(&str, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_block_appends_newline() {
-        let t = Table::new("x", &["a"]);
-        assert!(render_block(&t).ends_with("\n\n"));
-    }
 
     #[test]
     fn timings_json_shape() {

@@ -7,7 +7,7 @@
 //! selection, exit codes — stays covered too).
 
 use std::process::Command;
-use trustex_bench::{find, render_block, Scale, ALL};
+use trustex_bench::{find, Scale, ALL};
 
 /// Every experiment runs at smoke scale and produces a non-trivial table.
 #[test]
@@ -19,7 +19,7 @@ fn all_experiments_run_at_smoke_scale() {
             "experiment {} produced an empty table",
             experiment.id
         );
-        let rendered = render_block(&table);
+        let rendered = table.render();
         assert!(
             rendered.trim_start().starts_with("##"),
             "experiment {} table does not render a markdown heading:\n{rendered}",
@@ -123,22 +123,23 @@ fn repro_binary_bench_out_subset() {
     );
 }
 
-/// `--only` runs exactly the comma-separated subset — the targeted form
-/// perf iteration uses (`--only e5,e8,e9` skips the expensive e6) — and
-/// composes with `--bench-out`.
+/// Positional ids run exactly the listed subset — the targeted form perf
+/// iteration uses (`e5 e8 e9` skips the expensive e6) — and compose with
+/// `--bench-out`.
 #[test]
 fn repro_binary_only_runs_exactly_the_listed_subset() {
     let scratch = ScratchDir::new("only");
     let out_path = scratch.0.join("timings.json");
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--smoke", "--only", "e5,e9", "--bench-out"])
+        .args(["--smoke", "--bench-out"])
         .arg(&out_path)
+        .args(["e5", "e9"])
         .current_dir(&scratch.0)
         .output()
         .expect("failed to spawn repro binary");
     assert!(
         output.status.success(),
-        "repro --only exited with {:?}\nstderr: {}",
+        "repro e5 e9 exited with {:?}\nstderr: {}",
         output.status.code(),
         String::from_utf8_lossy(&output.stderr)
     );
@@ -151,26 +152,23 @@ fn repro_binary_only_runs_exactly_the_listed_subset() {
     for skipped in ["e0", "e6", "e8"] {
         assert!(
             !stdout.contains(&format!("[{skipped}]")),
-            "{skipped} ran despite --only"
+            "{skipped} ran although not listed"
         );
         assert!(!json.contains(&format!("\"{skipped}\"")));
     }
 }
 
-/// Unknown, empty or missing `--only` ids are rejected with exit code 2
-/// before any experiment runs.
+/// An id list with an unknown or a repeated id is rejected with exit
+/// code 2 before any experiment runs, even when earlier ids are valid.
 #[test]
 fn repro_binary_only_rejects_bad_id_lists() {
     let scratch = ScratchDir::new("only_bad");
     for (args, needle) in [
-        (&["--only", "e5,e99"][..], "unknown experiment id"),
-        (&["--only", "e5,,e9"][..], "empty experiment id"),
-        (&["--only", ""][..], "empty experiment id"),
-        (&["--only"][..], "--only requires"),
+        (&["e5", "e99"][..], "unknown experiment id"),
+        (&["e5", ""][..], "unknown experiment id"),
         // Duplicates would run an experiment twice and write duplicate
         // keys into the timings JSON.
-        (&["--only", "e5,e5"][..], "duplicate experiment id"),
-        (&["e5", "--only", "e5"][..], "duplicate experiment id"),
+        (&["e5", "e5"][..], "duplicate experiment id"),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -213,6 +211,7 @@ fn repro_binary_rejects_bad_flags() {
         &["--threads", "0"][..],
         &["--threads"][..],
         &["--frobnicate"][..],
+        &["--only", "e5"][..],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

@@ -133,11 +133,6 @@ impl Deal {
     pub fn consumer_surplus(&self) -> Money {
         self.goods.total_consumer_value() - self.price
     }
-
-    /// Decomposes the deal into its goods and price.
-    pub fn into_parts(self) -> (Goods, Money) {
-        (self.goods, self.price)
-    }
 }
 
 #[cfg(test)]
@@ -188,13 +183,5 @@ mod tests {
         let d = Deal::with_split_surplus(goods()).unwrap();
         assert_eq!(d.price(), Money::from_units(9));
         assert_eq!(d.supplier_profit(), d.consumer_surplus());
-    }
-
-    #[test]
-    fn into_parts_roundtrip() {
-        let d = Deal::new(goods(), Money::from_units(7)).unwrap();
-        let (g, p) = d.into_parts();
-        assert_eq!(p, Money::from_units(7));
-        assert_eq!(g.len(), 3);
     }
 }

@@ -223,37 +223,6 @@ impl Goods {
     pub fn total_surplus(&self) -> Money {
         self.total_value - self.total_cost
     }
-
-    /// Sum of supplier costs over a subset given as a delivered-flags
-    /// slice aligned with item ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delivered.len() != self.len()`.
-    pub fn cost_of_delivered(&self, delivered: &[bool]) -> Money {
-        assert_eq!(delivered.len(), self.len());
-        self.items
-            .iter()
-            .zip(delivered)
-            .filter(|(_, d)| **d)
-            .map(|(i, _)| i.supplier_cost)
-            .sum()
-    }
-
-    /// Sum of consumer values over a subset given as delivered flags.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delivered.len() != self.len()`.
-    pub fn value_of_delivered(&self, delivered: &[bool]) -> Money {
-        assert_eq!(delivered.len(), self.len());
-        self.items
-            .iter()
-            .zip(delivered)
-            .filter(|(_, d)| **d)
-            .map(|(i, _)| i.consumer_value)
-            .sum()
-    }
 }
 
 impl<'a> IntoIterator for &'a Goods {
@@ -321,24 +290,6 @@ mod tests {
         assert_eq!(third.surplus(), Money::ZERO);
         let g2 = Goods::from_f64_pairs(&[(5.0, 1.0)]).unwrap();
         assert_eq!(g2.get(0).unwrap().surplus(), Money::from_units(-4));
-    }
-
-    #[test]
-    fn subset_sums() {
-        let g = goods_abc();
-        let delivered = vec![true, false, true];
-        assert_eq!(g.cost_of_delivered(&delivered), Money::from_units(5));
-        assert_eq!(g.value_of_delivered(&delivered), Money::from_units(8));
-        let none = vec![false, false, false];
-        assert_eq!(g.cost_of_delivered(&none), Money::ZERO);
-        let all = vec![true, true, true];
-        assert_eq!(g.value_of_delivered(&all), g.total_consumer_value());
-    }
-
-    #[test]
-    #[should_panic]
-    fn subset_len_mismatch_panics() {
-        goods_abc().cost_of_delivered(&[true]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::goods::{Goods, GoodsError, Item, ItemId};
     pub use crate::money::Money;
     pub use crate::policy::PaymentPolicy;
-    pub use crate::safety::{SafetyCheck, SafetyMargins, SafetyWindow};
+    pub use crate::safety::{SafetyCheck, SafetyMargins};
     pub use crate::scheduler::{feasible, min_required_margin, schedule, ScheduleError};
     pub use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence, VerifyError};
     pub use crate::state::{ExchangeState, Progress, Role, StateView};

@@ -137,15 +137,6 @@ impl SafetyMargins {
     pub fn total(&self) -> Money {
         self.eps_supplier + self.eps_consumer
     }
-
-    /// The bound tolerated *by* the given role (i.e. capping the *other*
-    /// role's temptation).
-    pub fn tolerated_by(&self, role: Role) -> Money {
-        match role {
-            Role::Supplier => self.eps_supplier,
-            Role::Consumer => self.eps_consumer,
-        }
-    }
 }
 
 impl Default for SafetyMargins {
@@ -157,35 +148,6 @@ impl Default for SafetyMargins {
 impl fmt::Display for SafetyMargins {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ε_s={} ε_c={}", self.eps_supplier, self.eps_consumer)
-    }
-}
-
-/// The admissible window for the outstanding payment `R` at one state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SafetyWindow {
-    /// `Pmin − ε_c`: smallest admissible outstanding payment.
-    pub min_outstanding: Money,
-    /// `Pmax + ε_s`: largest admissible outstanding payment.
-    pub max_outstanding: Money,
-}
-
-impl SafetyWindow {
-    /// Whether the window admits any value.
-    pub fn is_nonempty(&self) -> bool {
-        self.min_outstanding <= self.max_outstanding
-    }
-
-    /// Whether `r` lies in the window.
-    pub fn contains(&self, r: Money) -> bool {
-        self.min_outstanding <= r && r <= self.max_outstanding
-    }
-}
-
-/// Evaluates the (relaxed) safety window at the state in `view`.
-pub fn window_at(view: &StateView<'_>, margins: SafetyMargins) -> SafetyWindow {
-    SafetyWindow {
-        min_outstanding: view.remaining_cost() - margins.eps_consumer(),
-        max_outstanding: view.remaining_value() + margins.eps_supplier(),
     }
 }
 
@@ -265,8 +227,6 @@ mod tests {
         assert_eq!(m.eps_supplier(), Money::from_units(2));
         assert_eq!(m.eps_consumer(), Money::from_units(1));
         assert_eq!(m.total(), Money::from_units(3));
-        assert_eq!(m.tolerated_by(Role::Supplier), Money::from_units(2));
-        assert_eq!(m.tolerated_by(Role::Consumer), Money::from_units(1));
         assert_eq!(format!("{m}"), "ε_s=2.000000 ε_c=1.000000");
         let s = SafetyMargins::symmetric(Money::from_units(4)).unwrap();
         assert_eq!(s.total(), Money::from_units(8));
@@ -277,28 +237,6 @@ mod tests {
         let d = deal();
         let p = Progress::new(&d);
         assert!(check(&p.view(), SafetyMargins::fully_safe()).is_safe());
-    }
-
-    #[test]
-    fn window_at_initial_state() {
-        let d = deal();
-        let p = Progress::new(&d);
-        let w = window_at(&p.view(), SafetyMargins::fully_safe());
-        assert_eq!(w.min_outstanding, Money::from_units(6));
-        assert_eq!(w.max_outstanding, Money::from_units(12));
-        assert!(w.is_nonempty());
-        assert!(w.contains(Money::from_units(9)));
-        assert!(!w.contains(Money::from_units(5)));
-    }
-
-    #[test]
-    fn window_shrinks_with_margins_growth() {
-        let d = deal();
-        let p = Progress::new(&d);
-        let relaxed = SafetyMargins::symmetric(Money::from_units(2)).unwrap();
-        let w = window_at(&p.view(), relaxed);
-        assert_eq!(w.min_outstanding, Money::from_units(4));
-        assert_eq!(w.max_outstanding, Money::from_units(14));
     }
 
     #[test]
@@ -340,6 +278,8 @@ mod tests {
         assert!(check(&p.view(), wide).is_safe());
     }
 
+    /// `check` agrees with the module's window inequality
+    /// `Vs(G) − Vs(D) − ε_c ≤ R ≤ Vc(G) − Vc(D) + ε_s`.
     #[test]
     fn check_matches_window_membership() {
         let d = deal();
@@ -348,12 +288,10 @@ mod tests {
         let v = p.view();
         for eps in 0..4 {
             let m = SafetyMargins::symmetric(Money::from_units(eps)).unwrap();
-            let w = window_at(&v, m);
-            assert_eq!(
-                w.contains(v.outstanding()),
-                check(&v, m).is_safe(),
-                "eps={eps}"
-            );
+            let r = v.outstanding();
+            let in_window = v.remaining_cost() - m.eps_consumer() <= r
+                && r <= v.remaining_value() + m.eps_supplier();
+            assert_eq!(in_window, check(&v, m).is_safe(), "eps={eps}");
         }
     }
 

@@ -23,16 +23,6 @@ pub enum Action {
     Pay(Money),
 }
 
-impl Action {
-    /// The role that performs this action.
-    pub fn actor(&self) -> Role {
-        match self {
-            Action::Deliver(_) => Role::Supplier,
-            Action::Pay(_) => Role::Consumer,
-        }
-    }
-}
-
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -85,14 +75,6 @@ impl ExchangeSequence {
             .count()
     }
 
-    /// Number of payment actions.
-    pub fn payment_count(&self) -> usize {
-        self.actions
-            .iter()
-            .filter(|a| matches!(a, Action::Pay(_)))
-            .count()
-    }
-
     /// Sum of all payments in the sequence.
     pub fn total_paid(&self) -> Money {
         self.actions
@@ -102,17 +84,6 @@ impl ExchangeSequence {
                 Action::Deliver(_) => None,
             })
             .sum()
-    }
-
-    /// The delivery order as a list of item ids.
-    pub fn delivery_order(&self) -> Vec<ItemId> {
-        self.actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Deliver(id) => Some(*id),
-                Action::Pay(_) => None,
-            })
-            .collect()
     }
 }
 
@@ -359,11 +330,8 @@ mod tests {
         assert_eq!(seq.len(), 2);
         assert!(!seq.is_empty());
         assert_eq!(seq.delivery_count(), 1);
-        assert_eq!(seq.payment_count(), 1);
         assert_eq!(seq.total_paid(), Money::from_units(3));
-        assert_eq!(seq.delivery_order(), vec![id]);
-        assert_eq!(seq.actions()[1].actor(), Role::Supplier);
-        assert_eq!(Action::Pay(Money::from_units(3)).actor(), Role::Consumer);
+        assert_eq!(seq.actions()[1], Action::Deliver(id));
         let collected: ExchangeSequence = seq.actions().iter().copied().collect();
         assert_eq!(collected, seq);
         assert_eq!((&seq).into_iter().count(), 2);

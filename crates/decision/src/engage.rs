@@ -34,13 +34,6 @@ pub enum Engagement {
     },
 }
 
-impl Engagement {
-    /// Whether the decision is to engage.
-    pub fn is_engage(self) -> bool {
-        matches!(self, Engagement::Engage { .. })
-    }
-}
-
 /// Parameters of the engagement rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngagementRule {
@@ -71,13 +64,13 @@ impl Default for EngagementRule {
 ///
 /// ```
 /// use trustex_core::money::Money;
-/// use trustex_decision::engage::{decide, EngagementRule};
+/// use trustex_decision::engage::{decide, Engagement, EngagementRule};
 /// use trustex_trust::model::TrustEstimate;
 ///
 /// let rule = EngagementRule::default();
 /// let trusted = TrustEstimate::new(0.95, 1.0);
 /// let d = decide(trusted, Money::from_units(10), Money::from_units(5), rule);
-/// assert!(d.is_engage());
+/// assert!(matches!(d, Engagement::Engage { .. }));
 /// ```
 pub fn decide(
     opponent: TrustEstimate,
@@ -155,7 +148,6 @@ mod tests {
                 reason: DeclineReason::ExpectedGainTooLow
             }
         );
-        assert!(!d.is_engage());
     }
 
     #[test]
@@ -167,7 +159,10 @@ mod tests {
             Money::ZERO,
             EngagementRule::default(),
         );
-        assert!(d.is_engage(), "boundary is inclusive");
+        assert!(
+            matches!(d, Engagement::Engage { .. }),
+            "boundary is inclusive"
+        );
     }
 
     #[test]
@@ -183,6 +178,6 @@ mod tests {
             rule,
         );
         // expected = 4.5 < 5.
-        assert!(!d.is_engage());
+        assert!(matches!(d, Engagement::Decline { .. }));
     }
 }

@@ -184,7 +184,6 @@ pub fn e14_chaos(scale: Scale) -> Table {
     let results = parallel_map(0, arms.clone(), |_, (loss, kind, retry)| {
         let fault = FaultConfig {
             loss,
-            duplicate: 0.0,
             extra_delay_max_us: 1_000,
             partition: partition(kind, heal_at),
         };

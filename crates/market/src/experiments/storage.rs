@@ -190,7 +190,6 @@ fn join_leave_arm(base: &PGrid, queries: usize, seed: u64) -> GridArm {
             max_admissions_per_tick: per_tick,
             stale_after: 2,
             max_evictions_per_tick: per_tick,
-            ..LifecycleConfig::default()
         },
         n,
     );

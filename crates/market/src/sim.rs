@@ -81,7 +81,7 @@ const RETX_QUEUE_CAP: usize = 65_536;
 /// The plane is seeded from the market seed and built from the two
 /// fault knobs gossip honours, loss and partitions. Gossip reads only a
 /// fate's kind (delivered, lost or blocked), so the plane injects no
-/// wire duplicates and no extra delay.
+/// extra delay.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChaosConfig {
     /// Independent per-wire-attempt loss probability in `[0, 1]`.
@@ -97,7 +97,7 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// The gossip plane's configuration: this config's loss and
-    /// partition, no duplicates, no extra delay.
+    /// partition, no extra delay.
     fn plane(&self) -> FaultConfig {
         FaultConfig {
             loss: self.loss,

@@ -25,13 +25,6 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// A model in which every node is permanently up.
-    pub const ALWAYS_UP: ChurnModel = ChurnModel {
-        mean_up: f64::INFINITY,
-        mean_down: 1.0,
-        initial_up_prob: 1.0,
-    };
-
     /// Creates a churn model with the stationary initial-state probability.
     ///
     /// # Panics
@@ -50,15 +43,6 @@ impl ChurnModel {
             initial_up_prob: p,
         }
     }
-
-    /// Expected long-run fraction of time a node is available.
-    pub fn availability(&self) -> f64 {
-        if self.mean_up.is_infinite() {
-            1.0
-        } else {
-            self.mean_up / (self.mean_up + self.mean_down)
-        }
-    }
 }
 
 /// A materialised availability timeline for a set of nodes.
@@ -73,21 +57,25 @@ impl ChurnModel {
 /// use trustex_netsim::rng::SimRng;
 /// use trustex_netsim::time::SimTime;
 ///
-/// let mut rng = SimRng::new(3);
-/// let tl = ChurnTimeline::generate(8, SimTime::from_secs(100), ChurnModel::ALWAYS_UP, &mut rng);
-/// assert!(tl.is_up(0, SimTime::from_secs(50)));
-/// assert_eq!(tl.up_nodes(SimTime::from_secs(50)).len(), 8);
+/// // Up for 30 s, then down for 10 s, on average: 75 % availability.
+/// let model = ChurnModel::new(30.0, 10.0);
+/// let horizon = SimTime::from_secs(100);
+/// let a = ChurnTimeline::generate(8, horizon, model, &mut SimRng::new(3));
+/// let b = ChurnTimeline::generate(8, horizon, model, &mut SimRng::new(3));
+/// // The same seed materialises the same timeline.
+/// let t = SimTime::from_secs(50);
+/// assert!((0..a.len()).all(|i| a.is_up(i, t) == b.is_up(i, t)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChurnTimeline {
     initial_up: Vec<bool>,
     // Flip instants per node, strictly increasing.
     flips: Vec<Vec<SimTime>>,
-    horizon: SimTime,
 }
 
 impl ChurnTimeline {
-    /// Generates a deterministic timeline for `n` nodes over `[0, horizon]`.
+    /// Generates a deterministic timeline for `n` nodes over `[0, horizon]`;
+    /// queries beyond `horizon` extrapolate each node's last state.
     pub fn generate(n: usize, horizon: SimTime, model: ChurnModel, rng: &mut SimRng) -> Self {
         let mut initial_up = Vec::with_capacity(n);
         let mut flips = Vec::with_capacity(n);
@@ -122,11 +110,7 @@ impl ChurnTimeline {
             }
             flips.push(node_flips);
         }
-        ChurnTimeline {
-            initial_up,
-            flips,
-            horizon,
-        }
+        ChurnTimeline { initial_up, flips }
     }
 
     /// Number of nodes covered by the timeline.
@@ -139,11 +123,6 @@ impl ChurnTimeline {
         self.initial_up.is_empty()
     }
 
-    /// The generation horizon; queries beyond it extrapolate the last state.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Whether `node` is up at time `t`.
     ///
     /// # Panics
@@ -154,39 +133,28 @@ impl ChurnTimeline {
         // Each flip toggles the state; even count = initial state.
         self.initial_up[node] ^ (n_flips % 2 == 1)
     }
-
-    /// Indices of all nodes that are up at time `t`.
-    pub fn up_nodes(&self, t: SimTime) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.is_up(i, t)).collect()
-    }
-
-    /// Fraction of nodes up at time `t` (0 when there are no nodes).
-    pub fn availability_at(&self, t: SimTime) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.up_nodes(t).len() as f64 / self.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Indices of all nodes up at time `t`.
+    fn up_nodes(tl: &ChurnTimeline, t: SimTime) -> Vec<usize> {
+        (0..tl.len()).filter(|&i| tl.is_up(i, t)).collect()
+    }
+
     #[test]
     fn always_up_never_flips() {
         let mut rng = SimRng::new(1);
-        let tl = ChurnTimeline::generate(
-            10,
-            SimTime::from_secs(1_000),
-            ChurnModel::ALWAYS_UP,
-            &mut rng,
-        );
+        let model = ChurnModel::new(f64::INFINITY, 1.0);
+        assert_eq!(model.initial_up_prob, 1.0);
+        let tl = ChurnTimeline::generate(10, SimTime::from_secs(1_000), model, &mut rng);
         for i in 0..10 {
+            assert!(tl.flips[i].is_empty());
             assert!(tl.is_up(i, SimTime::ZERO));
             assert!(tl.is_up(i, SimTime::from_secs(999)));
         }
-        assert!((tl.availability_at(SimTime::from_secs(500)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -194,7 +162,7 @@ mod tests {
         let mut rng = SimRng::new(2);
         let model = ChurnModel::new(30.0, 10.0); // availability 0.75
         let tl = ChurnTimeline::generate(2_000, SimTime::from_secs(500), model, &mut rng);
-        let a = tl.availability_at(SimTime::from_secs(250));
+        let a = up_nodes(&tl, SimTime::from_secs(250)).len() as f64 / tl.len() as f64;
         assert!((a - 0.75).abs() < 0.05, "availability {a}");
     }
 
@@ -217,7 +185,6 @@ mod tests {
     fn model_constructor_stationary_prob() {
         let m = ChurnModel::new(20.0, 5.0);
         assert!((m.initial_up_prob - 0.8).abs() < 1e-12);
-        assert!((m.availability() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -240,10 +207,8 @@ mod tests {
         let a = mk();
         let b = mk();
         for t in [0u64, 10, 50, 99] {
-            assert_eq!(
-                a.up_nodes(SimTime::from_secs(t)),
-                b.up_nodes(SimTime::from_secs(t))
-            );
+            let t = SimTime::from_secs(t);
+            assert_eq!(up_nodes(&a, t), up_nodes(&b, t));
         }
     }
 
@@ -287,8 +252,14 @@ mod tests {
     #[test]
     fn empty_timeline() {
         let mut rng = SimRng::new(4);
-        let tl = ChurnTimeline::generate(0, SimTime::from_secs(1), ChurnModel::ALWAYS_UP, &mut rng);
+        let tl = ChurnTimeline::generate(
+            0,
+            SimTime::from_secs(1),
+            ChurnModel::new(1.0, 1.0),
+            &mut rng,
+        );
         assert!(tl.is_empty());
-        assert_eq!(tl.availability_at(SimTime::ZERO), 0.0);
+        assert_eq!(tl.len(), 0);
+        assert_eq!(rng, SimRng::new(4), "no node, no draw");
     }
 }

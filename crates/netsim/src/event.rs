@@ -40,8 +40,9 @@ impl<E> Ord for Entry<E> {
 
 /// A discrete-event queue with a monotone virtual clock.
 ///
-/// Popping an event advances [`EventQueue::now`] to the event's timestamp.
-/// Scheduling an event in the past is rejected (see [`EventQueue::push`]).
+/// Popping an event advances the clock to the event's timestamp.
+/// Scheduling an event before the clock is rejected (see
+/// [`EventQueue::push`]).
 ///
 /// # Examples
 ///
@@ -61,8 +62,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -78,14 +77,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            pushed: 0,
-            popped: 0,
         }
-    }
-
-    /// Current virtual time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Number of pending events.
@@ -96,16 +88,6 @@ impl<E> EventQueue<E> {
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total events pushed over the queue's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total events popped over the queue's lifetime.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -122,21 +104,11 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Entry {
             time: at,
             seq,
             payload,
         });
-    }
-
-    /// Schedules `payload` at `delay` after the current clock.
-    pub fn push_after(&mut self, delay: SimTime, payload: E) {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation clock overflow");
-        self.push(at, payload);
     }
 
     /// Timestamp of the next event without removing it.
@@ -149,7 +121,6 @@ impl<E> EventQueue<E> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
-        self.popped += 1;
         Some((entry.time, entry.payload))
     }
 
@@ -185,31 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_on_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(42), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_micros(42));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(10), ());
         q.pop();
         q.push(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    fn push_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(100), "first");
-        q.pop();
-        q.push_after(SimTime::from_micros(50), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_micros(150));
     }
 
     #[test]
@@ -220,11 +172,9 @@ mod tests {
         q.push(SimTime::from_micros(2), ());
         assert_eq!(q.len(), 2);
         q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
+        assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]
@@ -232,8 +182,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(9), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-        assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
+        // The clock is still at zero: an earlier event is accepted.
+        q.push(SimTime::from_micros(1), ());
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1), ())));
     }
 
     /// Fault-plane reorder determinism: messages delayed by the plane's
@@ -256,7 +208,7 @@ mod tests {
         let arrivals: Vec<(SimTime, u64)> = (0..64u64)
             .map(|seq| {
                 let extra = match plane.decide(0, 1, seq, SimTime::ZERO) {
-                    FaultFate::Deliver { extra_delay, .. } => extra_delay,
+                    FaultFate::Deliver { extra_delay } => extra_delay,
                     other => panic!("unexpected fate {other:?}"),
                 };
                 (SimTime::from_micros(seq * 1_000) + extra, seq)

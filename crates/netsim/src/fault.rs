@@ -1,5 +1,5 @@
-//! Deterministic message-level fault plane: loss, duplication, delay
-//! jitter and partition episodes.
+//! Deterministic message-level fault plane: loss, delay jitter and
+//! partition episodes.
 //!
 //! A [`FaultPlane`] decides the fate of every message on a link purely
 //! from `(seed, src, dst, msg_seq)` — no draw from any shared RNG
@@ -20,7 +20,6 @@ use crate::backoff::splitmix64;
 use crate::time::SimTime;
 
 const SALT_LOSS: u64 = 0x4C4F_5353_4C4F_5353; // "LOSSLOSS"
-const SALT_DUP: u64 = 0x4455_5044_5550_4455; // "DUPDUPDU"
 const SALT_DELAY: u64 = 0x4445_4C41_5944_4C59; // "DELAYDLY"
 const SALT_GROUP: u64 = 0x4752_4F55_5047_5250; // "GROUPGRP"
 
@@ -58,13 +57,11 @@ impl PartitionSpec {
 }
 
 /// Knobs of a [`FaultPlane`]. The default is the zero plane: no loss,
-/// no duplication, no extra delay, no partition.
+/// no extra delay, no partition.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Independent per-message loss probability in `[0, 1]`.
     pub loss: f64,
-    /// Independent probability that a delivered message arrives twice.
-    pub duplicate: f64,
     /// Maximum extra delay jitter in microseconds; each delivered
     /// message gains a hash-uniform extra delay in `[0, max]`.
     pub extra_delay_max_us: u64,
@@ -75,22 +72,15 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// Whether this is the zero plane (injects nothing).
     pub fn is_zero(&self) -> bool {
-        self.loss <= 0.0
-            && self.duplicate <= 0.0
-            && self.extra_delay_max_us == 0
-            && self.partition == PartitionSpec::None
+        self.loss <= 0.0 && self.extra_delay_max_us == 0 && self.partition == PartitionSpec::None
     }
 
-    /// The configuration's rules: `loss` and `duplicate` are
-    /// probabilities in `[0, 1]`. Returns the first rule violated (NaN
-    /// violates both). Every `extra_delay_max_us` and every partition
+    /// The configuration's rule: `loss` is a probability in `[0, 1]`
+    /// (NaN violates it). Every `extra_delay_max_us` and every partition
     /// is valid.
     pub fn validate(&self) -> Result<(), &'static str> {
         if !(0.0..=1.0).contains(&self.loss) {
             return Err("fault loss must be in [0, 1]");
-        }
-        if !(0.0..=1.0).contains(&self.duplicate) {
-            return Err("fault duplicate must be in [0, 1]");
         }
         Ok(())
     }
@@ -99,12 +89,10 @@ impl FaultConfig {
 /// The fate of one message, decided by [`FaultPlane::decide`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultFate {
-    /// The message arrives (possibly late, possibly more than once).
+    /// The message arrives, possibly late.
     Deliver {
         /// Extra delay injected on top of the link's base latency.
         extra_delay: SimTime,
-        /// Extra copies delivered beyond the first (0 = exactly once).
-        duplicates: u32,
     },
     /// The message is silently lost.
     Lost,
@@ -113,13 +101,7 @@ pub enum FaultFate {
 }
 
 impl FaultFate {
-    /// The exactly-once clean delivery.
-    pub const CLEAN: FaultFate = FaultFate::Deliver {
-        extra_delay: SimTime::ZERO,
-        duplicates: 0,
-    };
-
-    /// Whether at least one copy arrives.
+    /// Whether the message arrives.
     pub fn is_delivered(&self) -> bool {
         matches!(self, FaultFate::Deliver { .. })
     }
@@ -158,7 +140,7 @@ impl FaultPlane {
         FaultPlane { seed, cfg }
     }
 
-    /// The zero plane: delivers everything exactly once, on time.
+    /// The zero plane: delivers everything, on time.
     pub fn transparent(seed: u64) -> FaultPlane {
         FaultPlane::new(seed, FaultConfig::default())
     }
@@ -166,11 +148,6 @@ impl FaultPlane {
     /// The active configuration.
     pub fn config(&self) -> FaultConfig {
         self.cfg
-    }
-
-    /// The plane seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     fn mix(&self, salt: u64, src: u32, dst: u32, seq: u64) -> u64 {
@@ -219,13 +196,6 @@ impl FaultPlane {
         if self.cfg.loss > 0.0 && Self::unit(self.mix(SALT_LOSS, src, dst, seq)) < self.cfg.loss {
             return FaultFate::Lost;
         }
-        let duplicates = if self.cfg.duplicate > 0.0
-            && Self::unit(self.mix(SALT_DUP, src, dst, seq)) < self.cfg.duplicate
-        {
-            1
-        } else {
-            0
-        };
         let extra_delay = if self.cfg.extra_delay_max_us > 0 {
             let h = self.mix(SALT_DELAY, src, dst, seq);
             // `[0, u64::MAX]` is every hash word: no modulus to take.
@@ -236,10 +206,7 @@ impl FaultPlane {
         } else {
             SimTime::ZERO
         };
-        FaultFate::Deliver {
-            extra_delay,
-            duplicates,
-        }
+        FaultFate::Deliver { extra_delay }
     }
 }
 
@@ -262,7 +229,12 @@ mod tests {
         let plane = FaultPlane::transparent(99);
         assert!(plane.config().is_zero());
         for seq in 0..500 {
-            assert_eq!(plane.decide(3, 8, seq, SimTime::ZERO), FaultFate::CLEAN);
+            assert_eq!(
+                plane.decide(3, 8, seq, SimTime::ZERO),
+                FaultFate::Deliver {
+                    extra_delay: SimTime::ZERO
+                }
+            );
         }
     }
 
@@ -272,7 +244,6 @@ mod tests {
             1,
             FaultConfig {
                 loss: 0.3,
-                duplicate: 0.2,
                 extra_delay_max_us: 500,
                 partition: PartitionSpec::Bisect {
                     heal_at: SimTime::from_millis(10),
@@ -302,25 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_rate_tracks_probability() {
-        let plane = FaultPlane::new(
-            2,
-            FaultConfig {
-                duplicate: 0.5,
-                ..FaultConfig::default()
-            },
-        );
-        let dups: u32 = (0..2000)
-            .map(|seq| match plane.decide(0, 1, seq, SimTime::ZERO) {
-                FaultFate::Deliver { duplicates, .. } => duplicates,
-                _ => 0,
-            })
-            .sum();
-        let frac = f64::from(dups) / 2000.0;
-        assert!((frac - 0.5).abs() < 0.04, "dup fraction {frac}");
-    }
-
-    #[test]
     fn extra_delay_is_bounded() {
         let plane = FaultPlane::new(
             3,
@@ -332,7 +284,7 @@ mod tests {
         let mut max_seen = 0;
         for seq in 0..2000 {
             match plane.decide(5, 6, seq, SimTime::ZERO) {
-                FaultFate::Deliver { extra_delay, .. } => {
+                FaultFate::Deliver { extra_delay } => {
                     assert!(extra_delay.as_micros() <= 250);
                     max_seen = max_seen.max(extra_delay.as_micros());
                 }
@@ -355,7 +307,7 @@ mod tests {
         );
         let delays: Vec<_> = (0..64)
             .map(|seq| match plane.decide(5, 6, seq, SimTime::ZERO) {
-                FaultFate::Deliver { extra_delay, .. } => extra_delay,
+                FaultFate::Deliver { extra_delay } => extra_delay,
                 other => panic!("unexpected fate {other:?}"),
             })
             .collect();
@@ -370,7 +322,6 @@ mod tests {
         for p in [0.0, 0.5, 1.0] {
             let cfg = FaultConfig {
                 loss: p,
-                duplicate: p,
                 extra_delay_max_us: u64::MAX,
                 partition: PartitionSpec::Islands {
                     islands: 0,
@@ -400,21 +351,6 @@ mod tests {
     #[should_panic(expected = "fault loss must be in [0, 1]")]
     fn invalid_loss_panics() {
         lossy(f64::NAN);
-    }
-
-    #[test]
-    fn validate_rejects_duplicate_outside_the_unit_interval() {
-        for duplicate in [-0.5, 1.0 + f64::EPSILON, f64::NAN] {
-            let cfg = FaultConfig {
-                duplicate,
-                ..FaultConfig::default()
-            };
-            assert_eq!(
-                cfg.validate(),
-                Err("fault duplicate must be in [0, 1]"),
-                "{duplicate}"
-            );
-        }
     }
 
     #[test]

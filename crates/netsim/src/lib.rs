@@ -10,12 +10,12 @@
 //!   stable discrete-event queue (ties broken by insertion order).
 //! * [`net`] — message latency/drop models with per-kind accounting, used
 //!   by the P-Grid reputation storage to count routing messages.
-//! * [`fault`] — a seeded per-link fault plane (loss, duplication, delay
-//!   jitter, partition episodes) whose every decision is a pure function
-//!   of `(seed, src, dst, msg_seq)`, so chaos runs replay bit-for-bit.
-//! * [`backoff`] — shared saturating exponential-backoff arithmetic and
-//!   the deterministic-jitter [`backoff::RetryPolicy`] used by both the
-//!   lifecycle rejoin scheduler and fault-plane retries.
+//! * [`fault`] — a seeded per-link fault plane (loss, delay jitter,
+//!   partition episodes) whose every decision is a pure function of
+//!   `(seed, src, dst, msg_seq)`, so chaos runs replay bit-for-bit.
+//! * [`backoff`] — shared saturating exponential-backoff arithmetic,
+//!   which paces both the lifecycle's rejoin scheduler and the
+//!   deterministic-jitter [`backoff::RetryPolicy`] of fault-plane retries.
 //! * [`churn`] — node availability timelines (alternating exponential
 //!   up/down periods), used for the churn experiments.
 //! * [`stats`] — exact-quantile samples shared by the experiment
@@ -42,7 +42,7 @@
 //! queue.push(SimTime::from_millis(5), "world");
 //! queue.push(SimTime::from_millis(1), "hello");
 //! let (t, what) = queue.pop().unwrap();
-//! assert_eq!((t.as_millis(), what), (1, "hello"));
+//! assert_eq!((t, what), (SimTime::from_millis(1), "hello"));
 //! assert!(rng.chance(1.0));
 //! ```
 

@@ -1,5 +1,8 @@
 //! Message-level network model: link latency, fault-plane fates and
-//! per-kind message accounting.
+//! per-kind message accounting. Every send counts once as sent of its
+//! kind, and once as dropped when the fault plane loses or blocks it; a
+//! delivered message arrives once, after its latency sample plus any
+//! injected extra delay.
 //!
 //! The P-Grid reputation storage (crate `trustex-reputation`) routes
 //! queries through this model so that the experiment suite can report the
@@ -160,16 +163,6 @@ impl Network {
         }
     }
 
-    /// The installed fault plane.
-    pub fn fault_plane(&self) -> &FaultPlane {
-        &self.plane
-    }
-
-    /// Messages assigned a fault-plane sequence number so far.
-    pub fn link_messages(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Attempts to send a message of `kind` on the link `src → dst` at
     /// virtual time `at`, returning its fate.
     ///
@@ -180,8 +173,6 @@ impl Network {
     /// message after its latency sample:
     ///
     /// * `Lost`/`Blocked` count as a drop of `kind`;
-    /// * injected duplicates count as extra sent messages of `kind`
-    ///   (they are real copies on the wire);
     /// * injected extra delay is added to the sampled base latency.
     pub fn send_link(
         &mut self,
@@ -201,13 +192,7 @@ impl Network {
                 self.dropped[k] += 1;
                 Delivery::Dropped
             }
-            FaultFate::Deliver {
-                extra_delay,
-                duplicates,
-            } => {
-                self.sent[k] += u64::from(duplicates);
-                Delivery::Delivered(base + extra_delay)
-            }
+            FaultFate::Deliver { extra_delay } => Delivery::Delivered(base + extra_delay),
         }
     }
 
@@ -344,8 +329,6 @@ mod tests {
         assert_eq!(rng.next_u64(), replay.next_u64(), "RNG streams diverged");
         assert_eq!(net.sent("route"), 500);
         assert_eq!(net.dropped("route"), 0);
-        assert_eq!(net.link_messages(), 500);
-        assert_eq!(*net.fault_plane(), FaultPlane::transparent(0));
     }
 
     /// A transparent plane under any seed draws no RNG and changes no
@@ -380,7 +363,6 @@ mod tests {
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
         assert_eq!(plain.sent("route"), chaos.sent("route"));
         assert_eq!(plain.dropped("route"), chaos.dropped("route"));
-        assert_eq!(plain.link_messages(), chaos.link_messages());
     }
 
     /// Satellite check: with a faulty plane installed, the per-kind
@@ -394,7 +376,6 @@ mod tests {
             0xACC7,
             FaultConfig {
                 loss: 0.3,
-                duplicate: 0.25,
                 extra_delay_max_us: 400,
                 ..FaultConfig::default()
             },
@@ -420,11 +401,8 @@ mod tests {
                     expected_sent[k] += 1;
                     expected_dropped[k] += 1;
                 }
-                FaultFate::Deliver {
-                    extra_delay,
-                    duplicates,
-                } => {
-                    expected_sent[k] += 1 + u64::from(duplicates);
+                FaultFate::Deliver { extra_delay } => {
+                    expected_sent[k] += 1;
                     let got = net.send_link(kinds[k], src, dst, SimTime::ZERO, &mut rng);
                     assert_eq!(
                         got,
@@ -438,7 +416,6 @@ mod tests {
                 Delivery::Dropped
             );
         }
-        assert_eq!(net.link_messages(), 2000);
         for (k, kind) in kinds.map(MsgKind::name).iter().enumerate() {
             assert_eq!(net.sent(kind), expected_sent[k], "sent[{kind}]");
             assert_eq!(net.dropped(kind), expected_dropped[k], "dropped[{kind}]");

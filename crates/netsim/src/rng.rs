@@ -10,19 +10,10 @@
 //! harness uses to give every peer, every round and every experiment arm
 //! an independent but fully determined random stream.
 
-use std::collections::HashMap;
+use crate::backoff::splitmix64;
 use std::fmt;
 
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN_GAMMA);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic xoshiro256\*\* random number generator.
 ///
@@ -56,15 +47,11 @@ impl SimRng {
     /// Creates a generator from a 64-bit seed.
     ///
     /// The seed is expanded through SplitMix64 so that similar seeds
-    /// (e.g. `0` and `1`) still yield unrelated streams.
+    /// (e.g. `0` and `1`) still yield unrelated streams: state word `i`
+    /// is the SplitMix64 output at `seed + i·γ`.
     pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s =
+            [0u64, 1, 2, 3].map(|i| splitmix64(seed.wrapping_add(i.wrapping_mul(GOLDEN_GAMMA))));
         SimRng { s }
     }
 
@@ -244,25 +231,24 @@ impl SimRng {
     /// [`SimRng::sample_indices`] without the output `Vec`: calls `emit`
     /// with each sampled index, in sample order.
     ///
-    /// Dense requests (`k ≳ n/4`) materialise the `0..n` array and swap
-    /// in place. Sparse requests (the common `k ≪ n` gossip/witness case
-    /// at 10⁴–10⁵ peer scale) simulate the same swaps by remembering only
-    /// the displaced positions, in `O(k)` memory: a fixed stack array for
-    /// `k ≤ 16`, which allocates nothing, and a hash map above that. All
-    /// paths consume the identical RNG stream and yield the identical
-    /// sample.
+    /// Sparse requests (`k ≤ 16` and `k < n/4`: the market's gossip
+    /// and witness draws at 10⁴–10⁵ peer scale) simulate the swaps by
+    /// remembering only the displaced positions in a fixed stack array,
+    /// which allocates nothing. Every other request materialises the
+    /// `0..n` array and swaps in place. Both paths consume the identical
+    /// RNG stream and yield the identical sample.
     pub fn sample_indices_with(&mut self, n: usize, k: usize, mut emit: impl FnMut(usize)) {
         /// Largest `k` whose displaced positions live on the stack.
         const STACK_K: usize = 16;
         let k = k.min(n);
-        if k.saturating_mul(4) >= n {
+        if k > STACK_K || k.saturating_mul(4) >= n {
             let mut idx: Vec<usize> = (0..n).collect();
             for i in 0..k {
                 let j = i + self.index(n - i);
                 idx.swap(i, j);
                 emit(idx[i]);
             }
-        } else if k <= STACK_K {
+        } else {
             // Sparse: a displaced position `p` holds the value a full
             // array would have at `p` after the swaps so far. Positions
             // `< i` are never drawn again, so only displaced positions
@@ -282,16 +268,6 @@ impl SimRng {
                 let value_at_i = value_at(&displaced[..i], i);
                 emit(value_at_j);
                 displaced[i] = (j, value_at_i);
-            }
-        } else {
-            // The same sparse swaps, remembered in a map.
-            let mut displaced: HashMap<usize, usize> = HashMap::new();
-            for i in 0..k {
-                let j = i + self.index(n - i);
-                let value_at_j = displaced.get(&j).copied().unwrap_or(j);
-                let value_at_i = displaced.get(&i).copied().unwrap_or(i);
-                emit(value_at_j);
-                displaced.insert(j, value_at_i);
             }
         }
     }
@@ -565,9 +541,10 @@ mod tests {
         idx
     }
 
-    /// The sparse (hash-map) path must return exactly what the dense
-    /// full-array swap would, consuming the identical stream — so the
-    /// k ≪ n fast path cannot silently change pinned experiment streams.
+    /// `sample_indices` must return exactly what the full-array swap
+    /// would, consuming the identical stream — so the k ≪ n stack path
+    /// cannot silently change pinned experiment streams. Cases with
+    /// k > 16 take the dense path and must agree as well.
     #[test]
     fn sample_indices_sparse_matches_dense_reference() {
         for (n, k) in [
@@ -577,7 +554,8 @@ mod tests {
             (50_000, 40),
             (17, 4),
             (64, 15),
-            // The stack/map boundary, each at the smallest sparse n.
+            // The stack/dense boundary, each at the smallest n that
+            // would otherwise be sparse.
             (1000, 16),
             (1000, 17),
             (65, 16),

@@ -52,11 +52,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the time in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the time in seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -128,11 +123,11 @@ mod tests {
     fn arithmetic() {
         let a = SimTime::from_millis(5);
         let b = SimTime::from_millis(3);
-        assert_eq!((a + b).as_millis(), 8);
-        assert_eq!((a - b).as_millis(), 2);
+        assert_eq!(a + b, SimTime::from_millis(8));
+        assert_eq!(a - b, SimTime::from_millis(2));
         let mut c = a;
         c += b;
-        assert_eq!(c.as_millis(), 8);
+        assert_eq!(c, SimTime::from_millis(8));
     }
 
     #[test]

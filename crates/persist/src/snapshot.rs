@@ -153,16 +153,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(SnapshotReader { sections })
     }
 
-    /// Tags present, in container order.
-    pub fn tags(&self) -> impl Iterator<Item = [u8; 4]> + '_ {
-        self.sections.iter().map(|(t, _)| *t)
-    }
-
-    /// Whether a section with this tag is present.
-    pub fn has_section(&self, tag: [u8; 4]) -> bool {
-        self.sections.iter().any(|(t, _)| *t == tag)
-    }
-
     /// The raw payload of a section, or [`PersistError::MissingSection`].
     pub fn raw_section(&self, tag: [u8; 4]) -> Result<&'a [u8], PersistError> {
         self.sections
@@ -243,11 +233,9 @@ mod tests {
         w.raw_section(*b"TWO\0", pw.into_bytes());
         let blob = w.into_bytes();
         let r = SnapshotReader::parse(&blob, *b"TEST").unwrap();
-        assert_eq!(r.tags().count(), 2);
         // Decode in reverse container order — sections are addressable.
         assert_eq!(r.decode_tag::<Pair>(*b"TWO\0").unwrap(), sample());
         assert_eq!(r.decode_tag::<Pair>(*b"ONE\0").unwrap(), sample());
-        assert!(!r.has_section(*b"NOPE"));
         assert_eq!(
             r.decode_tag::<Pair>(*b"NOPE"),
             Err(PersistError::MissingSection { section: *b"NOPE" })

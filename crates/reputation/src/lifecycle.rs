@@ -18,17 +18,19 @@ use crate::pgrid::PGrid;
 use std::collections::VecDeque;
 use trustex_netsim::rng::SimRng;
 
+/// Backoff after a deferred admission attempt, in ticks: the ticket
+/// waits `min(BACKOFF_CAP, BACKOFF_BASE << (attempts - 1))` ticks
+/// before becoming eligible again.
+const BACKOFF_BASE: u64 = 1;
+/// Upper bound on the per-attempt backoff delay, in ticks.
+const BACKOFF_CAP: u64 = 16;
+
 /// Pacing policy for joins and staleness-driven leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleConfig {
-    /// Newcomers admitted per tick at most.
+    /// Newcomers admitted per tick at most. Deferred tickets back off
+    /// exponentially, 1 tick doubling to at most 16.
     pub max_admissions_per_tick: usize,
-    /// Backoff after a deferred admission attempt: the ticket waits
-    /// `min(backoff_cap, backoff_base << (attempts - 1))` ticks before
-    /// becoming eligible again.
-    pub backoff_base: u64,
-    /// Upper bound on the per-attempt backoff delay, in ticks.
-    pub backoff_cap: u64,
     /// A live peer not [`Lifecycle::touch`]ed for more than this many
     /// ticks is evicted. `0` disables stale eviction.
     pub stale_after: u64,
@@ -40,8 +42,6 @@ impl Default for LifecycleConfig {
     fn default() -> Self {
         LifecycleConfig {
             max_admissions_per_tick: 8,
-            backoff_base: 1,
-            backoff_cap: 16,
             stale_after: 0,
             max_evictions_per_tick: 4,
         }
@@ -49,13 +49,13 @@ impl Default for LifecycleConfig {
 }
 
 /// The delay before a ticket's next admission attempt: exponential in
-/// the attempt count, saturating into `backoff_cap` rather than
+/// the attempt count, saturating into `BACKOFF_CAP` rather than
 /// wrapping, and never less than one tick. The saturation arithmetic
 /// (`2u64 << 63 == 0` would collapse late attempts to the minimum
 /// delay) lives in the shared `trustex_netsim::backoff` helper, which
 /// the fault-plane retry paths reuse.
-fn backoff_delay(cfg: &LifecycleConfig, attempts: u32) -> u64 {
-    trustex_netsim::backoff::backoff_delay(cfg.backoff_base, cfg.backoff_cap, attempts)
+fn backoff_delay(attempts: u32) -> u64 {
+    trustex_netsim::backoff::backoff_delay(BACKOFF_BASE, BACKOFF_CAP, attempts)
 }
 
 /// A queued join request.
@@ -82,6 +82,10 @@ pub struct TickReport {
 }
 
 /// The admission/eviction state machine over a [`PGrid`].
+///
+/// It tracks the grid's dense peer indices and does not follow a
+/// [`PGrid::compact`] renumbering, so a grid must not be compacted
+/// while a `Lifecycle` runs over it.
 #[derive(Debug, Clone)]
 pub struct Lifecycle {
     cfg: LifecycleConfig,
@@ -120,11 +124,6 @@ impl Lifecycle {
         id
     }
 
-    /// Join requests waiting for admission.
-    pub fn pending_joins(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The current tick (number of completed [`Lifecycle::step`]s).
     pub fn tick(&self) -> u64 {
         self.tick
@@ -137,51 +136,6 @@ impl Lifecycle {
     /// Panics if `peer` is not an index this lifecycle has seen.
     pub fn touch(&mut self, peer: usize) {
         self.last_seen[peer] = self.tick;
-    }
-
-    /// Follows a [`PGrid::compact`] renumbering: `mapping` is compact's
-    /// return value. Departed peers' activity clocks are dropped and the
-    /// survivors' slide down to their new dense indices, so `touch` and
-    /// stale eviction keep working against the compacted grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mapping` does not cover exactly the peers this
-    /// lifecycle tracks.
-    pub fn compacted(&mut self, mapping: &[Option<u32>]) {
-        assert_eq!(
-            mapping.len(),
-            self.last_seen.len(),
-            "mapping does not match the tracked population"
-        );
-        let mut write = 0usize;
-        for (old, slot) in mapping.iter().enumerate() {
-            if let Some(new) = *slot {
-                debug_assert_eq!(new as usize, write, "compaction preserves order");
-                self.last_seen[write] = self.last_seen[old];
-                write += 1;
-            }
-        }
-        self.last_seen.truncate(write);
-    }
-
-    /// Identity churn: `peer` leaves the overlay and immediately files
-    /// a fresh join request, whose ticket id is returned. The departed
-    /// index keeps its (dead) dense slot until the next
-    /// [`PGrid::compact`]; the rejoining identity is admitted by a
-    /// later [`Lifecycle::step`] like any other newcomer — paced,
-    /// backed off, and with a cold staleness clock. This is the
-    /// overlay-side counterpart of the market's whitewash sweep: the
-    /// community forgets the peer because, structurally, a *different*
-    /// peer comes back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is not live.
-    pub fn whitewash(&mut self, grid: &mut PGrid, peer: usize) -> u64 {
-        assert!(grid.is_live(peer), "whitewashing a dead peer");
-        grid.leave(peer);
-        self.request_join()
     }
 
     /// Runs one tick: admits eligible tickets up to the budget (backing
@@ -210,7 +164,7 @@ impl Lifecycle {
                 report.admitted.push(idx);
             } else {
                 ticket.attempts += 1;
-                let delay = backoff_delay(&self.cfg, ticket.attempts);
+                let delay = backoff_delay(ticket.attempts);
                 ticket.ready_at = self.tick.saturating_add(delay);
                 report.deferred += 1;
                 self.pending.push_back(ticket);
@@ -264,7 +218,6 @@ mod tests {
         let r1 = lc.step(&mut g, &mut rng);
         assert_eq!(r1.admitted.len(), 3);
         assert_eq!(r1.deferred, 7);
-        assert_eq!(lc.pending_joins(), 7);
         // Deferred tickets backed off by one tick: round 2 admits the
         // next three.
         let r2 = lc.step(&mut g, &mut rng);
@@ -275,7 +228,6 @@ mod tests {
             total += lc.step(&mut g, &mut rng).admitted.len();
         }
         assert_eq!(total, 10);
-        assert_eq!(lc.pending_joins(), 0);
         assert_eq!(g.live_len(), 42);
         g.check_invariants();
     }
@@ -285,16 +237,14 @@ mod tests {
         let (mut g, mut rng) = grid(8, 2);
         let cfg = LifecycleConfig {
             max_admissions_per_tick: 0, // everything defers forever
-            backoff_base: 2,
-            backoff_cap: 8,
             ..LifecycleConfig::default()
         };
         let mut lc = Lifecycle::new(cfg, g.len());
         lc.request_join();
-        // attempts=1 → delay 2, attempts=2 → 4, attempts=3 → 8,
-        // attempts=4 → capped at 8.
+        // attempts=1 → delay 1, doubling to 16 at attempts=5,
+        // attempts=6 → capped at 16.
         let mut deferred_at = Vec::new();
-        for _ in 0..40 {
+        for _ in 0..60 {
             let r = lc.step(&mut g, &mut rng);
             if r.deferred > 0 {
                 deferred_at.push(r.tick);
@@ -302,65 +252,42 @@ mod tests {
         }
         assert_eq!(deferred_at[0], 1);
         let gaps: Vec<u64> = deferred_at.windows(2).map(|w| w[1] - w[0]).collect();
-        assert_eq!(&gaps[..4], &[2, 4, 8, 8], "backoff gaps: {gaps:?}");
+        assert_eq!(&gaps[..6], &[1, 2, 4, 8, 16, 16], "backoff gaps: {gaps:?}");
         assert_eq!(g.live_len(), 8, "nothing admitted at zero budget");
     }
 
     #[test]
     fn backoff_saturates_at_the_cap_past_the_shift_width() {
-        let cfg = LifecycleConfig {
-            backoff_base: 2,
-            backoff_cap: 8,
-            ..LifecycleConfig::default()
-        };
-        assert_eq!(backoff_delay(&cfg, 1), 2);
-        assert_eq!(backoff_delay(&cfg, 2), 4);
-        assert_eq!(backoff_delay(&cfg, 3), 8);
-        // `2u64 << 63 == 0`: a plain shift collapses the delay to the
-        // one-tick minimum at attempt 64 and beyond; the saturating
-        // shift must hold the cap instead.
-        for attempts in [4u32, 63, 64, 65, 200, u32::MAX] {
-            assert_eq!(backoff_delay(&cfg, attempts), 8, "attempts={attempts}");
+        assert_eq!(backoff_delay(0), 1, "never less than one tick");
+        for (attempts, delay) in [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16)] {
+            assert_eq!(backoff_delay(attempts), delay, "attempts={attempts}");
         }
-        let wide = LifecycleConfig {
-            backoff_base: u64::MAX,
-            backoff_cap: u64::MAX,
-            ..LifecycleConfig::default()
-        };
-        assert_eq!(backoff_delay(&wide, 2), u64::MAX);
-        // A zero base still waits the minimum one tick.
-        let zero = LifecycleConfig {
-            backoff_base: 0,
-            backoff_cap: 8,
-            ..LifecycleConfig::default()
-        };
-        assert_eq!(backoff_delay(&zero, 5), 1);
+        // `1u64 << 64` is out of range: a plain shift would wrap or
+        // collapse the delay at attempt 65 and beyond; the saturating
+        // shift must hold the cap instead.
+        for attempts in [6u32, 63, 64, 65, 66, 200, u32::MAX] {
+            assert_eq!(backoff_delay(attempts), 16, "attempts={attempts}");
+        }
     }
 
+    /// Identity churn on the overlay: a peer leaves and files a fresh
+    /// join request; the rejoin is admitted under a new dense index
+    /// while the old one stays dead.
     #[test]
     fn whitewash_churns_identity_through_leave_and_rejoin() {
         let (mut g, mut rng) = grid(16, 5);
         let mut lc = Lifecycle::new(LifecycleConfig::default(), g.len());
-        lc.whitewash(&mut g, 3);
+        g.leave(3);
+        lc.request_join();
         assert!(!g.is_live(3), "the old identity is gone");
         assert_eq!(g.live_len(), 15);
-        assert_eq!(lc.pending_joins(), 1);
         let r = lc.step(&mut g, &mut rng);
         assert_eq!(r.admitted.len(), 1);
         let fresh = r.admitted[0];
         assert_ne!(fresh, 3, "rejoin gets a fresh dense identity");
-        assert!(g.is_live(fresh));
+        assert!(g.is_live(fresh) && !g.is_live(3));
         assert_eq!(g.live_len(), 16);
         g.check_invariants();
-    }
-
-    #[test]
-    #[should_panic(expected = "whitewashing a dead peer")]
-    fn whitewashing_a_dead_peer_panics() {
-        let (mut g, _rng) = grid(8, 6);
-        let mut lc = Lifecycle::new(LifecycleConfig::default(), g.len());
-        g.leave(2);
-        lc.whitewash(&mut g, 2);
     }
 
     #[test]
@@ -407,34 +334,6 @@ mod tests {
             lc.step(&mut g, &mut rng);
         }
         assert_eq!(g.live_len(), 2, "floor of two live peers");
-    }
-
-    #[test]
-    fn compacted_remaps_staleness_clocks() {
-        let (mut g, mut rng) = grid(12, 9);
-        let cfg = LifecycleConfig {
-            stale_after: 2,
-            max_evictions_per_tick: 12,
-            ..LifecycleConfig::default()
-        };
-        let mut lc = Lifecycle::new(cfg, g.len());
-        // Evict peers 0..4 directly; the rest stay fresh.
-        for p in 0..4 {
-            g.leave(p);
-        }
-        lc.compacted(&g.compact());
-        assert_eq!(g.len(), 8);
-        // The survivors' clocks moved down with them: touching through
-        // the new indices keeps everyone alive through stale sweeps.
-        for _ in 0..6 {
-            for p in 0..g.len() {
-                lc.touch(p);
-            }
-            let r = lc.step(&mut g, &mut rng);
-            assert!(r.evicted.is_empty(), "fresh peers evicted: {r:?}");
-        }
-        assert_eq!(g.live_len(), 8);
-        g.check_invariants();
     }
 
     #[test]

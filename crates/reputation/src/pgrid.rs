@@ -1142,9 +1142,9 @@ impl PGrid {
     /// its *live* size, not its all-time admission count.
     ///
     /// Returns the old→new index mapping (`None` for departed slots) so
-    /// callers holding dense indices — the lifecycle layer's activity
-    /// clocks ([`crate::lifecycle::Lifecycle::compacted`]), experiment
-    /// bookkeeping — can follow the renumbering. Reference entries
+    /// callers holding dense indices (experiment bookkeeping) can follow
+    /// the renumbering; a [`crate::lifecycle::Lifecycle`] does not
+    /// follow it. Reference entries
     /// pointing at departed peers (lazily evicted otherwise) are
     /// dropped during the sweep; directory buckets, subtree counts and
     /// the meeting clock are preserved, so routing behaviour is

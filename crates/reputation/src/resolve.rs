@@ -5,7 +5,7 @@
 //! Queries therefore ask the whole replica group and resolve the answers.
 //! The CIKM 2001 analysis shows that with independent liars, taking a
 //! robust statistic over replicas bounds the error; we implement
-//! per-complaint **majority voting** and per-count **median** resolution.
+//! per-complaint **majority voting**.
 
 use crate::record::Complaint;
 use std::collections::BTreeMap;
@@ -23,13 +23,6 @@ pub enum StorageBehavior {
     /// all invent the *same* fake complaints, so fabrications reach
     /// quorum whenever liars dominate a replica group.
     Fabricator(u8),
-}
-
-impl StorageBehavior {
-    /// Whether the behaviour is faithful.
-    pub fn is_faithful(self) -> bool {
-        matches!(self, StorageBehavior::Faithful)
-    }
 }
 
 /// Resolves replica answers by per-complaint majority voting: a
@@ -58,17 +51,6 @@ pub fn majority_vote(answers: &[Vec<Complaint>]) -> Vec<Complaint> {
         .filter(|(_, n)| *n >= quorum)
         .map(|(c, _)| c)
         .collect()
-}
-
-/// Resolves scalar per-replica counts by the median (lower median for
-/// even sizes) — robust to a minority of arbitrarily lying replicas.
-pub fn median_count(counts: &[u64]) -> u64 {
-    if counts.is_empty() {
-        return 0;
-    }
-    let mut sorted = counts.to_vec();
-    sorted.sort_unstable();
-    sorted[(sorted.len() - 1) / 2]
 }
 
 #[cfg(test)]
@@ -125,22 +107,10 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(majority_vote(&[]).is_empty());
-        assert_eq!(median_count(&[]), 0);
-    }
-
-    #[test]
-    fn median_robust_to_outliers() {
-        assert_eq!(median_count(&[3, 3, 250]), 3);
-        assert_eq!(median_count(&[0, 3, 3]), 3);
-        assert_eq!(median_count(&[5]), 5);
-        assert_eq!(median_count(&[1, 9]), 1, "lower median for even sizes");
     }
 
     #[test]
     fn storage_behavior_predicates() {
-        assert!(StorageBehavior::Faithful.is_faithful());
-        assert!(!StorageBehavior::Suppressor.is_faithful());
-        assert!(!StorageBehavior::Fabricator(3).is_faithful());
         assert_eq!(StorageBehavior::default(), StorageBehavior::Faithful);
     }
 }
