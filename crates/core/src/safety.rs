@@ -289,8 +289,10 @@ mod tests {
         for eps in 0..4 {
             let m = SafetyMargins::symmetric(Money::from_units(eps)).unwrap();
             let r = v.outstanding();
-            let in_window = v.remaining_cost() - m.eps_consumer() <= r
-                && r <= v.remaining_value() + m.eps_supplier();
+            let remaining_cost = d.goods().total_supplier_cost() - v.state().delivered_cost();
+            let remaining_value = d.goods().total_consumer_value() - v.state().delivered_value();
+            let in_window =
+                remaining_cost - m.eps_consumer() <= r && r <= remaining_value + m.eps_supplier();
             assert_eq!(in_window, check(&v, m).is_safe(), "eps={eps}");
         }
     }

@@ -242,16 +242,6 @@ impl<'a> StateView<'a> {
         self.deal.price() - self.state.paid
     }
 
-    /// Remaining supplier cost `Vs(G) − Vs(D)`.
-    pub fn remaining_cost(&self) -> Money {
-        self.deal.goods().total_supplier_cost() - self.state.delivered_cost
-    }
-
-    /// Remaining consumer value `Vc(G) − Vc(D)`.
-    pub fn remaining_value(&self) -> Money {
-        self.deal.goods().total_consumer_value() - self.state.delivered_value
-    }
-
     /// Consumer's gain from defecting now: `Vc(D) − m`.
     pub fn consumer_defect_gain(&self) -> Money {
         self.state.delivered_value - self.state.paid
@@ -383,8 +373,12 @@ mod tests {
         let st = ExchangeState::new(&d);
         let v = StateView::new(&d, &st);
         assert_eq!(v.outstanding(), Money::from_units(9));
-        assert_eq!(v.remaining_cost(), Money::from_units(6));
-        assert_eq!(v.remaining_value(), Money::from_units(12));
+        assert_eq!(d.goods().total_supplier_cost(), Money::from_units(6));
+        assert_eq!(d.goods().total_consumer_value(), Money::from_units(12));
+        assert_eq!(
+            (st.delivered_cost(), st.delivered_value()),
+            (Money::ZERO, Money::ZERO)
+        );
         // T_c(0) = P - Vc(G) = -3 ; T_s(0) = Vs(G) - P = -3.
         assert_eq!(v.consumer_temptation(), Money::from_units(-3));
         assert_eq!(v.supplier_temptation(), Money::from_units(-3));

@@ -118,9 +118,9 @@ fn market_cfg(scale: Scale, model: ModelKind, chaos: ChaosConfig) -> MarketConfi
 }
 
 /// The market half's chaos arms: the clean reference plus the two
-/// hardest fault regimes, each with defenses off and on. (`retry: true`
-/// arms the whole defense pair — bounded retransmission *and*
-/// quorum-gated degradation — mirroring the e14 acceptance contract.)
+/// hardest fault regimes, each with defenses off and on. (`defended`
+/// arms bounded retransmission *and* quorum-gated degradation together,
+/// mirroring the e14 acceptance contract.)
 fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, ChaosConfig)> {
     let mut arms = vec![(0.0, "none", false, ChaosConfig::default())];
     for (loss, kind) in [(0.05, "bisect"), (0.20, "islands")] {
@@ -132,8 +132,7 @@ fn market_arms(heal_at: SimTime) -> Vec<(f64, &'static str, bool, ChaosConfig)> 
                 ChaosConfig {
                     loss,
                     partition: partition(kind, heal_at),
-                    retry: defended,
-                    degrade: defended,
+                    defended,
                 },
             ));
         }

@@ -14,14 +14,14 @@ use trustex_core::policy::PaymentPolicy;
 use trustex_core::state::Role;
 use trustex_netsim::rng::SimRng;
 use trustex_reputation::system::{ReputationConfig, ReputationSystem};
-use trustex_trust::complaints::{complaint_estimate, ComplaintConfig};
+use trustex_trust::complaints::{complaint_estimate, OUTLIER_FACTOR};
 use trustex_trust::model::{PeerId, TrustEstimate};
 
 /// Maps a queried complaint tally to a trust estimate with the complaint
 /// model's rule, against a median taken over the last phase's queried
 /// products.
 fn tally_to_estimate(received: u64, filed: u64, median_product: f64) -> TrustEstimate {
-    let threshold = ComplaintConfig::default().outlier_factor * median_product.max(1.0);
+    let threshold = OUTLIER_FACTOR * median_product.max(1.0);
     complaint_estimate(received as f64, filed as f64, threshold)
 }
 

@@ -13,8 +13,8 @@
 use trustex_agents::profile::{AgentProfile, PopulationMix};
 use trustex_netsim::rng::SimRng;
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
-use trustex_trust::beta::{BetaConfig, BetaTrust};
-use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
+use trustex_trust::beta::BetaTrust;
+use trustex_trust::complaints::ComplaintTrust;
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use trustex_trust::table::PeerTable;
 
@@ -36,7 +36,9 @@ pub struct DefenseConfig {
     pub report_rate_cap: Option<u32>,
 }
 
-/// Which trust model every agent runs.
+/// Which trust model every agent runs. Each kind runs with its model's
+/// constant parameters; the one per-run choice is the scorer-weighted
+/// witness defense ([`DefenseConfig::scorer_weighted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Bayesian beta posterior (Mui et al.).
@@ -68,41 +70,26 @@ impl ModelKind {
         }
     }
 
-    /// Builds a model sized for a community of `n` peers: the Beta,
+    /// Builds a model sized for a community of `n` peers, with the
+    /// scorer-weighted witness defense (see [`DefenseConfig`]) on or
+    /// off; every other parameter is the model's constant. The Beta,
     /// mean and EWMA models set their [`PeerTable`]s' dense length to
     /// `n` and allocate evidence slots (and index space) only for the
     /// peers written, and the complaint model allocates its dense table
     /// up front and learns the population for its median.
-    pub(crate) fn build(self, n: usize) -> AnyModel {
-        self.build_defended(n, false)
-    }
-
-    /// Like [`ModelKind::build`] but with the scorer-weighted witness
-    /// aggregation defense toggled per [`DefenseConfig`].
-    pub(crate) fn build_defended(self, n: usize, scorer_weighted: bool) -> AnyModel {
+    pub(crate) fn build(self, n: usize, scorer_weighted: bool) -> AnyModel {
         match self {
             ModelKind::Beta => {
-                let mut m = BetaTrust::with_config(BetaConfig {
-                    scorer_weighted,
-                    ..BetaConfig::default()
-                });
-                m.ensure_capacity(n);
-                AnyModel::Beta(m)
+                AnyModel::Beta(BetaTrust::with_population(n).scorer_weighted(scorer_weighted))
             }
-            ModelKind::Complaints => {
-                let mut m = ComplaintTrust::with_config(ComplaintConfig {
-                    scorer_weighted,
-                    ..ComplaintConfig::default()
-                });
-                m.set_population(n);
-                m.ensure_capacity(n);
-                AnyModel::Complaints(m)
-            }
+            ModelKind::Complaints => AnyModel::Complaints(
+                ComplaintTrust::with_population(n).scorer_weighted(scorer_weighted),
+            ),
             ModelKind::Mean => {
                 AnyModel::Mean(MeanTrust::with_population(n).scorer_weighted(scorer_weighted))
             }
             ModelKind::Ewma => {
-                AnyModel::Ewma(EwmaTrust::with_population(0.2, n).scorer_weighted(scorer_weighted))
+                AnyModel::Ewma(EwmaTrust::with_population(n).scorer_weighted(scorer_weighted))
             }
         }
     }
@@ -391,7 +378,7 @@ impl Community {
     ) -> Community {
         let profiles = mix.sample(n, rng);
         let models = (0..n)
-            .map(|_| kind.build_defended(n, defense.scorer_weighted))
+            .map(|_| kind.build(n, defense.scorer_weighted))
             .collect();
         Community {
             profiles,
@@ -971,7 +958,7 @@ mod tests {
         if let AnyModel::Beta(m) = c.model(PeerId(0)) {
             assert_eq!(
                 m.witness_reliability(churner),
-                m.config().witness_prior,
+                BetaTrust::new().witness_reliability(churner),
                 "pre-churn report must not grade the fresh identity"
             );
         } else {

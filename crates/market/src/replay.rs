@@ -21,7 +21,7 @@
 
 use crate::population::ModelKind;
 use std::time::Instant;
-use trustex_netsim::pool::{parallel_map, resolve_threads};
+use trustex_netsim::pool::{parallel_map_chunks, resolve_threads};
 use trustex_netsim::rng::SimRng;
 use trustex_netsim::stats::Sample;
 use trustex_trust::engine::{TrustEngine, TrustEvent};
@@ -130,7 +130,7 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
     // Ground-truth honesty per peer: feedback conduct is drawn from it,
     // so the engine converges on something predictable.
     let honesty: Vec<f64> = (0..n).map(|_| rng.f64()).collect();
-    let engine = TrustEngine::new(cfg.model.build(n));
+    let engine = TrustEngine::new(cfg.model.build(n, false));
 
     let mut check = ReplayCheck {
         events: 0,
@@ -180,17 +180,7 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
         // checksum fold below is thread-count-independent.
         let snapshot = engine.snapshot();
         let snapshot = &snapshot;
-        let chunk_len = queries.len().div_ceil(threads.max(1) * 4).max(1);
-        let mut chunks: Vec<Vec<Query>> = Vec::new();
-        let mut rest = queries.into_iter();
-        loop {
-            let chunk: Vec<Query> = rest.by_ref().take(chunk_len).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let served: Vec<Vec<(f64, f64)>> = parallel_map(threads, chunks, |_, chunk| {
+        let served = parallel_map_chunks(threads, queries, |chunk| {
             let mut row = vec![TrustEstimate::UNKNOWN; n];
             chunk
                 .into_iter()
@@ -203,7 +193,7 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
                 })
                 .collect()
         });
-        for (probed, us) in served.into_iter().flatten() {
+        for (probed, us) in served {
             check.checksum += probed;
             latency.push(us);
         }

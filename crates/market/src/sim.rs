@@ -16,7 +16,7 @@
 //!    master-stream consumption never depends on trust state or timing.
 //! 2. **Execute** (parallel): sessions are planned against the trust
 //!    state at round start and executed concurrently via
-//!    [`trustex_netsim::pool::parallel_map`]; each session reads the
+//!    [`trustex_netsim::pool::parallel_map_chunks`]; each session reads the
 //!    community through one borrowed, sealed [`CommunitySnapshot`] and
 //!    owns its pre-forked streams.
 //! 3. **Merge** (sequential): outcomes are folded in session order —
@@ -43,7 +43,7 @@ use trustex_core::state::Role;
 use trustex_netsim::backoff::RetryPolicy;
 use trustex_netsim::event::EventQueue;
 use trustex_netsim::fault::{FaultConfig, FaultFate, FaultPlane, PartitionSpec};
-use trustex_netsim::pool::{parallel_map, resolve_threads};
+use trustex_netsim::pool::{parallel_map_chunks, resolve_threads};
 use trustex_netsim::rng::SimRng;
 use trustex_netsim::time::SimTime;
 use trustex_trust::model::{Conduct, PeerId, WitnessReport};
@@ -73,10 +73,10 @@ const RETX_POLICY: RetryPolicy = RetryPolicy {
 const RETX_QUEUE_CAP: usize = 65_536;
 
 /// Chaos knobs for a market run: witness gossip is delivered through a
-/// seeded fault plane, with optional bounded retransmission of lost
-/// reports and optional quorum-gated graceful degradation. The default
-/// is a zero-fault plane with both defenses off, which delivers every
-/// report exactly once.
+/// seeded fault plane, optionally defended by bounded retransmission of
+/// lost reports together with quorum-gated graceful degradation. The
+/// default is a zero-fault plane with the defenses off, which delivers
+/// every report exactly once.
 ///
 /// The plane is seeded from the market seed and built from the two
 /// fault knobs gossip honours, loss and partitions. Gossip reads only a
@@ -88,11 +88,11 @@ pub struct ChaosConfig {
     pub loss: f64,
     /// Partition episode the gossip crosses, if any.
     pub partition: PartitionSpec,
-    /// Retransmit lost/blocked reports on a bounded backoff schedule.
-    pub retry: bool,
-    /// Fall back to direct-evidence-only prediction while the witness
-    /// quorum is unreachable, instead of treating silence as absence.
-    pub degrade: bool,
+    /// Arms both defenses: retransmit lost or blocked reports on a
+    /// bounded backoff schedule, and fall back to direct-evidence-only
+    /// prediction while the witness quorum is unreachable, instead of
+    /// treating silence as absence.
+    pub defended: bool,
 }
 
 impl ChaosConfig {
@@ -441,7 +441,7 @@ impl MarketSim {
             trustex_netsim::backoff::splitmix64(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C),
             cfg.chaos.plane(),
         );
-        if cfg.chaos.degrade {
+        if cfg.chaos.defended {
             community.enable_direct_ledger();
         }
         let coordination = Coordination::scan(&community);
@@ -625,25 +625,12 @@ impl MarketSim {
         let outcomes: Vec<SessionOutcome> = {
             let snapshot = &self.community.snapshot();
             let cfg = &self.cfg;
-            let chunk_len = draws.len().div_ceil(threads.max(1) * 4).max(1);
-            let mut chunks: Vec<Vec<SessionDraw>> = Vec::new();
-            let mut rest = draws.into_iter();
-            loop {
-                let chunk: Vec<SessionDraw> = rest.by_ref().take(chunk_len).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                chunks.push(chunk);
-            }
-            parallel_map(threads, chunks, |_, chunk| {
+            parallel_map_chunks(threads, draws, |chunk| {
                 chunk
                     .into_iter()
                     .map(|draw| Self::run_session(cfg, snapshot, round, draw))
-                    .collect::<Vec<SessionOutcome>>()
+                    .collect()
             })
-            .into_iter()
-            .flatten()
-            .collect()
         };
 
         // Phase 3: deterministic merge in session order.
@@ -776,7 +763,7 @@ impl MarketSim {
         // Graceful degradation: when this round's witness gossip fell
         // below the delivery quorum, the *next* round's predictions use
         // direct evidence only — silence must not read as absence.
-        if self.cfg.chaos.degrade {
+        if self.cfg.chaos.defended {
             let degraded = self.round_attempted > 0
                 && (self.round_delivered as f64) < WITNESS_QUORUM * self.round_attempted as f64;
             self.community.set_degraded(degraded);
@@ -941,7 +928,7 @@ impl MarketSim {
                     self.round_delivered += 1;
                 }
             }
-            FaultFate::Lost | FaultFate::Blocked if self.cfg.chaos.retry => {
+            FaultFate::Lost | FaultFate::Blocked if self.cfg.chaos.defended => {
                 entry.attempts += 1;
                 if RETX_POLICY.allows(entry.attempts) {
                     self.schedule_retx(entry, at);
@@ -1426,26 +1413,19 @@ mod tests {
 
     /// Arming the defenses on a zero-fault plane must be a perfect
     /// no-op: the report — counters, welfare, accuracy, every per-round
-    /// row — is bit-equal to the default (clean) run, with either
-    /// defense or both armed.
+    /// row — is bit-equal to the default (clean) run.
     #[test]
     fn zero_fault_plane_is_bit_identical_to_no_plane() {
         let clean = MarketSim::new(smoke_cfg(Strategy::TrustAware)).run();
-        for (retry, degrade) in [(true, false), (false, true), (true, true)] {
-            let chaotic = MarketSim::new(MarketConfig {
-                chaos: ChaosConfig {
-                    retry,
-                    degrade,
-                    ..ChaosConfig::default()
-                },
-                ..smoke_cfg(Strategy::TrustAware)
-            })
-            .run();
-            assert_eq!(
-                chaotic, clean,
-                "zero-fault plane (retry={retry}, degrade={degrade}) diverged"
-            );
-        }
+        let chaotic = MarketSim::new(MarketConfig {
+            chaos: ChaosConfig {
+                defended: true,
+                ..ChaosConfig::default()
+            },
+            ..smoke_cfg(Strategy::TrustAware)
+        })
+        .run();
+        assert_eq!(chaotic, clean, "defended zero-fault plane diverged");
     }
 
     /// A report blocked by a live partition is retransmitted on the
@@ -1459,7 +1439,7 @@ mod tests {
             n_agents: 8,
             chaos: ChaosConfig {
                 partition: PartitionSpec::Bisect { heal_at },
-                retry: true,
+                defended: true,
                 ..ChaosConfig::default()
             },
             ..MarketConfig::default()
@@ -1532,7 +1512,7 @@ mod tests {
             sessions_per_round: 12,
             chaos: ChaosConfig {
                 loss: 1.0,
-                retry: true,
+                defended: true,
                 ..ChaosConfig::default()
             },
             ..MarketConfig::default()

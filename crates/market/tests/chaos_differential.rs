@@ -28,22 +28,13 @@ use trustex_trust::model::PeerId;
 /// serialise on this lock or they race each other's thread counts.
 static THREAD_DEFAULT: Mutex<()> = Mutex::new(());
 
-fn zero_chaos(retry: bool, degrade: bool) -> ChaosConfig {
-    ChaosConfig {
-        retry,
-        degrade,
-        ..ChaosConfig::default()
-    }
-}
-
 fn faulty_chaos() -> ChaosConfig {
     ChaosConfig {
         loss: 0.05,
         partition: PartitionSpec::Bisect {
             heal_at: SimTime::from_millis(40),
         },
-        retry: true,
-        degrade: true,
+        defended: true,
     }
 }
 
@@ -59,24 +50,22 @@ fn base_cfg(model: ModelKind, seed: u64) -> MarketConfig {
     }
 }
 
-/// A zero-fault plane with retry and degradation armed in every
-/// combination produces a bit-identical `MarketReport` to the default
-/// clean run, for all four trust models.
+/// A zero-fault plane with retry and degradation armed produces a
+/// bit-identical `MarketReport` to the default clean run, for all four
+/// trust models.
 #[test]
 fn zero_plane_market_runs_equal_plane_absent_runs() {
     for model in ModelKind::ALL {
         let clean = MarketSim::new(base_cfg(model, 0xD1FF)).run();
-        for (retry, degrade) in [(true, false), (false, true), (true, true)] {
-            let chaotic = MarketSim::new(MarketConfig {
-                chaos: zero_chaos(retry, degrade),
-                ..base_cfg(model, 0xD1FF)
-            })
-            .run();
-            assert_eq!(
-                chaotic, clean,
-                "{model:?} zero-plane (retry={retry}, degrade={degrade}) diverged"
-            );
-        }
+        let chaotic = MarketSim::new(MarketConfig {
+            chaos: ChaosConfig {
+                defended: true,
+                ..ChaosConfig::default()
+            },
+            ..base_cfg(model, 0xD1FF)
+        })
+        .run();
+        assert_eq!(chaotic, clean, "{model:?} defended zero-plane diverged");
     }
 }
 
@@ -105,7 +94,7 @@ fn e6_e8_e11_tables_replay_bit_for_bit_across_thread_counts() {
     set_default_threads(0);
 }
 
-/// A *faulty* chaos run — loss, duplication, a live partition, retry and
+/// A *faulty* chaos run — loss, a live partition, retry and
 /// degradation all active — is bit-identical for threads ∈ {1, 2, 8}:
 /// fault fates are pure hashes, so sharding the execute phase cannot
 /// shift a single delivery.

@@ -31,8 +31,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A zero-fault plane is a perfect no-op for arbitrary small
-    /// configurations and any defense combination: the run with the
-    /// defenses armed equals the default clean run bit-for-bit.
+    /// configurations, defended or not: the run equals the default
+    /// clean run bit-for-bit.
     #[test]
     fn zero_fault_plane_equals_no_plane(
         n_agents in 3usize..30,
@@ -40,14 +40,12 @@ proptest! {
         sessions in 1usize..40,
         seed in 0u64..1_000_000,
         dishonest in 0.0f64..0.9,
-        retry in any::<bool>(),
-        degrade in any::<bool>(),
+        defended in any::<bool>(),
     ) {
         let clean = MarketSim::new(base(n_agents, rounds, sessions, seed, dishonest)).run();
         let chaotic = MarketSim::new(MarketConfig {
             chaos: ChaosConfig {
-                retry,
-                degrade,
+                defended,
                 ..ChaosConfig::default()
             },
             ..base(n_agents, rounds, sessions, seed, dishonest)
@@ -71,7 +69,7 @@ proptest! {
         sessions in 1usize..40,
         seed in 0u64..1_000_000,
         loss in 0.0f64..0.5,
-        retry in any::<bool>(),
+        defended in any::<bool>(),
     ) {
         let report = MarketSim::new(MarketConfig {
             chaos: ChaosConfig {
@@ -80,8 +78,7 @@ proptest! {
                     islands: 3,
                     heal_at: SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros()),
                 },
-                retry,
-                degrade: false,
+                defended,
             },
             ..base(n_agents, rounds, sessions, seed, 0.3)
         })
@@ -105,7 +102,7 @@ proptest! {
         cap in 0u32..4,
         loss in 0.0f64..0.3,
         partitioned in any::<bool>(),
-        retry in any::<bool>(),
+        defended in any::<bool>(),
     ) {
         let heal_at = SimTime::from_micros(rounds / 2 * ROUND_SPAN.as_micros());
         let report = MarketSim::new(MarketConfig {
@@ -120,8 +117,7 @@ proptest! {
                 } else {
                     PartitionSpec::None
                 },
-                retry,
-                degrade: false,
+                defended,
             },
             ..base(n_agents, rounds, sessions, seed, 0.3)
         })

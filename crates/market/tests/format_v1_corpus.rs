@@ -165,7 +165,7 @@ fn mean_fixture_round_trips() {
 
 #[test]
 fn ewma_fixture_round_trips() {
-    check_model_fixture("ewma.bin", || EwmaTrust::new(0.2));
+    check_model_fixture("ewma.bin", EwmaTrust::new);
 }
 
 #[test]

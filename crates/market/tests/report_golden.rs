@@ -55,8 +55,7 @@ fn config(name: &str) -> MarketConfig {
                 partition: PartitionSpec::Bisect {
                     heal_at: SimTime::from_millis(3_600_000),
                 },
-                retry: true,
-                degrade: true,
+                defended: true,
             },
             ..base(ModelKind::Ewma, 0x601D_0004)
         },

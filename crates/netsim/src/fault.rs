@@ -70,11 +70,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether this is the zero plane (injects nothing).
-    pub fn is_zero(&self) -> bool {
-        self.loss <= 0.0 && self.extra_delay_max_us == 0 && self.partition == PartitionSpec::None
-    }
-
     /// The configuration's rule: `loss` is a probability in `[0, 1]`
     /// (NaN violates it). Every `extra_delay_max_us` and every partition
     /// is valid.
@@ -98,13 +93,6 @@ pub enum FaultFate {
     Lost,
     /// A live partition episode separates `src` and `dst`.
     Blocked,
-}
-
-impl FaultFate {
-    /// Whether the message arrives.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, FaultFate::Deliver { .. })
-    }
 }
 
 /// A seeded, pure per-link fault injector.
@@ -227,7 +215,7 @@ mod tests {
     #[test]
     fn zero_plane_is_always_clean() {
         let plane = FaultPlane::transparent(99);
-        assert!(plane.config().is_zero());
+        assert_eq!(plane.config(), FaultConfig::default());
         for seq in 0..500 {
             assert_eq!(
                 plane.decide(3, 8, seq, SimTime::ZERO),
@@ -373,12 +361,16 @@ mod tests {
             .expect("same peer");
         let during = SimTime::from_millis(10);
         assert_eq!(plane.decide(0, cross, 0, during), FaultFate::Blocked);
-        assert!(plane.decide(0, same, 0, during).is_delivered());
+        let delivered = |fate| matches!(fate, FaultFate::Deliver { .. });
+        assert!(delivered(plane.decide(0, same, 0, during)));
         // Heal boundary: at `heal_at` traffic flows again.
-        assert!(plane.decide(0, cross, 0, heal_at).is_delivered());
-        assert!(plane
-            .decide(0, cross, 0, SimTime::from_millis(60))
-            .is_delivered());
+        assert!(delivered(plane.decide(0, cross, 0, heal_at)));
+        assert!(delivered(plane.decide(
+            0,
+            cross,
+            0,
+            SimTime::from_millis(60)
+        )));
     }
 
     #[test]
@@ -405,7 +397,10 @@ mod tests {
         let g0 = plane.group_of(0);
         let other = (1..256).find(|&p| plane.group_of(p) != g0).unwrap();
         assert_eq!(plane.decide(0, other, 0, SimTime::ZERO), FaultFate::Blocked);
-        assert!(plane.decide(0, other, 0, heal_at).is_delivered());
+        assert!(matches!(
+            plane.decide(0, other, 0, heal_at),
+            FaultFate::Deliver { .. }
+        ));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! [`parallel_map`] is bit-identical for every thread count — parallelism
 //! changes wall-clock time, never results. [`parallel_fold`] is the same
 //! loop without the output vector: it folds each result on the calling
-//! thread as soon as its turn comes, in submission order. The build
-//! environment has no crates.io access, so this is plain
+//! thread as soon as its turn comes, in submission order.
+//! [`parallel_map_chunks`] batches many cheap items into a few chunks
+//! per worker and concatenates the results, again in submission order.
+//! The build environment has no crates.io access, so this is plain
 //! `std::thread::scope` + channels rather than rayon.
 //!
 //! Thread-count resolution is layered: an explicit per-call request wins,
@@ -84,6 +86,51 @@ where
         out.push(v);
         out
     })
+}
+
+/// Maps `f` over `items` in chunks of consecutive items, about four
+/// chunks per worker, on up to `threads` worker threads, and returns
+/// the chunks' results concatenated **in input order** — bit-identical
+/// to `f(items)` for any thread count when `f` maps each item on its
+/// own. Chunking amortises the queue traffic over many cheap items;
+/// `f` may set up per-chunk scratch (a row buffer) once per chunk.
+///
+/// # Examples
+///
+/// ```
+/// use trustex_netsim::pool::parallel_map_chunks;
+/// let doubled = parallel_map_chunks(2, (0..10u32).collect(), |chunk| {
+///     chunk.into_iter().map(|x| 2 * x).collect()
+/// });
+/// assert_eq!(doubled, (0..20).step_by(2).collect::<Vec<u32>>());
+/// ```
+pub fn parallel_map_chunks<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(Vec<I>) -> Vec<T> + Sync,
+{
+    let len = items.len();
+    let chunk_len = len.div_ceil(threads.max(1) * 4).max(1);
+    let mut chunks = Vec::with_capacity(len.div_ceil(chunk_len));
+    let mut rest = items.into_iter();
+    loop {
+        let chunk: Vec<I> = rest.by_ref().take(chunk_len).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        chunks.push(chunk);
+    }
+    parallel_fold(
+        threads,
+        chunks,
+        |_, chunk| f(chunk),
+        Vec::with_capacity(len),
+        |mut out, part| {
+            out.extend(part);
+            out
+        },
+    )
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads and folds the
@@ -181,6 +228,10 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             let got = parallel_map(threads, items.clone(), |_, x| x * 3 + 1);
             assert_eq!(got, expected, "threads={threads}");
+            let chunked = parallel_map_chunks(threads, items.clone(), |chunk| {
+                chunk.into_iter().map(|x| x * 3 + 1).collect()
+            });
+            assert_eq!(chunked, expected, "chunked, threads={threads}");
         }
     }
 
@@ -194,6 +245,8 @@ mod tests {
     fn empty_input() {
         let got: Vec<u8> = parallel_map(8, Vec::<u8>::new(), |_, x| x);
         assert!(got.is_empty());
+        let chunked: Vec<u8> = parallel_map_chunks(8, Vec::<u8>::new(), |chunk| chunk);
+        assert!(chunked.is_empty());
     }
 
     #[test]

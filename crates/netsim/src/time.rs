@@ -61,14 +61,6 @@ impl SimTime {
     pub const fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
-
-    /// Checked addition; `None` on overflow.
-    pub const fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        match self.0.checked_add(other.0) {
-            Some(v) => Some(SimTime(v)),
-            None => None,
-        }
-    }
 }
 
 impl Add for SimTime {
@@ -136,13 +128,6 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
         assert_eq!(b.saturating_sub(a), SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        let max = SimTime::from_micros(u64::MAX);
-        assert_eq!(max.checked_add(SimTime::from_micros(1)), None);
-        assert!(SimTime::ZERO.checked_add(max).is_some());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::PeerTable;
+use crate::take_fixed_f64;
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
@@ -110,13 +111,11 @@ impl TrustModel for MeanTrust {
 
 /// Exponentially weighted moving average trust.
 ///
-/// `p ← (1 − λ)·p + λ·outcome` per observation, starting from 0.5.
-/// Reacts quickly to behaviour changes but never converges, and treats
-/// witness reports at weight `λ/2`.
+/// `p ← (1 − λ)·p + λ·outcome` per observation, starting from 0.5, with
+/// learning rate λ = 0.2. Reacts quickly to behaviour changes but never
+/// converges, and treats witness reports at weight `λ/2`.
 #[derive(Debug, Clone)]
 pub struct EwmaTrust {
-    /// Learning rate λ in `(0, 1]`.
-    rate: f64,
     /// `(score, observations)` slots keyed by [`PeerId`];
     /// `observations == 0` marks a never-observed subject (the score
     /// slot idles at the 0.5 starting point, the table's cold value).
@@ -131,27 +130,13 @@ pub struct EwmaTrust {
 /// with zero observations.
 const EWMA_COLD: (f64, u64) = (0.5, 0);
 
-/// The EWMA learning-rate rule: `0 < rate ≤ 1` (NaN violates it).
-fn validate_rate(rate: f64) -> Result<(), &'static str> {
-    if rate > 0.0 && rate <= 1.0 {
-        Ok(())
-    } else {
-        Err("ewma rate must be in (0, 1]")
-    }
-}
+/// The EWMA learning rate λ.
+const RATE: f64 = 0.2;
 
 impl EwmaTrust {
-    /// Creates a model with learning rate `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < rate ≤ 1`.
-    pub fn new(rate: f64) -> EwmaTrust {
-        if let Err(rule) = validate_rate(rate) {
-            panic!("{rule}");
-        }
+    /// Creates an empty model.
+    pub fn new() -> EwmaTrust {
         EwmaTrust {
-            rate,
             scores: PeerTable::new(EWMA_COLD),
             scorer_weighted: false,
         }
@@ -164,10 +149,10 @@ impl EwmaTrust {
         self
     }
 
-    /// Creates a model with learning rate `rate` whose table covers a
-    /// community of `n` peers (see [`EwmaTrust::ensure_capacity`]).
-    pub fn with_population(rate: f64, n: usize) -> EwmaTrust {
-        let mut model = EwmaTrust::new(rate);
+    /// Creates a model whose table covers a community of `n` peers (see
+    /// [`EwmaTrust::ensure_capacity`]).
+    pub fn with_population(n: usize) -> EwmaTrust {
+        let mut model = EwmaTrust::new();
         model.ensure_capacity(n);
         model
     }
@@ -179,15 +164,10 @@ impl EwmaTrust {
         self.scores.ensure_capacity(n);
     }
 
-    /// The learning rate λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     fn update(&mut self, subject: PeerId, conduct: Conduct, weight: f64) {
         let (score, n) = self.scores.slot_mut(subject);
         let target = if conduct.is_honest() { 1.0 } else { 0.0 };
-        let lambda = self.rate * weight;
+        let lambda = RATE * weight;
         *score = (1.0 - lambda) * *score + lambda * target;
         *n += 1;
     }
@@ -201,9 +181,8 @@ impl EwmaTrust {
 }
 
 impl Default for EwmaTrust {
-    /// λ = 0.2.
     fn default() -> Self {
-        EwmaTrust::new(0.2)
+        EwmaTrust::new()
     }
 }
 
@@ -273,7 +252,7 @@ impl Persistable for EwmaTrust {
     const TAG: [u8; 4] = *b"EWMA";
 
     fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_f64(self.rate);
+        w.put_f64(RATE);
         w.put_bool(self.scorer_weighted);
         w.put_len(self.scores.len());
         for (score, n) in self.scores.iter() {
@@ -283,8 +262,7 @@ impl Persistable for EwmaTrust {
     }
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
-        let rate = r.take_finite_f64()?;
-        validate_rate(rate).map_err(|context| PersistError::Invalid { context })?;
+        take_fixed_f64(r, RATE, "ewma rate differs from the model's constant")?;
         let scorer_weighted = r.take_bool()?;
         let n = r.take_len(16)?;
         let take_score = || {
@@ -309,7 +287,6 @@ impl Persistable for EwmaTrust {
             score.to_bits() == EWMA_COLD.0.to_bits() && n == 0
         })?;
         Ok(EwmaTrust {
-            rate,
             scores,
             scorer_weighted,
         })
@@ -354,14 +331,14 @@ mod tests {
 
     #[test]
     fn ewma_tracks_recent_behaviour() {
-        let mut m = EwmaTrust::new(0.3);
+        let mut m = EwmaTrust::new();
         let p = PeerId(1);
         for _ in 0..30 {
             m.record_direct(p, Conduct::Honest, 0);
         }
         let high = m.predict(p).p_honest;
         assert!(high > 0.95);
-        for _ in 0..10 {
+        for _ in 0..12 {
             m.record_direct(p, Conduct::Dishonest, 0);
         }
         let low = m.predict(p).p_honest;
@@ -370,19 +347,19 @@ mod tests {
 
     #[test]
     fn ewma_update_formula() {
-        let mut m = EwmaTrust::new(0.5);
+        let mut m = EwmaTrust::new();
         let p = PeerId(1);
         m.record_direct(p, Conduct::Honest, 0);
-        // 0.5·0.5 + 0.5·1 = 0.75.
-        assert!((m.predict(p).p_honest - 0.75).abs() < 1e-12);
+        // λ = 0.2: 0.8·0.5 + 0.2·1 = 0.6.
+        assert!((m.predict(p).p_honest - 0.6).abs() < 1e-12);
         m.record_direct(p, Conduct::Dishonest, 0);
-        // 0.5·0.75 + 0.5·0 = 0.375.
-        assert!((m.predict(p).p_honest - 0.375).abs() < 1e-12);
+        // 0.8·0.6 + 0.2·0 = 0.48.
+        assert!((m.predict(p).p_honest - 0.48).abs() < 1e-12);
     }
 
     #[test]
     fn ewma_witness_half_weight() {
-        let mut m = EwmaTrust::new(0.5);
+        let mut m = EwmaTrust::new();
         let p = PeerId(1);
         m.record_witness(WitnessReport {
             witness: PeerId(9),
@@ -390,14 +367,8 @@ mod tests {
             conduct: Conduct::Honest,
             round: 0,
         });
-        // λ·w = 0.25: 0.75·0.5 + 0.25·1 = 0.625.
-        assert!((m.predict(p).p_honest - 0.625).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate")]
-    fn ewma_invalid_rate() {
-        EwmaTrust::new(0.0);
+        // λ·w = 0.1: 0.9·0.5 + 0.1·1 = 0.55.
+        assert!((m.predict(p).p_honest - 0.55).abs() < 1e-12);
     }
 
     #[test]
@@ -425,7 +396,7 @@ mod tests {
         });
         assert_eq!(m.counts(subject), (1, 1));
 
-        let mut e = EwmaTrust::new(0.5).scorer_weighted(true);
+        let mut e = EwmaTrust::new().scorer_weighted(true);
         for _ in 0..4 {
             e.record_direct(cheater, Conduct::Dishonest, 0);
         }
@@ -442,7 +413,7 @@ mod tests {
             conduct: Conduct::Honest,
             round: 0,
         });
-        assert!((e.predict(subject).p_honest - 0.625).abs() < 1e-12);
+        assert!((e.predict(subject).p_honest - 0.55).abs() < 1e-12);
     }
 
     #[test]
@@ -457,7 +428,7 @@ mod tests {
         assert_eq!(m.counts(other), (1, 1));
         m.forget_peer(PeerId(999));
 
-        let mut e = EwmaTrust::with_population(0.3, 8);
+        let mut e = EwmaTrust::with_population(8);
         e.record_direct(p, Conduct::Dishonest, 0);
         let other_est = {
             e.record_direct(other, Conduct::Honest, 0);
@@ -473,6 +444,5 @@ mod tests {
     fn names_and_defaults() {
         assert_eq!(MeanTrust::new().name(), "mean");
         assert_eq!(EwmaTrust::default().name(), "ewma");
-        assert!((EwmaTrust::default().rate() - 0.2).abs() < 1e-12);
     }
 }

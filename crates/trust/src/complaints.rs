@@ -24,36 +24,17 @@
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 use crate::table::dense_slot;
+use crate::{take_count, take_fixed_f64};
 use trustex_persist::codec::{ByteReader, ByteWriter};
 use trustex_persist::snapshot::Persistable;
 use trustex_persist::PersistError;
 
-/// Configuration of the complaint-based model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComplaintConfig {
-    /// A peer is assessed dishonest when its complaint product exceeds
-    /// `outlier_factor` times the population median product.
-    pub outlier_factor: f64,
-    /// Weight of a witness-relayed complaint relative to a direct one.
-    pub witness_weight: f64,
-    /// Scorer-weighted aggregation: additionally scale relayed
-    /// complaints by the evaluator's current honesty estimate for the
-    /// *complainer* (`predict(witness).p_honest`). Peers whose own
-    /// complaint product already marks them as outliers — serial
-    /// slanderers, heavily-complained-about cheaters — lose most of
-    /// their power to pile further complaints onto victims.
-    pub scorer_weighted: bool,
-}
+/// A peer is assessed dishonest when its complaint product exceeds
+/// `OUTLIER_FACTOR` times the population median product.
+pub const OUTLIER_FACTOR: f64 = 4.0;
 
-impl Default for ComplaintConfig {
-    fn default() -> Self {
-        ComplaintConfig {
-            outlier_factor: 4.0,
-            witness_weight: 0.5,
-            scorer_weighted: false,
-        }
-    }
-}
+/// Weight of a witness-relayed complaint relative to a direct one.
+const WITNESS_WEIGHT: f64 = 0.5;
 
 /// Binary assessment in the style of the CIKM 2001 decision rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,9 +138,8 @@ impl Bracket {
 /// assert!(model.predict(cheater).p_honest < 0.5);
 /// assert_eq!(model.assess(PeerId(1)), Assessment::Trustworthy);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ComplaintTrust {
-    config: ComplaintConfig,
     /// Dense per-peer tallies, indexed by [`PeerId::index`].
     tallies: Vec<Tally>,
     /// Number of peers with `seen == true` — the size the map-backed
@@ -173,55 +153,22 @@ pub struct ComplaintTrust {
     median: Option<f64>,
     /// The rank bracket around the last selected median.
     bracket: Option<Bracket>,
-}
-
-impl Default for ComplaintTrust {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ComplaintConfig {
-    /// The configuration's rules: outlier factor at least 1, witness
-    /// weight in `[0, 1]`. Returns the first rule violated (NaN violates
-    /// every rule).
-    fn validate(&self) -> Result<(), &'static str> {
-        if !(1.0..).contains(&self.outlier_factor) {
-            return Err("complaint outlier factor must be ≥ 1");
-        }
-        if !(0.0..=1.0).contains(&self.witness_weight) {
-            return Err("complaint witness weight must be in [0, 1]");
-        }
-        Ok(())
-    }
+    /// Scorer-weighted aggregation: additionally scale relayed
+    /// complaints by the evaluator's current honesty estimate for the
+    /// *complainer* (`predict(witness).p_honest`). Peers whose own
+    /// complaint product already marks them as outliers — serial
+    /// slanderers, heavily-complained-about cheaters — lose most of
+    /// their power to pile further complaints onto victims.
+    scorer_weighted: bool,
 }
 
 impl ComplaintTrust {
-    /// Creates a model with the default configuration.
+    /// Creates an empty model with no declared population.
     pub fn new() -> ComplaintTrust {
-        ComplaintTrust::with_config(ComplaintConfig::default())
+        ComplaintTrust::default()
     }
 
-    /// Creates a model with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outlier_factor < 1` or `witness_weight ∉ [0, 1]`.
-    pub fn with_config(config: ComplaintConfig) -> ComplaintTrust {
-        if let Err(rule) = config.validate() {
-            panic!("{rule}");
-        }
-        ComplaintTrust {
-            config,
-            tallies: Vec::new(),
-            recorded: 0,
-            population: None,
-            median: None,
-            bracket: None,
-        }
-    }
-
-    /// Creates a default-configured model for a community of `n` peers:
+    /// Creates a model for a community of `n` peers:
     /// the tally table is pre-sized and the population declared (as by
     /// [`ComplaintTrust::set_population`]) in one step.
     pub fn with_population(n: usize) -> ComplaintTrust {
@@ -250,9 +197,11 @@ impl ComplaintTrust {
         self.bracket = None;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> ComplaintConfig {
-        self.config
+    /// Enables (or disables) scorer-weighted aggregation of relayed
+    /// complaints; returns the model for builder-style chaining.
+    pub fn scorer_weighted(mut self, on: bool) -> ComplaintTrust {
+        self.scorer_weighted = on;
+        self
     }
 
     /// Records a complaint filed by `by` about `about` with unit weight.
@@ -376,9 +325,9 @@ impl ComplaintTrust {
     }
 
     /// The CIKM-style binary decision: untrustworthy when the complaint
-    /// product exceeds `outlier_factor ×` the population median.
+    /// product exceeds [`OUTLIER_FACTOR`] × the population median.
     pub fn assess(&self, peer: PeerId) -> Assessment {
-        let threshold = self.config.outlier_factor * self.median_product();
+        let threshold = OUTLIER_FACTOR * self.median_product();
         if self.complaint_product(peer) > threshold {
             Assessment::Untrustworthy
         } else {
@@ -389,7 +338,7 @@ impl ComplaintTrust {
 
 /// The complaint rule: the honesty estimate of a peer that received
 /// `received` and filed `filed` complaints, against an outlier
-/// `threshold` (`outlier_factor ×` the population median product).
+/// `threshold` ([`OUTLIER_FACTOR`] × the population median product).
 ///
 /// The farther the complaint product lies above the threshold, the
 /// lower the estimate: exactly at it, 0.5; well below it, near 1.
@@ -414,8 +363,8 @@ impl TrustModel for ComplaintTrust {
 
     fn record_witness(&mut self, report: WitnessReport) {
         if !report.conduct.is_honest() {
-            let mut weight = self.config.witness_weight;
-            if self.config.scorer_weighted {
+            let mut weight = WITNESS_WEIGHT;
+            if self.scorer_weighted {
                 // Defense knob: a complainer whose own product is already
                 // outlier-grade gets its relayed complaints deflated.
                 // Sealing first stores the median the predict reads, so
@@ -434,14 +383,14 @@ impl TrustModel for ComplaintTrust {
             .get(subject.index())
             .copied()
             .unwrap_or_default();
-        let threshold = self.config.outlier_factor * self.median_product();
+        let threshold = OUTLIER_FACTOR * self.median_product();
         complaint_estimate(tally.received, tally.filed, threshold)
     }
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
         // One median read and one threshold multiply serve the whole
         // sweep.
-        let threshold = self.config.outlier_factor * self.median_product();
+        let threshold = OUTLIER_FACTOR * self.median_product();
         let covered = self.tallies.len().min(out.len());
         for (slot, tally) in out[..covered].iter_mut().zip(&self.tallies) {
             *slot = complaint_estimate(tally.received, tally.filed, threshold);
@@ -490,9 +439,9 @@ impl Persistable for ComplaintTrust {
     const TAG: [u8; 4] = *b"CMPL";
 
     fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_f64(self.config.outlier_factor);
-        w.put_f64(self.config.witness_weight);
-        w.put_bool(self.config.scorer_weighted);
+        w.put_f64(OUTLIER_FACTOR);
+        w.put_f64(WITNESS_WEIGHT);
+        w.put_bool(self.scorer_weighted);
         match self.population {
             Some(n) => {
                 w.put_bool(true);
@@ -511,14 +460,14 @@ impl Persistable for ComplaintTrust {
     }
 
     fn decode_state(r: &mut ByteReader) -> Result<Self, PersistError> {
-        let config = ComplaintConfig {
-            outlier_factor: r.take_finite_f64()?,
-            witness_weight: r.take_finite_f64()?,
-            scorer_weighted: r.take_bool()?,
-        };
-        config
-            .validate()
-            .map_err(|context| PersistError::Invalid { context })?;
+        for v in [OUTLIER_FACTOR, WITNESS_WEIGHT] {
+            take_fixed_f64(
+                r,
+                v,
+                "complaint configuration differs from the model's constants",
+            )?;
+        }
+        let scorer_weighted = r.take_bool()?;
         let population = if r.take_bool()? {
             Some(r.take_u64()? as usize)
         } else {
@@ -529,15 +478,10 @@ impl Persistable for ComplaintTrust {
         let mut recorded = 0usize;
         for _ in 0..n {
             let t = Tally {
-                received: r.take_finite_f64()?,
-                filed: r.take_finite_f64()?,
+                received: take_count(r, "complaint tallies must be in [0, 2^53]")?,
+                filed: take_count(r, "complaint tallies must be in [0, 2^53]")?,
                 seen: r.take_bool()?,
             };
-            if t.received < 0.0 || t.filed < 0.0 {
-                return Err(PersistError::Invalid {
-                    context: "complaint tallies must be non-negative",
-                });
-            }
             if !t.seen && (t.received != 0.0 || t.filed != 0.0) {
                 return Err(PersistError::Invalid {
                     context: "unseen peer with non-zero complaint tally",
@@ -550,12 +494,12 @@ impl Persistable for ComplaintTrust {
         // restored tallies — a pure function, so the value is
         // bit-identical to the encoded instance's.
         Ok(ComplaintTrust {
-            config,
             tallies,
             recorded,
             population,
             median: None,
             bracket: None,
+            scorer_weighted,
         })
     }
 }
@@ -665,11 +609,7 @@ mod tests {
 
     #[test]
     fn scorer_weighting_deflates_outlier_complainers() {
-        let weighted_cfg = ComplaintConfig {
-            scorer_weighted: true,
-            ..ComplaintConfig::default()
-        };
-        let mut weighted = ComplaintTrust::with_config(weighted_cfg);
+        let mut weighted = ComplaintTrust::new().scorer_weighted(true);
         let mut plain = ComplaintTrust::new();
         let slanderer = PeerId(50);
         let victim = PeerId(1);
@@ -715,15 +655,6 @@ mod tests {
         // Double-forget and out-of-table ids are no-ops.
         m.forget_peer(cheater);
         m.forget_peer(PeerId(9_999));
-    }
-
-    #[test]
-    #[should_panic(expected = "outlier factor")]
-    fn invalid_factor_panics() {
-        ComplaintTrust::with_config(ComplaintConfig {
-            outlier_factor: 0.5,
-            ..ComplaintConfig::default()
-        });
     }
 
     #[test]

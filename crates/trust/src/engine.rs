@@ -397,6 +397,7 @@ impl<M: TrustModel + Clone + Persistable> Persistable for TrustEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::EwmaTrust;
     use crate::beta::BetaTrust;
     use crate::complaints::ComplaintTrust;
 
@@ -444,9 +445,9 @@ mod tests {
 
     #[test]
     fn publish_folds_in_seq_order_not_arrival_order() {
-        // Forgetting makes the beta model order-sensitive: an
-        // out-of-order late round is discounted. Submitting in scrambled
-        // arrival order must reproduce the in-order fold exactly.
+        // The EWMA model is order-sensitive: the latest observation
+        // weighs most. Submitting in scrambled arrival order must
+        // reproduce the in-order fold exactly.
         let events: Vec<(u64, TrustEvent)> = (0..20)
             .map(|i| {
                 (
@@ -463,11 +464,11 @@ mod tests {
                 )
             })
             .collect();
-        let reference = TrustEngine::new(BetaTrust::with_population(4));
+        let reference = TrustEngine::new(EwmaTrust::with_population(4));
         reference.submit_batch(events.clone());
         reference.publish();
 
-        let scrambled = TrustEngine::new(BetaTrust::with_population(4));
+        let scrambled = TrustEngine::new(EwmaTrust::with_population(4));
         let mut shuffled = events;
         shuffled.reverse();
         shuffled.swap(3, 11);

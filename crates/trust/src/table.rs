@@ -358,7 +358,7 @@ mod tests {
             let mut oracle: Vec<Slot> = Vec::new();
             let mut beta = BetaTrust::new();
             let mut mean = MeanTrust::new();
-            let mut ewma = EwmaTrust::new(0.3);
+            let mut ewma = EwmaTrust::new();
             for &op in &ops {
                 match op {
                     Op::Write(id, value) => {

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use trustex_persist::snapshot::{from_bytes, to_bytes};
 use trustex_trust::beta::BetaTrust;
-use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
+use trustex_trust::complaints::ComplaintTrust;
 use trustex_trust::engine::{TrustEngine, TrustEvent};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 
@@ -74,10 +74,7 @@ fn row_bits(read: impl FnOnce(&mut [TrustEstimate])) -> Vec<(u64, u64)> {
 }
 
 fn scorer_weighted() -> ComplaintTrust {
-    let mut model = ComplaintTrust::with_config(ComplaintConfig {
-        scorer_weighted: true,
-        ..ComplaintConfig::default()
-    });
+    let mut model = ComplaintTrust::new().scorer_weighted(true);
     model.set_population(POP as usize);
     model
 }

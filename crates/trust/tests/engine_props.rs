@@ -179,6 +179,6 @@ proptest! {
 
     #[test]
     fn ewma_engine_matches_direct_folds(steps in steps(120)) {
-        check_engine_against_reference(EwmaTrust::new(0.3), &steps);
+        check_engine_against_reference(EwmaTrust::new(), &steps);
     }
 }

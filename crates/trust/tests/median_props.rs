@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
+use trustex_trust::complaints::ComplaintTrust;
 use trustex_trust::model::{Conduct, PeerId, TrustModel, WitnessReport};
 
 /// Ids are drawn from `0..IDS`.
@@ -85,14 +85,9 @@ fn check_median(
     steps: &[Step],
     population: Option<usize>,
     scorer_weighted: bool,
-    witness_weight: f64,
     read_each_step: bool,
 ) -> Result<(), TestCaseError> {
-    let mut model = ComplaintTrust::with_config(ComplaintConfig {
-        scorer_weighted,
-        witness_weight,
-        ..ComplaintConfig::default()
-    });
+    let mut model = ComplaintTrust::new().scorer_weighted(scorer_weighted);
     let mut population = population;
     if let Some(n) = population {
         model.set_population(n);
@@ -153,9 +148,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The stale and the sealed median equal the naive sort, bit for
-    /// bit, for every population shape and both weightings. Witness
-    /// weight 0.5 makes many products tie (the bracket's `equal` count),
-    /// a non-dyadic weight makes ties rare. Sparse reads let several
+    /// bit, for every population shape and both weightings. Unweighted
+    /// relays (weight ½) make many products tie (the bracket's `equal`
+    /// count); scorer weighting scales each relay by a non-dyadic
+    /// honesty estimate, which makes ties rare. Sparse reads let several
     /// mutations move the bracket between two reads; reading after
     /// every step checks each single move.
     #[test]
@@ -163,7 +159,6 @@ proptest! {
         steps in steps(240),
         shape in 0u8..4,
         scorer_weighted in any::<bool>(),
-        dyadic in any::<bool>(),
         read_each_step in any::<bool>(),
     ) {
         let population = match shape {
@@ -172,8 +167,7 @@ proptest! {
             2 => Some(IDS as usize / 2),
             _ => Some(IDS as usize * 2),
         };
-        let weight = if dyadic { 0.5 } else { 0.377 };
-        check_median(&steps, population, scorer_weighted, weight, read_each_step)?;
+        check_median(&steps, population, scorer_weighted, read_each_step)?;
     }
 }
 

@@ -7,8 +7,8 @@
 //! map-backed semantics:
 //!
 //! * dense storage ≡ the map semantics on random operation streams with
-//!   sparse ids and cold probes (including map-presence subtleties:
-//!   ungraded witnesses, zero-weight complaint entries);
+//!   sparse ids and cold probes (including the map-presence subtlety
+//!   of ungraded witnesses);
 //! * `predict_row_into` ≡ per-subject `predict`, bit for bit, for all
 //!   four models, for rows shorter and longer than the table;
 //! * the median ≡ a from-scratch sort oracle under random
@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
-use trustex_trust::beta::{BetaConfig, BetaTrust};
-use trustex_trust::complaints::{ComplaintConfig, ComplaintTrust};
+use trustex_trust::beta::BetaTrust;
+use trustex_trust::complaints::{ComplaintTrust, OUTLIER_FACTOR};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 
 /// One step of a random model workout. Ids are drawn from a small range
@@ -81,33 +81,18 @@ fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
 
 // ---------------------------------------------------------------------
 // Reference implementations: the old map-backed storage, verbatim
-// semantics (with the late-evidence discount the dense models apply).
+// semantics, with the models' constants: beta prior Beta(1, 1), witness
+// weights ½, witness prior 0.6.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RefEvidence {
     honest: f64,
     dishonest: f64,
-    last_round: u64,
 }
 
 impl RefEvidence {
-    fn observe(&mut self, conduct: Conduct, weight: f64, round: u64, forgetting: f64) {
-        if forgetting < 1.0 && round < self.last_round {
-            let staleness = forgetting.powf((self.last_round - round) as f64);
-            let w = weight * staleness;
-            match conduct {
-                Conduct::Honest => self.honest += w,
-                Conduct::Dishonest => self.dishonest += w,
-            }
-            return;
-        }
-        if forgetting < 1.0 && round > self.last_round {
-            let f = forgetting.powf((round - self.last_round) as f64);
-            self.honest *= f;
-            self.dishonest *= f;
-        }
-        self.last_round = self.last_round.max(round);
+    fn observe(&mut self, conduct: Conduct, weight: f64) {
         match conduct {
             Conduct::Honest => self.honest += weight,
             Conduct::Dishonest => self.dishonest += weight,
@@ -116,74 +101,50 @@ impl RefEvidence {
 }
 
 /// Map-backed beta model (the pre-dense storage layout).
+#[derive(Default)]
 struct RefBeta {
-    config: BetaConfig,
     evidence: HashMap<PeerId, RefEvidence>,
     witness_evidence: HashMap<PeerId, RefEvidence>,
 }
 
 impl RefBeta {
-    fn new(config: BetaConfig) -> RefBeta {
-        RefBeta {
-            config,
-            evidence: HashMap::new(),
-            witness_evidence: HashMap::new(),
-        }
-    }
-
-    fn grade_witness(&mut self, witness: PeerId, corroborated: bool, round: u64) {
-        let forgetting = self.config.forgetting;
-        self.witness_evidence.entry(witness).or_default().observe(
-            Conduct::from_honest(corroborated),
-            1.0,
-            round,
-            forgetting,
-        );
+    fn grade_witness(&mut self, witness: PeerId, corroborated: bool) {
+        self.witness_evidence
+            .entry(witness)
+            .or_default()
+            .observe(Conduct::from_honest(corroborated), 1.0);
     }
 
     fn witness_reliability(&self, witness: PeerId) -> f64 {
         match self.witness_evidence.get(&witness) {
-            None => self.config.witness_prior,
-            Some(e) => {
-                (self.config.prior_honest + e.honest)
-                    / (self.config.prior_honest
-                        + self.config.prior_dishonest
-                        + e.honest
-                        + e.dishonest)
-            }
+            None => 0.6,
+            Some(e) => (1.0 + e.honest) / (1.0 + 1.0 + e.honest + e.dishonest),
         }
     }
 
-    fn record_direct(&mut self, subject: PeerId, conduct: Conduct, round: u64) {
-        let forgetting = self.config.forgetting;
+    fn record_direct(&mut self, subject: PeerId, conduct: Conduct) {
         self.evidence
             .entry(subject)
             .or_default()
-            .observe(conduct, 1.0, round, forgetting);
+            .observe(conduct, 1.0);
     }
 
     fn record_witness(&mut self, report: WitnessReport) {
         let reliability = self.witness_reliability(report.witness);
         let discount = (2.0 * reliability - 1.0).max(0.0);
-        let weight = self.config.witness_weight * discount;
+        let weight = 0.5 * discount;
         if weight <= 0.0 {
             return;
         }
-        let forgetting = self.config.forgetting;
-        self.evidence.entry(report.subject).or_default().observe(
-            report.conduct,
-            weight,
-            report.round,
-            forgetting,
-        );
+        self.evidence
+            .entry(report.subject)
+            .or_default()
+            .observe(report.conduct, weight);
     }
 
     fn posterior(&self, subject: PeerId) -> (f64, f64) {
         let e = self.evidence.get(&subject).copied().unwrap_or_default();
-        (
-            self.config.prior_honest + e.honest,
-            self.config.prior_dishonest + e.dishonest,
-        )
+        (1.0 + e.honest, 1.0 + e.dishonest)
     }
 
     fn predict(&self, subject: PeerId) -> f64 {
@@ -200,21 +161,13 @@ struct RefTally {
 
 /// Map-backed complaint model with the sort-per-call median (the
 /// pre-dense, pre-cache layout — also the from-scratch median oracle).
+#[derive(Default)]
 struct RefComplaints {
-    config: ComplaintConfig,
     tallies: HashMap<PeerId, RefTally>,
     population: Option<usize>,
 }
 
 impl RefComplaints {
-    fn new(config: ComplaintConfig) -> RefComplaints {
-        RefComplaints {
-            config,
-            tallies: HashMap::new(),
-            population: None,
-        }
-    }
-
     fn add_complaint(&mut self, by: PeerId, about: PeerId, weight: f64) {
         self.tallies.entry(about).or_default().received += weight;
         self.tallies.entry(by).or_default().filed += weight;
@@ -228,7 +181,7 @@ impl RefComplaints {
 
     fn record_witness(&mut self, report: WitnessReport) {
         if !report.conduct.is_honest() {
-            self.add_complaint(report.witness, report.subject, self.config.witness_weight);
+            self.add_complaint(report.witness, report.subject, 0.5);
         }
     }
 
@@ -264,7 +217,7 @@ impl RefComplaints {
     fn predict(&self, subject: PeerId) -> f64 {
         let product = self.complaint_product(subject);
         let median = self.median_product();
-        let ratio = product / (self.config.outlier_factor * median);
+        let ratio = product / (OUTLIER_FACTOR * median);
         1.0 / (1.0 + ratio * ratio)
     }
 }
@@ -278,25 +231,21 @@ proptest! {
 
     /// Dense beta storage reproduces the map-backed reference bit for
     /// bit — posterior, reliability and prediction — on random streams
-    /// of direct records, witness reports and witness grades, for
-    /// forgetting ∈ {1, 0.7}, with and without pre-sizing.
+    /// of direct records, witness reports and witness grades, with and
+    /// without pre-sizing.
     #[test]
-    fn beta_dense_matches_map_reference(ops in ops(120), forget in 0u8..2, presize in any::<bool>()) {
-        let config = BetaConfig {
-            forgetting: if forget == 0 { 1.0 } else { 0.7 },
-            ..BetaConfig::default()
-        };
-        let mut dense = BetaTrust::with_config(config);
+    fn beta_dense_matches_map_reference(ops in ops(120), presize in any::<bool>()) {
+        let mut dense = BetaTrust::new();
         if presize {
             dense.ensure_capacity(24);
         }
-        let mut reference = RefBeta::new(config);
+        let mut reference = RefBeta::default();
         for op in &ops {
             match op.kind {
                 0 => {
                     let conduct = Conduct::from_honest(op.honest);
                     dense.record_direct(PeerId(op.a), conduct, op.round);
-                    reference.record_direct(PeerId(op.a), conduct, op.round);
+                    reference.record_direct(PeerId(op.a), conduct);
                 }
                 1 => {
                     let report = witness_report(op.a, op.b, op.honest, op.round);
@@ -305,7 +254,7 @@ proptest! {
                 }
                 _ => {
                     dense.grade_witness(PeerId(op.a), op.honest, op.round);
-                    reference.grade_witness(PeerId(op.a), op.honest, op.round);
+                    reference.grade_witness(PeerId(op.a), op.honest);
                 }
             }
         }
@@ -318,22 +267,15 @@ proptest! {
     }
 
     /// Dense complaint storage (tallies, products, median, predictions,
-    /// assessments) reproduces the map-backed reference bit for bit —
-    /// including the map-presence subtlety that zero-weight witness
-    /// complaints create median entries — with and without a declared
-    /// population.
+    /// assessments) reproduces the map-backed reference bit for bit,
+    /// with and without a declared population.
     #[test]
     fn complaints_dense_matches_map_reference(
         ops in ops(120),
         population in 0usize..40,
-        zero_weight in any::<bool>(),
     ) {
-        let config = ComplaintConfig {
-            witness_weight: if zero_weight { 0.0 } else { 0.5 },
-            ..ComplaintConfig::default()
-        };
-        let mut dense = ComplaintTrust::with_config(config);
-        let mut reference = RefComplaints::new(config);
+        let mut dense = ComplaintTrust::new();
+        let mut reference = RefComplaints::default();
         if population > 0 {
             dense.set_population(population);
             reference.population = Some(population);
@@ -374,7 +316,7 @@ proptest! {
         population in 0usize..30,
     ) {
         let mut dense = ComplaintTrust::new();
-        let mut reference = RefComplaints::new(ComplaintConfig::default());
+        let mut reference = RefComplaints::default();
         if population > 0 {
             dense.set_population(population);
             reference.population = Some(population);
@@ -416,7 +358,7 @@ proptest! {
         let mut ewma = EwmaTrust::default();
         let mut ref_counts: HashMap<PeerId, (u64, u64)> = HashMap::new();
         let mut ref_scores: HashMap<PeerId, (f64, u64)> = HashMap::new();
-        let rate = ewma.rate();
+        let rate = 0.2;
         for op in &ops {
             let (subject, weight) = if op.kind == 0 {
                 (PeerId(op.a), 1.0)
@@ -460,13 +402,13 @@ proptest! {
 /// subtle difference — the EWMA witness path halves λ — explicitly.
 #[test]
 fn ewma_witness_weight_regression() {
-    let mut m = EwmaTrust::new(0.4);
+    let mut m = EwmaTrust::new();
     m.record_witness(witness_report(9, 1, true, 0));
-    // λ·w = 0.2: 0.8·0.5 + 0.2·1 = 0.6.
-    assert!((m.predict(PeerId(1)).p_honest - 0.6).abs() < 1e-12);
+    // λ·w = 0.1: 0.9·0.5 + 0.1·1 = 0.55.
+    assert!((m.predict(PeerId(1)).p_honest - 0.55).abs() < 1e-12);
     m.record_direct(PeerId(1), Conduct::Dishonest, 0);
-    // λ = 0.4: 0.6·0.6 = 0.36.
-    assert!((m.predict(PeerId(1)).p_honest - 0.36).abs() < 1e-12);
+    // λ = 0.2: 0.8·0.55 = 0.44.
+    assert!((m.predict(PeerId(1)).p_honest - 0.44).abs() < 1e-12);
 }
 
 /// `predict_row_into`'s default trait implementation (the per-subject

@@ -127,8 +127,8 @@ proptest! {
     }
 
     #[test]
-    fn ewma_round_trips(obs in observations(120), rate in 0.05f64..1.0) {
-        let mut model = EwmaTrust::with_population(rate, POP as usize);
+    fn ewma_round_trips(obs in observations(120)) {
+        let mut model = EwmaTrust::with_population(POP as usize);
         apply(&mut model, &obs);
         check_round_trip(&model);
     }
@@ -254,7 +254,7 @@ fn mean_corruption_matrix() {
 
 #[test]
 fn ewma_corruption_matrix() {
-    let model = workout(EwmaTrust::with_population(0.3, POP as usize));
+    let model = workout(EwmaTrust::with_population(POP as usize));
     let blob = to_bytes(&model);
     check_corruption_matrix(&blob, &|b| from_bytes::<EwmaTrust>(b).is_ok());
 }
@@ -367,8 +367,8 @@ fn cold_looking_slots_round_trip_byte_identical() {
         w.put_u64(round);
     };
     let beta = crafted_blob::<BetaTrust>(|w| {
-        // Configuration: priors 1/1, no forgetting, witness weight ½,
-        // witness prior 0.6, no scorer weighting.
+        // Configuration slots: priors 1/1, forgetting 1, witness weight
+        // ½, witness prior 0.6, then no scorer weighting.
         for v in [1.0, 1.0, 1.0, 0.5, 0.6] {
             w.put_f64(v);
         }
@@ -413,7 +413,7 @@ fn cold_looking_slots_round_trip_byte_identical() {
     assert_reencodes::<MeanTrust>(&mean);
 
     let ewma = crafted_blob::<EwmaTrust>(|w| {
-        w.put_f64(0.3);
+        w.put_f64(0.2);
         w.put_bool(false);
         w.put_len(3);
         for (score, n) in [(0.7, 2u64), (0.5, 0), (0.3, 1)] {
@@ -422,6 +422,129 @@ fn cold_looking_slots_round_trip_byte_identical() {
         }
     });
     assert_reencodes::<EwmaTrust>(&ewma);
+}
+
+/// A CRC-valid snapshot whose evidence counts exceed 2⁵³ is refused at
+/// restore. Each event adds at most 1 to one count, so no reachable
+/// state holds such a count. Accepting them handed back a model that
+/// aborted on a NaN estimate: at once for complaint tallies
+/// r = f = 1e200 (their product overflows) and for Beta evidence
+/// honest = dishonest = 1e308 (confidence inf/inf), and for a tally
+/// r = 1.7e308, f = 0 at the first complaint that peer files.
+#[test]
+fn huge_evidence_counts_are_refused() {
+    use trustex_persist::PersistError;
+    let complaints = |received: f64, filed: f64| {
+        crafted_blob::<ComplaintTrust>(|w| {
+            // Outlier factor, witness weight, no scorer weighting, no
+            // declared population, then one seen peer's tally.
+            w.put_f64(4.0);
+            w.put_f64(0.5);
+            w.put_bool(false);
+            w.put_bool(false);
+            w.put_len(1);
+            w.put_f64(received);
+            w.put_f64(filed);
+            w.put_bool(true);
+        })
+    };
+    let beta = |honest: f64, dishonest: f64| {
+        crafted_blob::<BetaTrust>(|w| {
+            for v in [1.0, 1.0, 1.0, 0.5, 0.6] {
+                w.put_f64(v);
+            }
+            w.put_bool(false);
+            w.put_len(1);
+            w.put_f64(honest);
+            w.put_f64(dishonest);
+            w.put_u64(0);
+            w.put_len(0);
+        })
+    };
+    for (received, filed) in [(1e200, 1e200), (1.7e308, 0.0), (0.0, 2f64.powi(53) + 2.0)] {
+        let restored = from_bytes::<ComplaintTrust>(&complaints(received, filed));
+        assert!(
+            matches!(restored, Err(PersistError::Invalid { .. })),
+            "tally ({received}, {filed}): {restored:?}"
+        );
+    }
+    for (honest, dishonest) in [(1e308, 1e308), (2f64.powi(53) + 2.0, 0.0)] {
+        let restored = from_bytes::<BetaTrust>(&beta(honest, dishonest));
+        assert!(
+            matches!(restored, Err(PersistError::Invalid { .. })),
+            "evidence ({honest}, {dishonest}): {restored:?}"
+        );
+    }
+    // Counts at the bound restore and keep predicting, also after the
+    // bounded peer files a complaint.
+    let bound = 2f64.powi(53);
+    let mut model: ComplaintTrust = from_bytes(&complaints(bound, bound)).unwrap();
+    model.seal();
+    assert!(model.predict(PeerId(0)).p_honest.is_finite());
+    model.file_complaint(PeerId(0), PeerId(1), 0);
+    model.seal();
+    assert!(model.predict(PeerId(0)).p_honest.is_finite());
+    let model: BetaTrust = from_bytes(&beta(bound, bound)).unwrap();
+    assert!(model.predict(PeerId(0)).confidence > 0.99);
+}
+
+/// The models' parameters are constants: a CRC-valid snapshot whose
+/// configuration slots hold any other value is refused, not run with
+/// parameters the model no longer has.
+#[test]
+fn non_constant_configuration_is_refused() {
+    use trustex_persist::PersistError;
+    let beta_with = |slot: usize, value: f64| {
+        crafted_blob::<BetaTrust>(|w| {
+            let mut config = [1.0, 1.0, 1.0, 0.5, 0.6];
+            config[slot] = value;
+            for v in config {
+                w.put_f64(v);
+            }
+            w.put_bool(false);
+            w.put_len(0);
+            w.put_len(0);
+        })
+    };
+    assert!(from_bytes::<BetaTrust>(&beta_with(0, 1.0)).is_ok());
+    // Each slot, the forgetting factor among them.
+    for (slot, value) in [(0, 2.0), (1, 0.5), (2, 0.9), (3, 0.25), (4, 0.5)] {
+        assert!(
+            matches!(
+                from_bytes::<BetaTrust>(&beta_with(slot, value)),
+                Err(PersistError::Invalid { .. })
+            ),
+            "beta slot {slot} = {value}"
+        );
+    }
+    let complaints_with = |factor: f64, weight: f64| {
+        crafted_blob::<ComplaintTrust>(|w| {
+            w.put_f64(factor);
+            w.put_f64(weight);
+            w.put_bool(false);
+            w.put_bool(false);
+            w.put_len(0);
+        })
+    };
+    assert!(from_bytes::<ComplaintTrust>(&complaints_with(4.0, 0.5)).is_ok());
+    for (factor, weight) in [(2.0, 0.5), (4.0, 0.0)] {
+        assert!(matches!(
+            from_bytes::<ComplaintTrust>(&complaints_with(factor, weight)),
+            Err(PersistError::Invalid { .. })
+        ));
+    }
+    let ewma_with = |rate: f64| {
+        crafted_blob::<EwmaTrust>(|w| {
+            w.put_f64(rate);
+            w.put_bool(false);
+            w.put_len(0);
+        })
+    };
+    assert!(from_bytes::<EwmaTrust>(&ewma_with(0.2)).is_ok());
+    assert!(matches!(
+        from_bytes::<EwmaTrust>(&ewma_with(0.3)),
+        Err(PersistError::Invalid { .. })
+    ));
 }
 
 /// A snapshot from a hypothetical newer format version must be refused,
