@@ -50,62 +50,47 @@ impl CurveShape {
     }
 }
 
-/// Parameters for generating a goods set from a [`CurveShape`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurveParams {
-    /// Number of items to generate (must be ≥ 1).
-    pub n_items: usize,
-    /// Mean supplier cost per item, in major units.
-    pub mean_cost: f64,
-    /// Multiplier from mean cost to mean consumer value (> 0 keeps the
-    /// deal socially valuable when > 1).
-    pub value_markup: f64,
-}
+/// Mean supplier cost per generated item, in major units.
+const MEAN_COST: f64 = 10.0;
 
-impl Default for CurveParams {
-    fn default() -> Self {
-        CurveParams {
-            n_items: 8,
-            mean_cost: 10.0,
-            value_markup: 1.5,
-        }
-    }
-}
+/// Multiplier from mean cost to mean consumer value: above 1, so every
+/// generated deal is socially valuable.
+const VALUE_MARKUP: f64 = 1.6;
 
-/// Generates a goods set of the given shape.
+/// Generates a goods set of `n` items of the given shape, with a
+/// mean supplier cost of 10 and a mean consumer value 1.6 times that.
 ///
 /// `uniform` must yield independent draws in `[0, 1)`; the simulator
 /// passes `|| rng.f64()`.
 ///
 /// # Errors
 ///
-/// Returns [`GoodsError::Empty`] when `params.n_items == 0`.
+/// Returns [`GoodsError::Empty`] when `n == 0`.
 ///
 /// # Examples
 ///
 /// ```
-/// use trustex_core::curves::{generate, CurveParams, CurveShape};
+/// use trustex_core::curves::{generate, CurveShape};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut x = 0.37_f64;
 /// // A deterministic low-discrepancy source is fine for the doc example.
 /// let mut src = move || { x = (x + 0.61803398875).fract(); x };
-/// let goods = generate(CurveShape::Random, CurveParams::default(), &mut src)?;
+/// let goods = generate(CurveShape::Random, 8, &mut src)?;
 /// assert_eq!(goods.len(), 8);
 /// # Ok(())
 /// # }
 /// ```
 pub fn generate(
     shape: CurveShape,
-    params: CurveParams,
+    n: usize,
     uniform: &mut dyn FnMut() -> f64,
 ) -> Result<Goods, GoodsError> {
-    let n = params.n_items;
     if n == 0 {
         return Err(GoodsError::Empty);
     }
-    let mc = params.mean_cost.max(0.0);
-    let mv = (params.mean_cost * params.value_markup).max(0.0);
+    let mc = MEAN_COST;
+    let mv = MEAN_COST * VALUE_MARKUP;
     let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
     match shape {
         CurveShape::Uniform => {
@@ -175,15 +160,7 @@ mod tests {
     fn all_shapes_generate_requested_size() {
         let mut s = src();
         for shape in CurveShape::ALL {
-            let g = generate(
-                shape,
-                CurveParams {
-                    n_items: 12,
-                    ..CurveParams::default()
-                },
-                &mut s,
-            )
-            .unwrap();
+            let g = generate(shape, 12, &mut s).unwrap();
             assert_eq!(g.len(), 12, "shape {shape:?}");
         }
     }
@@ -191,22 +168,14 @@ mod tests {
     #[test]
     fn zero_items_rejected() {
         let mut s = src();
-        let err = generate(
-            CurveShape::Uniform,
-            CurveParams {
-                n_items: 0,
-                ..CurveParams::default()
-            },
-            &mut s,
-        )
-        .unwrap_err();
+        let err = generate(CurveShape::Uniform, 0, &mut s).unwrap_err();
         assert_eq!(err, GoodsError::Empty);
     }
 
     #[test]
     fn uniform_items_identical() {
         let mut s = src();
-        let g = generate(CurveShape::Uniform, CurveParams::default(), &mut s).unwrap();
+        let g = generate(CurveShape::Uniform, 8, &mut s).unwrap();
         let first = g.get(0).unwrap();
         for item in g.iter() {
             assert_eq!(item.supplier_cost(), first.supplier_cost());
@@ -217,7 +186,7 @@ mod tests {
     #[test]
     fn front_loaded_costs_decrease() {
         let mut s = src();
-        let g = generate(CurveShape::FrontLoadedCost, CurveParams::default(), &mut s).unwrap();
+        let g = generate(CurveShape::FrontLoadedCost, 8, &mut s).unwrap();
         let costs: Vec<_> = g.iter().map(|i| i.supplier_cost()).collect();
         for w in costs.windows(2) {
             assert!(w[0] >= w[1], "costs must be non-increasing: {costs:?}");
@@ -227,7 +196,7 @@ mod tests {
     #[test]
     fn back_loaded_values_increase() {
         let mut s = src();
-        let g = generate(CurveShape::BackLoadedValue, CurveParams::default(), &mut s).unwrap();
+        let g = generate(CurveShape::BackLoadedValue, 8, &mut s).unwrap();
         let vals: Vec<_> = g.iter().map(|i| i.consumer_value()).collect();
         for w in vals.windows(2) {
             assert!(w[0] <= w[1], "values must be non-decreasing: {vals:?}");
@@ -237,12 +206,7 @@ mod tests {
     #[test]
     fn front_loaded_preserves_mean_cost() {
         let mut s = src();
-        let p = CurveParams {
-            n_items: 10,
-            mean_cost: 10.0,
-            value_markup: 1.5,
-        };
-        let g = generate(CurveShape::FrontLoadedCost, p, &mut s).unwrap();
+        let g = generate(CurveShape::FrontLoadedCost, 10, &mut s).unwrap();
         let mean = g.total_supplier_cost().as_f64() / 10.0;
         assert!((mean - 10.0).abs() < 1e-6, "mean {mean}");
     }
@@ -250,15 +214,7 @@ mod tests {
     #[test]
     fn mixed_surplus_has_both_signs() {
         let mut s = src();
-        let g = generate(
-            CurveShape::MixedSurplus,
-            CurveParams {
-                n_items: 6,
-                ..CurveParams::default()
-            },
-            &mut s,
-        )
-        .unwrap();
+        let g = generate(CurveShape::MixedSurplus, 6, &mut s).unwrap();
         let pos = g.iter().filter(|i| i.surplus().is_positive()).count();
         let neg = g.iter().filter(|i| i.surplus().is_negative()).count();
         assert!(pos > 0 && neg > 0, "pos={pos} neg={neg}");
@@ -267,8 +223,8 @@ mod tests {
     #[test]
     fn random_uses_source() {
         let mut s = src();
-        let g1 = generate(CurveShape::Random, CurveParams::default(), &mut s).unwrap();
-        let g2 = generate(CurveShape::Random, CurveParams::default(), &mut s).unwrap();
+        let g1 = generate(CurveShape::Random, 8, &mut s).unwrap();
+        let g2 = generate(CurveShape::Random, 8, &mut s).unwrap();
         assert_ne!(g1, g2, "consecutive random draws should differ");
     }
 

@@ -116,25 +116,6 @@ impl DefectionOracle for RationalDefector {
     }
 }
 
-/// Adapts a closure into an oracle.
-#[derive(Debug)]
-pub struct OracleFn<F>(pub F);
-
-impl<F> DefectionOracle for OracleFn<F>
-where
-    F: FnMut(Role, Money, &StateView<'_>, &[Action]) -> bool,
-{
-    fn defects(
-        &mut self,
-        role: Role,
-        temptation: Money,
-        view: &StateView<'_>,
-        upcoming: &[Action],
-    ) -> bool {
-        (self.0)(role, temptation, view, upcoming)
-    }
-}
-
 /// Terminal status of an executed exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStatus {
@@ -386,19 +367,21 @@ mod tests {
     }
 
     #[test]
-    fn oracle_fn_adapter() {
+    fn oracle_is_consulted() {
+        /// Never defects; counts how often it was asked.
+        struct Counting(usize);
+        impl DefectionOracle for Counting {
+            fn defects(&mut self, _: Role, _: Money, _: &StateView<'_>, _: &[Action]) -> bool {
+                self.0 += 1;
+                false
+            }
+        }
         let d = deal();
         let seq = scheduled(&d, 4.0);
-        let mut calls = 0usize;
-        {
-            let mut oracle = OracleFn(|_role, _t: Money, _v: &StateView<'_>, _u: &[Action]| {
-                calls += 1;
-                false
-            });
-            let out = execute(&d, &seq, &mut oracle, &mut Honest);
-            assert!(out.status.is_completed());
-        }
-        assert!(calls > 0, "oracle must be consulted");
+        let mut oracle = Counting(0);
+        let out = execute(&d, &seq, &mut oracle, &mut Honest);
+        assert!(out.status.is_completed());
+        assert!(oracle.0 > 0, "oracle must be consulted");
     }
 
     #[test]

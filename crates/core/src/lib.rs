@@ -66,7 +66,7 @@ pub mod state;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::curves::{generate as generate_goods, CurveParams, CurveShape};
+    pub use crate::curves::{generate as generate_goods, CurveShape};
     pub use crate::deal::{Deal, DealError};
     pub use crate::execute::{
         execute, max_future_temptation, DefectionOracle, ExchangeOutcome, ExchangeStatus, Honest,

@@ -3,7 +3,8 @@
 //! Before scheduling anything, each party decides whether the exchange is
 //! worth entering at all: the expected gain under the trust estimate —
 //! completion gain on honest behaviour, worst-case exposure loss on
-//! defection — must clear a threshold.
+//! defection — must not be negative, and the opponent must not be more
+//! likely dishonest than honest.
 
 use trustex_core::money::Money;
 use trustex_trust::model::TrustEstimate;
@@ -13,7 +14,7 @@ use crate::exposure::effective_dishonesty;
 /// Why an exchange was declined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeclineReason {
-    /// Expected gain below the configured threshold.
+    /// Expected gain below zero.
     ExpectedGainTooLow,
     /// The opponent's dishonesty estimate exceeds the hard limit.
     OpponentTooRisky,
@@ -34,58 +35,41 @@ pub enum Engagement {
     },
 }
 
-/// Parameters of the engagement rule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngagementRule {
-    /// Minimum acceptable expected gain (often zero).
-    pub min_expected_gain: Money,
-    /// Hard ceiling on the opponent's effective dishonesty probability;
-    /// above it the party refuses regardless of stakes.
-    pub max_dishonesty: f64,
-}
+/// Least acceptable expected gain.
+const MIN_EXPECTED_GAIN: Money = Money::ZERO;
 
-impl Default for EngagementRule {
-    fn default() -> Self {
-        EngagementRule {
-            min_expected_gain: Money::ZERO,
-            max_dishonesty: 0.5,
-        }
-    }
-}
+/// Hard ceiling on the opponent's effective dishonesty probability;
+/// above it a party refuses regardless of stakes.
+const MAX_DISHONESTY: f64 = 0.5;
 
 /// Decides whether to enter an exchange.
 ///
 /// `gain` is the party's completion gain; `exposure` the bound it would
 /// grant (its worst-case loss). Expected gain =
 /// `(1 − p̂)·gain − p̂·exposure` with `p̂` the confidence-blended
-/// dishonesty estimate.
+/// dishonesty estimate. The party declines when `p̂` exceeds ½ or the
+/// expected gain is negative.
 ///
 /// # Examples
 ///
 /// ```
 /// use trustex_core::money::Money;
-/// use trustex_decision::engage::{decide, Engagement, EngagementRule};
+/// use trustex_decision::engage::{decide, Engagement};
 /// use trustex_trust::model::TrustEstimate;
 ///
-/// let rule = EngagementRule::default();
 /// let trusted = TrustEstimate::new(0.95, 1.0);
-/// let d = decide(trusted, Money::from_units(10), Money::from_units(5), rule);
+/// let d = decide(trusted, Money::from_units(10), Money::from_units(5));
 /// assert!(matches!(d, Engagement::Engage { .. }));
 /// ```
-pub fn decide(
-    opponent: TrustEstimate,
-    gain: Money,
-    exposure: Money,
-    rule: EngagementRule,
-) -> Engagement {
+pub fn decide(opponent: TrustEstimate, gain: Money, exposure: Money) -> Engagement {
     let p = effective_dishonesty(opponent);
-    if p > rule.max_dishonesty {
+    if p > MAX_DISHONESTY {
         return Engagement::Decline {
             reason: DeclineReason::OpponentTooRisky,
         };
     }
     let expected = gain.scale(1.0 - p) - exposure.scale(p);
-    if expected < rule.min_expected_gain {
+    if expected < MIN_EXPECTED_GAIN {
         Engagement::Decline {
             reason: DeclineReason::ExpectedGainTooLow,
         }
@@ -106,7 +90,6 @@ mod tests {
             TrustEstimate::new(0.95, 1.0),
             Money::from_units(10),
             Money::from_units(5),
-            EngagementRule::default(),
         );
         match d {
             Engagement::Engage { expected_gain } => {
@@ -123,7 +106,6 @@ mod tests {
             TrustEstimate::new(0.2, 1.0), // p̂ = 0.8 > 0.5
             Money::from_units(1_000),
             Money::ZERO,
-            EngagementRule::default(),
         );
         assert_eq!(
             d,
@@ -140,7 +122,6 @@ mod tests {
             TrustEstimate::new(0.6, 1.0),
             Money::from_units(1),
             Money::from_units(10),
-            EngagementRule::default(),
         );
         assert_eq!(
             d,
@@ -152,13 +133,8 @@ mod tests {
 
     #[test]
     fn unknown_opponent_at_prior_boundary() {
-        // Unknown ⇒ p_eff = 0.5, exactly at the default ceiling: allowed.
-        let d = decide(
-            TrustEstimate::UNKNOWN,
-            Money::from_units(10),
-            Money::ZERO,
-            EngagementRule::default(),
-        );
+        // Unknown ⇒ p_eff = 0.5, exactly at the ceiling: allowed.
+        let d = decide(TrustEstimate::UNKNOWN, Money::from_units(10), Money::ZERO);
         assert!(
             matches!(d, Engagement::Engage { .. }),
             "boundary is inclusive"
@@ -167,17 +143,23 @@ mod tests {
 
     #[test]
     fn threshold_respected() {
-        let rule = EngagementRule {
-            min_expected_gain: Money::from_units(5),
-            max_dishonesty: 1.0,
-        };
-        let d = decide(
-            TrustEstimate::new(0.9, 1.0),
-            Money::from_units(5),
-            Money::ZERO,
-            rule,
+        // p̂ = 0.5: expected = 0.5·10 − 0.5·10 = 0, exactly at the
+        // threshold: allowed.
+        let even = TrustEstimate::new(0.5, 1.0);
+        let d = decide(even, Money::from_units(10), Money::from_units(10));
+        assert_eq!(
+            d,
+            Engagement::Engage {
+                expected_gain: Money::ZERO
+            }
         );
-        // expected = 4.5 < 5.
-        assert!(matches!(d, Engagement::Decline { .. }));
+        // expected = 0.5·10 − 0.5·11 = −0.5 < 0.
+        let d = decide(even, Money::from_units(10), Money::from_units(11));
+        assert_eq!(
+            d,
+            Engagement::Decline {
+                reason: DeclineReason::ExpectedGainTooLow
+            }
+        );
     }
 }

@@ -20,13 +20,14 @@ use crate::risk::RiskProfile;
 use trustex_core::money::Money;
 use trustex_trust::model::TrustEstimate;
 
+/// Base fraction of the completion gain put at risk (the paper's
+/// "decrease of the expected gains") before the risk attitude scales it.
+const BASE_BUDGET_FRACTION: f64 = 0.1;
+
 /// Parameters of the exposure computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExposurePolicy {
-    /// Base fraction of the completion gain put at risk (the paper's
-    /// "decrease of the expected gains"), in `[0, 1]`.
-    pub base_budget_fraction: f64,
-    /// The party's risk attitude, multiplying the base fraction.
+    /// The party's risk attitude, multiplying the base fraction of 10 %.
     pub risk: RiskProfile,
     /// Hard cap on the exposure bound (e.g. the deal price): no trust
     /// level justifies risking more than this.
@@ -37,7 +38,6 @@ impl ExposurePolicy {
     /// A conservative default: risk 10% of the gain, neutral attitude.
     pub fn with_cap(cap: Money) -> ExposurePolicy {
         ExposurePolicy {
-            base_budget_fraction: 0.1,
             risk: RiskProfile::Neutral,
             cap,
         }
@@ -77,8 +77,7 @@ pub fn exposure_bound(opponent: TrustEstimate, gain: Money, policy: ExposurePoli
     if !gain.is_positive() {
         return Money::ZERO;
     }
-    let budget_fraction = (policy.base_budget_fraction * policy.risk.multiplier()).clamp(0.0, 1.0);
-    let budget = gain.scale(budget_fraction);
+    let budget = gain.scale(BASE_BUDGET_FRACTION * policy.risk.multiplier());
     let p = effective_dishonesty(opponent);
     if p <= 0.0 {
         return policy.cap; // infinite trust: only the cap binds
@@ -91,11 +90,7 @@ mod tests {
     use super::*;
 
     fn policy() -> ExposurePolicy {
-        ExposurePolicy {
-            base_budget_fraction: 0.1,
-            risk: RiskProfile::Neutral,
-            cap: Money::from_units(1_000),
-        }
+        ExposurePolicy::with_cap(Money::from_units(1_000))
     }
 
     #[test]
@@ -149,11 +144,11 @@ mod tests {
         let est = TrustEstimate::new(0.8, 1.0);
         let gain = Money::from_units(100);
         let averse = ExposurePolicy {
-            risk: RiskProfile::Averse { gamma: 0.5 },
+            risk: RiskProfile::Averse,
             ..policy()
         };
         let seeking = ExposurePolicy {
-            risk: RiskProfile::Seeking { gamma: 2.0 },
+            risk: RiskProfile::Seeking,
             ..policy()
         };
         let e_neutral = exposure_bound(est, gain, policy());
@@ -174,6 +169,6 @@ mod tests {
     fn with_cap_constructor() {
         let p = ExposurePolicy::with_cap(Money::from_units(7));
         assert_eq!(p.cap, Money::from_units(7));
-        assert!((p.base_budget_fraction - 0.1).abs() < 1e-12);
+        assert_eq!(p.risk, RiskProfile::Neutral);
     }
 }

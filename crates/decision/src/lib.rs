@@ -33,7 +33,7 @@ pub mod risk;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::engage::{decide, DeclineReason, Engagement, EngagementRule};
+    pub use crate::engage::{decide, DeclineReason, Engagement};
     pub use crate::exposure::{effective_dishonesty, exposure_bound, ExposurePolicy};
     pub use crate::negotiate::{
         min_trust_to_trade, plan_exchange, NegotiatedExchange, PartyInputs, PlanError,

@@ -7,7 +7,7 @@
 //! finds a sequence within them or reports the margin that would have
 //! been needed.
 
-use crate::engage::{decide, Engagement, EngagementRule};
+use crate::engage::{decide, Engagement};
 use crate::exposure::{exposure_bound, ExposurePolicy};
 use trustex_core::deal::Deal;
 use trustex_core::policy::PaymentPolicy;
@@ -21,10 +21,8 @@ use trustex_trust::model::TrustEstimate;
 pub struct PartyInputs {
     /// The party's trust estimate of its *opponent*.
     pub trust_in_opponent: TrustEstimate,
-    /// The party's exposure policy (risk budget, attitude, cap).
+    /// The party's exposure policy (risk attitude and cap).
     pub exposure: ExposurePolicy,
-    /// The party's engagement rule.
-    pub engagement: EngagementRule,
 }
 
 /// Why planning failed.
@@ -86,7 +84,6 @@ pub struct NegotiatedExchange {
 /// use trustex_core::prelude::*;
 /// use trustex_decision::negotiate::{plan_exchange, PartyInputs};
 /// use trustex_decision::exposure::ExposurePolicy;
-/// use trustex_decision::engage::EngagementRule;
 /// use trustex_trust::model::TrustEstimate;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -95,7 +92,6 @@ pub struct NegotiatedExchange {
 /// let inputs = PartyInputs {
 ///     trust_in_opponent: TrustEstimate::new(0.95, 0.9),
 ///     exposure: ExposurePolicy::with_cap(deal.price()),
-///     engagement: EngagementRule::default(),
 /// };
 /// let nx = plan_exchange(&deal, inputs, inputs, PaymentPolicy::Lazy)?;
 /// assert!(nx.plan.sequence().delivery_count() == 2);
@@ -121,21 +117,11 @@ pub fn plan_exchange(
     );
 
     // Engagement checks with the derived worst-case exposures.
-    let s_decision = decide(
-        supplier.trust_in_opponent,
-        deal.supplier_profit(),
-        eps_s,
-        supplier.engagement,
-    );
+    let s_decision = decide(supplier.trust_in_opponent, deal.supplier_profit(), eps_s);
     if !matches!(s_decision, Engagement::Engage { .. }) {
         return Err(PlanError::SupplierDeclined);
     }
-    let c_decision = decide(
-        consumer.trust_in_opponent,
-        deal.consumer_surplus(),
-        eps_c,
-        consumer.engagement,
-    );
+    let c_decision = decide(consumer.trust_in_opponent, deal.consumer_surplus(), eps_c);
     if !matches!(c_decision, Engagement::Engage { .. }) {
         return Err(PlanError::ConsumerDeclined);
     }
@@ -202,7 +188,6 @@ mod tests {
         PartyInputs {
             trust_in_opponent: TrustEstimate::new(p_honest, confidence),
             exposure: ExposurePolicy::with_cap(Money::from_units(9)),
-            engagement: EngagementRule::default(),
         }
     }
 

@@ -5,7 +5,7 @@ use super::Scale;
 use crate::table::Table;
 use crate::workload::Workload;
 use std::time::Instant;
-use trustex_core::curves::{generate, CurveParams, CurveShape};
+use trustex_core::curves::{generate, CurveShape};
 use trustex_core::deal::Deal;
 use trustex_core::goods::Goods;
 use trustex_core::money::Money;
@@ -45,13 +45,8 @@ pub fn e1_existence(scale: Scale) -> Table {
             let mut ok = [0usize; 3]; // stakes of 25%, 50%, 100% mean item cost
             let mut margin_ratio_sum = 0.0;
             for _ in 0..trials {
-                let params = CurveParams {
-                    n_items: n,
-                    mean_cost: 10.0,
-                    value_markup: 1.6,
-                };
                 let mut draw = || rng.f64();
-                let goods = generate(shape, params, &mut draw).expect("n ≥ 1");
+                let goods = generate(shape, n, &mut draw).expect("n ≥ 1");
                 let mean_cost = goods.total_supplier_cost().as_f64() / goods.len() as f64;
                 let req = min_required_margin(&goods);
                 if req.is_zero() {
@@ -274,9 +269,9 @@ pub fn e7_exposure(scale: Scale) -> Table {
     );
     let mut rng = SimRng::new(0xE7);
     let profiles = [
-        RiskProfile::Averse { gamma: 0.5 },
+        RiskProfile::Averse,
         RiskProfile::Neutral,
-        RiskProfile::Seeking { gamma: 2.0 },
+        RiskProfile::Seeking,
     ];
     // One fixed deal sample shared by every (trust, profile) cell so the
     // cells are comparable.
@@ -292,7 +287,6 @@ pub fn e7_exposure(scale: Scale) -> Table {
             for deal in &deals {
                 let est = TrustEstimate::new(p_honest, 1.0);
                 let policy = ExposurePolicy {
-                    base_budget_fraction: 0.1,
                     risk: profile,
                     cap: deal.price(),
                 };

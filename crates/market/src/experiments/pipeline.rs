@@ -13,7 +13,7 @@ use trustex_core::execute::{execute, ExchangeStatus};
 use trustex_core::policy::PaymentPolicy;
 use trustex_core::state::Role;
 use trustex_netsim::rng::SimRng;
-use trustex_reputation::system::{ReputationConfig, ReputationSystem};
+use trustex_reputation::system::ReputationSystem;
 use trustex_trust::complaints::{complaint_estimate, OUTLIER_FACTOR};
 use trustex_trust::model::{PeerId, TrustEstimate};
 
@@ -36,7 +36,7 @@ pub fn e0_pipeline(scale: Scale) -> Table {
     let mut rng = SimRng::new(0xE0);
     let mix = PopulationMix::standard(0.3, 0.0);
     let profiles = mix.sample(n, &mut rng);
-    let mut reputation = ReputationSystem::new(n, ReputationConfig::default(), 0xE0D);
+    let mut reputation = ReputationSystem::new(n, 0xE0D);
 
     let mut table = Table::new(
         "E0: reference-model pipeline (complaints in P-Grid, 30% dishonest)",

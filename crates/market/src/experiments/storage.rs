@@ -15,7 +15,7 @@ use trustex_netsim::net::{NetConfig, Network};
 use trustex_netsim::pool::parallel_map;
 use trustex_netsim::rng::SimRng;
 use trustex_netsim::time::SimTime;
-use trustex_reputation::lifecycle::{Lifecycle, LifecycleConfig};
+use trustex_reputation::lifecycle::Lifecycle;
 use trustex_reputation::pgrid::{PGrid, PGridConfig};
 use trustex_reputation::record::key_for_peer;
 use trustex_trust::model::PeerId;
@@ -185,14 +185,7 @@ fn join_leave_arm(base: &PGrid, queries: usize, seed: u64) -> GridArm {
     let n = grid.len();
     let wave = (n / 20).max(2); // ~5% joins, ~5% leaves
     let per_tick = wave.div_ceil(8).max(1);
-    let mut lc = Lifecycle::new(
-        LifecycleConfig {
-            max_admissions_per_tick: per_tick,
-            stale_after: 2,
-            max_evictions_per_tick: per_tick,
-        },
-        n,
-    );
+    let mut lc = Lifecycle::new(per_tick, n);
     for _ in 0..wave {
         lc.request_join();
     }

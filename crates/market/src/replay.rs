@@ -27,6 +27,9 @@ use trustex_netsim::stats::Sample;
 use trustex_trust::engine::{TrustEngine, TrustEvent};
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, WitnessReport};
 
+/// Probability an event is a query (the rest stream feedback).
+const QUERY_SHARE: f64 = 0.8;
+
 /// Configuration of one replay run.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
@@ -34,8 +37,6 @@ pub struct ReplayConfig {
     pub n_peers: usize,
     /// Total interleaved events to replay.
     pub events: usize,
-    /// Probability an event is a query (the rest stream feedback).
-    pub query_share: f64,
     /// Events per epoch window: each window's queries read the previous
     /// publish, and its feedback is folded at the window boundary.
     pub window: usize,
@@ -52,7 +53,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             n_peers: 100,
             events: 10_000,
-            query_share: 0.8,
             window: 1000,
             model: ModelKind::Beta,
             seed: 17,
@@ -152,7 +152,7 @@ pub fn replay(cfg: &ReplayConfig) -> ReplayReport {
         let mut queries: Vec<Query> = Vec::with_capacity(window);
         for _ in 0..window {
             seq += 1;
-            if rng.chance(cfg.query_share) {
+            if rng.chance(QUERY_SHARE) {
                 queries.push(Query {
                     probe: PeerId(rng.index(n) as u32),
                 });
@@ -245,7 +245,10 @@ mod tests {
             assert_eq!(r.check.events, 2000, "{model:?}");
             assert_eq!(r.check.events, r.check.queries + r.check.feedbacks);
             assert_eq!(r.check.epochs, 8, "2000 events / 250-event windows");
-            assert!(r.check.queries > r.check.feedbacks, "query_share 0.8");
+            assert!(
+                r.check.queries > r.check.feedbacks,
+                "80 % of events are queries"
+            );
             assert!(r.p50_us <= r.p99_us && r.p99_us <= r.p999_us);
             assert!(r.throughput() > 0.0);
             assert!(r.check.checksum.is_finite());

@@ -16,7 +16,6 @@ use trustex_core::policy::PaymentPolicy;
 use trustex_core::safety::SafetyMargins;
 use trustex_core::scheduler::schedule;
 use trustex_core::sequence::ExchangeSequence;
-use trustex_decision::engage::EngagementRule;
 use trustex_decision::exposure::ExposurePolicy;
 use trustex_decision::negotiate::{plan_exchange, PartyInputs, PlanError};
 use trustex_trust::model::TrustEstimate;
@@ -79,7 +78,6 @@ pub fn plan(
             let mk_inputs = |trust: TrustEstimate| PartyInputs {
                 trust_in_opponent: trust,
                 exposure: ExposurePolicy::with_cap(deal.price()),
-                engagement: EngagementRule::default(),
             };
             match plan_exchange(
                 deal,

@@ -1,7 +1,7 @@
 //! Plain-text result tables.
 //!
 //! Every experiment produces a [`Table`]; the `repro` binary renders them
-//! to aligned text (and CSV) so the tables and figures listed in the
+//! to aligned text so the tables and figures listed in the
 //! README's Experiments table can be regenerated with one command.
 
 use std::fmt;
@@ -132,19 +132,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (header + rows; fields never contain commas in this
-    /// workspace's usage).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.columns.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -182,15 +169,6 @@ mod tests {
         assert!(lines[1].contains("score"));
         // All data lines have equal length (aligned).
         assert_eq!(lines[3].len(), lines[4].len());
-    }
-
-    #[test]
-    fn csv_round() {
-        let csv = sample().to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("name,count,score"));
-        assert_eq!(lines.next(), Some("alpha,3,0.5000"));
-        assert_eq!(lines.next(), Some("b,-1,1.2500"));
     }
 
     #[test]

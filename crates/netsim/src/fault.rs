@@ -133,11 +133,6 @@ impl FaultPlane {
         FaultPlane::new(seed, FaultConfig::default())
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> FaultConfig {
-        self.cfg
-    }
-
     fn mix(&self, salt: u64, src: u32, dst: u32, seq: u64) -> u64 {
         let link = (u64::from(src) << 32) | u64::from(dst);
         splitmix64(
@@ -215,7 +210,6 @@ mod tests {
     #[test]
     fn zero_plane_is_always_clean() {
         let plane = FaultPlane::transparent(99);
-        assert_eq!(plane.config(), FaultConfig::default());
         for seq in 0..500 {
             assert_eq!(
                 plane.decide(3, 8, seq, SimTime::ZERO),

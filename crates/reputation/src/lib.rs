@@ -21,7 +21,7 @@
 //! use trustex_reputation::prelude::*;
 //! use trustex_trust::model::PeerId;
 //!
-//! let mut sys = ReputationSystem::new(64, ReputationConfig::default(), 42);
+//! let mut sys = ReputationSystem::new(64, 42);
 //! sys.file_complaint(PeerId(3), PeerId(9), 0, None);
 //! let tally = sys.query_tally(PeerId(1), PeerId(9), None).expect("resolved");
 //! assert_eq!(tally.received, 1);
@@ -38,9 +38,9 @@ pub mod system;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::lifecycle::{Lifecycle, LifecycleConfig, TickReport};
+    pub use crate::lifecycle::{Lifecycle, TickReport};
     pub use crate::pgrid::{InsertReceipt, PGrid, PGridConfig, QueryResult};
     pub use crate::record::{key_for_peer, BitPath, Complaint, Key};
     pub use crate::resolve::{majority_vote, StorageBehavior};
-    pub use crate::system::{ReputationConfig, ReputationSystem, TallyReport};
+    pub use crate::system::{ReputationSystem, TallyReport};
 }

@@ -7,8 +7,9 @@
 //! announce their departure. Following the bounded, reputation-aware
 //! peer-list shape of the governor pattern (ADR-0008 in SNIPPETS.md),
 //! [`Lifecycle`] keeps a FIFO of join tickets with exponential backoff,
-//! admits at most a configured number per tick, and evicts live peers
-//! whose last activity is older than a staleness horizon.
+//! admits at most a configured number per tick, and evicts, at most as
+//! many per tick, live peers whose last activity is older than a
+//! staleness horizon of two ticks.
 //!
 //! The layer is deterministic: given the same grid, RNG and call
 //! sequence it produces the same admissions and evictions, so e6 tables
@@ -25,28 +26,9 @@ const BACKOFF_BASE: u64 = 1;
 /// Upper bound on the per-attempt backoff delay, in ticks.
 const BACKOFF_CAP: u64 = 16;
 
-/// Pacing policy for joins and staleness-driven leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LifecycleConfig {
-    /// Newcomers admitted per tick at most. Deferred tickets back off
-    /// exponentially, 1 tick doubling to at most 16.
-    pub max_admissions_per_tick: usize,
-    /// A live peer not [`Lifecycle::touch`]ed for more than this many
-    /// ticks is evicted. `0` disables stale eviction.
-    pub stale_after: u64,
-    /// Stale peers evicted per tick at most.
-    pub max_evictions_per_tick: usize,
-}
-
-impl Default for LifecycleConfig {
-    fn default() -> Self {
-        LifecycleConfig {
-            max_admissions_per_tick: 8,
-            stale_after: 0,
-            max_evictions_per_tick: 4,
-        }
-    }
-}
+/// A live peer not [`Lifecycle::touch`]ed for more than this many ticks
+/// is evicted.
+const STALE_AFTER: u64 = 2;
 
 /// The delay before a ticket's next admission attempt: exponential in
 /// the attempt count, saturating into `BACKOFF_CAP` rather than
@@ -88,7 +70,8 @@ pub struct TickReport {
 /// while a `Lifecycle` runs over it.
 #[derive(Debug, Clone)]
 pub struct Lifecycle {
-    cfg: LifecycleConfig,
+    /// Admissions, and stale evictions, per tick at most.
+    per_tick: usize,
     tick: u64,
     pending: VecDeque<JoinTicket>,
     next_ticket: u64,
@@ -100,10 +83,13 @@ pub struct Lifecycle {
 
 impl Lifecycle {
     /// A lifecycle layer over a grid with `initial_peers` already
-    /// admitted (use `grid.len()`).
-    pub fn new(cfg: LifecycleConfig, initial_peers: usize) -> Lifecycle {
+    /// admitted (use `grid.len()`) that admits at most `per_tick`
+    /// newcomers and evicts at most `per_tick` stale peers per tick.
+    /// Deferred tickets back off exponentially, 1 tick doubling to at
+    /// most 16.
+    pub fn new(per_tick: usize, initial_peers: usize) -> Lifecycle {
         Lifecycle {
-            cfg,
+            per_tick,
             tick: 0,
             pending: VecDeque::new(),
             next_ticket: 0,
@@ -157,7 +143,7 @@ impl Lifecycle {
                 self.pending.push_back(ticket);
                 continue;
             }
-            if report.admitted.len() < self.cfg.max_admissions_per_tick {
+            if report.admitted.len() < self.per_tick {
                 let idx = grid.join(rng);
                 debug_assert_eq!(idx, self.last_seen.len(), "grid and lifecycle out of step");
                 self.last_seen.push(self.tick);
@@ -173,17 +159,13 @@ impl Lifecycle {
 
         // Stale eviction: oldest indices first, bounded per tick, never
         // below a routable population.
-        if self.cfg.stale_after > 0 {
-            for peer in 0..self.last_seen.len() {
-                if report.evicted.len() >= self.cfg.max_evictions_per_tick || grid.live_len() <= 2 {
-                    break;
-                }
-                if grid.is_live(peer)
-                    && self.tick.saturating_sub(self.last_seen[peer]) > self.cfg.stale_after
-                {
-                    grid.leave(peer);
-                    report.evicted.push(peer);
-                }
+        for peer in 0..self.last_seen.len() {
+            if report.evicted.len() >= self.per_tick || grid.live_len() <= 2 {
+                break;
+            }
+            if grid.is_live(peer) && self.tick.saturating_sub(self.last_seen[peer]) > STALE_AFTER {
+                grid.leave(peer);
+                report.evicted.push(peer);
             }
         }
         report
@@ -204,28 +186,35 @@ mod tests {
         (PGrid::build(n, cfg, &mut rng), rng)
     }
 
+    /// One step with every live peer touched first, so no peer goes
+    /// stale and only admissions change the overlay.
+    fn step_fresh(lc: &mut Lifecycle, g: &mut PGrid, rng: &mut SimRng) -> TickReport {
+        for p in (0..g.len()).filter(|&p| g.is_live(p)) {
+            lc.touch(p);
+        }
+        lc.step(g, rng)
+    }
+
     #[test]
     fn admission_rate_is_bounded() {
         let (mut g, mut rng) = grid(32, 1);
-        let cfg = LifecycleConfig {
-            max_admissions_per_tick: 3,
-            ..LifecycleConfig::default()
-        };
-        let mut lc = Lifecycle::new(cfg, g.len());
+        let mut lc = Lifecycle::new(3, g.len());
         for _ in 0..10 {
             lc.request_join();
         }
-        let r1 = lc.step(&mut g, &mut rng);
+        let r1 = step_fresh(&mut lc, &mut g, &mut rng);
         assert_eq!(r1.admitted.len(), 3);
         assert_eq!(r1.deferred, 7);
         // Deferred tickets backed off by one tick: round 2 admits the
         // next three.
-        let r2 = lc.step(&mut g, &mut rng);
+        let r2 = step_fresh(&mut lc, &mut g, &mut rng);
         assert_eq!(r2.admitted.len(), 3);
         // Drain the rest.
         let mut total = r1.admitted.len() + r2.admitted.len();
         for _ in 0..20 {
-            total += lc.step(&mut g, &mut rng).admitted.len();
+            let r = step_fresh(&mut lc, &mut g, &mut rng);
+            assert!(r.evicted.is_empty(), "touched peers never go stale");
+            total += r.admitted.len();
         }
         assert_eq!(total, 10);
         assert_eq!(g.live_len(), 42);
@@ -235,11 +224,8 @@ mod tests {
     #[test]
     fn backoff_schedule_is_exponential_and_capped() {
         let (mut g, mut rng) = grid(8, 2);
-        let cfg = LifecycleConfig {
-            max_admissions_per_tick: 0, // everything defers forever
-            ..LifecycleConfig::default()
-        };
-        let mut lc = Lifecycle::new(cfg, g.len());
+        // Everything defers forever, and nothing is evicted.
+        let mut lc = Lifecycle::new(0, g.len());
         lc.request_join();
         // attempts=1 → delay 1, doubling to 16 at attempts=5,
         // attempts=6 → capped at 16.
@@ -276,7 +262,7 @@ mod tests {
     #[test]
     fn whitewash_churns_identity_through_leave_and_rejoin() {
         let (mut g, mut rng) = grid(16, 5);
-        let mut lc = Lifecycle::new(LifecycleConfig::default(), g.len());
+        let mut lc = Lifecycle::new(8, g.len());
         g.leave(3);
         lc.request_join();
         assert!(!g.is_live(3), "the old identity is gone");
@@ -293,12 +279,7 @@ mod tests {
     #[test]
     fn stale_peers_are_evicted_but_touched_peers_survive() {
         let (mut g, mut rng) = grid(16, 3);
-        let cfg = LifecycleConfig {
-            stale_after: 2,
-            max_evictions_per_tick: 2,
-            ..LifecycleConfig::default()
-        };
-        let mut lc = Lifecycle::new(cfg, g.len());
+        let mut lc = Lifecycle::new(2, g.len());
         // Keep peers 10..16 fresh; 0..10 go stale after tick 2.
         for t in 0..6 {
             for p in 10..16 {
@@ -324,12 +305,7 @@ mod tests {
     #[test]
     fn eviction_never_empties_the_overlay() {
         let (mut g, mut rng) = grid(4, 4);
-        let cfg = LifecycleConfig {
-            stale_after: 1,
-            max_evictions_per_tick: 8,
-            ..LifecycleConfig::default()
-        };
-        let mut lc = Lifecycle::new(cfg, g.len());
+        let mut lc = Lifecycle::new(8, g.len());
         for _ in 0..10 {
             lc.step(&mut g, &mut rng);
         }
@@ -340,12 +316,7 @@ mod tests {
     fn determinism_same_inputs_same_history() {
         let run = || {
             let (mut g, mut rng) = grid(24, 7);
-            let cfg = LifecycleConfig {
-                max_admissions_per_tick: 2,
-                stale_after: 3,
-                ..LifecycleConfig::default()
-            };
-            let mut lc = Lifecycle::new(cfg, g.len());
+            let mut lc = Lifecycle::new(2, g.len());
             let mut history = Vec::new();
             for t in 0..12u64 {
                 if t % 2 == 0 {

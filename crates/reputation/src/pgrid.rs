@@ -26,7 +26,7 @@
 //!   reference tables and complaint stores are parallel `Vec`s indexed
 //!   by the dense peer index. The per-level reference buckets of *all*
 //!   peers share one flat `Vec<RefEntry>` arena with a fixed
-//!   `max_depth × max_refs` stride per peer, so a meeting touches two
+//!   `max_depth × MAX_REFS` stride per peer, so a meeting touches two
 //!   short cache lines instead of chasing nested `Vec`s.
 //! * **Flat complaint stores.** A peer's store is one `Vec` of 16-byte
 //!   [`Complaint`]s sorted by `(by, about)`: an insert is a binary-search
@@ -53,7 +53,7 @@
 //!   minus its two children's — and touches a directory bucket only for
 //!   the final pick.
 //! * **Bounded reference buckets.** Each per-level bucket holds at most
-//!   `max_refs` entries stamped with the meeting tick that last
+//!   four entries stamped with the meeting tick that last
 //!   confirmed them; when a full bucket must admit a new peer, the
 //!   *stalest* entry is overwritten in place (recency as a liveness
 //!   proxy — O(1), no shifting), and entries pointing at departed peers
@@ -100,15 +100,18 @@ use trustex_persist::PersistError;
 use trustex_trust::model::PeerId;
 
 /// Upper bound on `max_depth`: the leaf directory and subtree counts
-/// are flat arenas of `2^(max_depth+1)` slots each.
-const ARENA_DEPTH_LIMIT: u8 = 20;
+/// are flat arenas of `2^(max_depth+1)` slots each. It is also the
+/// depth [`PGridConfig::for_population`] clamps to.
+const ARENA_DEPTH_LIMIT: u8 = 16;
 
-/// Upper bound on `max_refs`: the reference arena allocates
-/// `n · max_depth · max_refs` entries up front, so the per-bucket
-/// capacity must stay bounded for the allocation to stay proportional
-/// to the population (and for snapshot restore to stay safe against a
-/// corrupted config declaring an absurd capacity).
-const REFS_LIMIT: usize = 256;
+/// References kept per `(peer, level)` bucket: the reference arena's
+/// stride, so a whole bucket of 8-byte entries is half a cache line.
+const MAX_REFS: usize = 4;
+
+/// Global-mixing meetings per peer in [`PGrid::build`] (more meetings =
+/// better-filled reference tables). The split-cascade and
+/// replica-mixing phases are fixed-budget and not counted here.
+const MEETINGS_PER_PEER: usize = 48;
 
 /// Fewest peers per chunk of [`PGrid::repair`]'s eviction sweep: below
 /// this a worker thread costs more than the slice of the sweep it
@@ -126,16 +129,9 @@ pub struct PGridConfig {
     pub key_bits: u8,
     /// Maximum trie depth; `2^max_depth` leaves. Choosing
     /// `max_depth ≈ log2(n_peers / replication)` yields the target
-    /// replica-group size. At most 20 (the directory arena holds
+    /// replica-group size. At most 16 (the directory arena holds
     /// `2^(max_depth+1)` slots).
     pub max_depth: u8,
-    /// Maximum references kept per level.
-    pub max_refs: usize,
-    /// Global-mixing bootstrap meetings per peer (more meetings =
-    /// better-filled reference tables). The split-cascade and
-    /// replica-mixing phases of [`PGrid::build`] are fixed-budget and
-    /// not counted here.
-    pub meetings_per_peer: usize,
 }
 
 impl Default for PGridConfig {
@@ -143,8 +139,6 @@ impl Default for PGridConfig {
         PGridConfig {
             key_bits: 16,
             max_depth: 6,
-            max_refs: 4,
-            meetings_per_peer: 48,
         }
     }
 }
@@ -157,7 +151,7 @@ impl PGridConfig {
         let leaves = (n / repl).max(1);
         let depth = (usize::BITS - leaves.leading_zeros())
             .saturating_sub(1)
-            .clamp(1, 16) as u8;
+            .clamp(1, u32::from(ARENA_DEPTH_LIMIT)) as u8;
         PGridConfig {
             max_depth: depth,
             ..PGridConfig::default()
@@ -173,10 +167,7 @@ impl PGridConfig {
             return Err("max_depth must lie in 1..=key_bits");
         }
         if self.max_depth > ARENA_DEPTH_LIMIT {
-            return Err("max_depth exceeds the directory-arena limit of 20");
-        }
-        if !(1..=REFS_LIMIT).contains(&self.max_refs) {
-            return Err("max_refs must lie in 1..=256");
+            return Err("max_depth exceeds the directory-arena limit of 16");
         }
         Ok(())
     }
@@ -184,7 +175,7 @@ impl PGridConfig {
 
 /// One bounded-bucket reference entry: a peer and the meeting tick that
 /// last confirmed it (higher = fresher). 8 bytes, so a whole bucket of
-/// the default `max_refs = 4` is half a cache line in the flat arena.
+/// [`MAX_REFS`] entries is half a cache line in the flat arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RefEntry {
     peer: u32,
@@ -361,7 +352,7 @@ pub struct PGrid {
     live: usize,
     /// Flat reference arena: peer `i`'s level-`l` bucket occupies
     /// `refs[(i·D + l)·R .. (i·D + l)·R + ref_len[i·D + l]]` where
-    /// `D = max_depth`, `R = max_refs`.
+    /// `D = max_depth`, `R = MAX_REFS`.
     refs: Vec<RefEntry>,
     /// Occupancy of each `(peer, level)` bucket in the arena.
     ref_len: Vec<u8>,
@@ -400,7 +391,7 @@ impl PGrid {
             paths: vec![BitPath::EMPTY; n],
             departed: vec![false; n],
             live: n,
-            refs: vec![RefEntry::VACANT; n * d * cfg.max_refs],
+            refs: vec![RefEntry::VACANT; n * d * MAX_REFS],
             ref_len: vec![0; n * d],
             stores: vec![Vec::new(); n],
             buckets: {
@@ -430,7 +421,7 @@ impl PGrid {
         // distinct peers fill the cross-subtree (shallow-level)
         // reference buckets and gossip them around.
         if n >= 2 {
-            let meetings = cfg.meetings_per_peer.saturating_mul(n) / 2;
+            let meetings = MEETINGS_PER_PEER.saturating_mul(n) / 2;
             for _ in 0..meetings {
                 let a = rng.index(n);
                 let b = rng.index_except(n, a);
@@ -557,7 +548,7 @@ impl PGrid {
     #[inline]
     fn ref_bucket(&self, peer: usize, level: usize) -> &[RefEntry] {
         let li = self.bucket_index(peer, level);
-        let base = li * self.cfg.max_refs;
+        let base = li * MAX_REFS;
         &self.refs[base..base + self.ref_len[li] as usize]
     }
 
@@ -686,10 +677,9 @@ impl PGrid {
         if pp.common_prefix(tp) != level || pp.bit(level) == tp.bit(level) {
             return;
         }
-        let max_refs = self.cfg.max_refs;
         let stamp = self.clock as u32;
         let li = self.bucket_index(peer, level as usize);
-        let base = li * max_refs;
+        let base = li * MAX_REFS;
         let mut len = self.ref_len[li] as usize;
         // One scan: refresh the target if present, and lazily evict
         // entries whose peer has departed (order within a bucket is
@@ -711,7 +701,7 @@ impl PGrid {
             }
             i += 1;
         }
-        if len >= max_refs {
+        if len >= MAX_REFS {
             // Bucket full: overwrite the stalest entry in place (recency
             // as a liveness proxy) — O(1) in the slot, replacing the old
             // `Vec::remove` which shifted the bucket on the bootstrap
@@ -1006,7 +996,7 @@ impl PGrid {
         self.paths.push(BitPath::EMPTY);
         self.departed.push(false);
         self.stores.push(Vec::new());
-        let new_refs = self.refs.len() + d * self.cfg.max_refs;
+        let new_refs = self.refs.len() + d * MAX_REFS;
         self.refs.resize(new_refs, RefEntry::VACANT);
         self.ref_len.resize(self.ref_len.len() + d, 0);
         self.dir_pos.push(0);
@@ -1152,7 +1142,7 @@ impl PGrid {
     pub fn compact(&mut self) -> Vec<Option<u32>> {
         let n = self.paths.len();
         let d = self.cfg.max_depth as usize;
-        let r = self.cfg.max_refs;
+        let r = MAX_REFS;
         let mut mapping = vec![None; n];
         let mut next = 0u32;
         for (old, slot) in mapping.iter_mut().enumerate() {
@@ -1283,7 +1273,7 @@ impl PGrid {
     /// indices past the arena).
     fn evict_down_references(&mut self, up: &[bool]) {
         let d = self.cfg.max_depth as usize;
-        let r = self.cfg.max_refs;
+        let r = MAX_REFS;
         let parts = default_threads().min(up.len() / REPAIR_CHUNK).max(1);
         let per_chunk = up.len().div_ceil(parts).max(1);
         let chunks: Vec<_> = self
@@ -1321,32 +1311,6 @@ impl PGrid {
         });
     }
 
-    /// Distribution of live peers' path depths — diagnostics for the
-    /// bootstrap and for join integration.
-    pub fn depth_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.cfg.max_depth as usize + 1];
-        for (i, p) in self.paths.iter().enumerate() {
-            if !self.departed[i] {
-                h[p.len() as usize] += 1;
-            }
-        }
-        h
-    }
-
-    /// Fraction of live peers whose path reached the configured depth.
-    pub fn maturity(&self) -> f64 {
-        if self.live == 0 {
-            return 0.0;
-        }
-        let full = self
-            .paths
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| !self.departed[i] && p.len() == self.cfg.max_depth)
-            .count();
-        full as f64 / self.live as f64
-    }
-
     /// Checks every structural invariant of the flat arena and returns
     /// the first rule violated:
     ///
@@ -1359,7 +1323,7 @@ impl PGrid {
     ///   departure flags and the directory;
     /// * every complaint store is strictly sorted by `(by, about)` pair;
     /// * no path is deeper than `max_depth`;
-    /// * reference buckets hold at most `max_refs` entries, are empty
+    /// * reference buckets hold at most four entries, are empty
     ///   for departed peers and for levels at or below a peer's path
     ///   length, and every entry targets another known peer that
     ///   diverges from its holder at exactly the bucket's level.
@@ -1376,7 +1340,7 @@ impl PGrid {
             || self.dir_pos.len() != n
             || self.stores.len() != n
             || self.ref_len.len() != n * d
-            || self.refs.len() != n * d * self.cfg.max_refs
+            || self.refs.len() != n * d * MAX_REFS
             || self.buckets.len() != slots
             || self.subtree.len() != slots
         {
@@ -1435,7 +1399,7 @@ impl PGrid {
             }
             for level in 0..d {
                 let len = self.ref_len[peer * d + level] as usize;
-                if len > self.cfg.max_refs {
+                if len > MAX_REFS {
                     return Err("reference bucket over capacity");
                 }
                 if (self.departed[peer] || level as u8 >= plen) && len != 0 {
@@ -1469,6 +1433,22 @@ impl PGrid {
     }
 }
 
+/// Reads one persisted configuration slot, refusing with `context` any
+/// value other than `expected`. The bucket capacity and the meeting
+/// count are constants; the layout keeps the slots they were once
+/// written to.
+fn take_fixed_u64(
+    r: &mut ByteReader,
+    expected: usize,
+    context: &'static str,
+) -> Result<(), PersistError> {
+    if r.take_u64()? == expected as u64 {
+        Ok(())
+    } else {
+        Err(PersistError::Invalid { context })
+    }
+}
+
 /// ## Wire layout (section tag `PGRD`)
 ///
 /// ```text
@@ -1479,6 +1459,11 @@ impl PGrid {
 ///              (store_len:len (by:u32 about:u32 round:u64)*store_len)*n
 ///              bucket_count:len (slot:u64 members:len member:u32*)*
 /// ```
+///
+/// `max_refs` and `meetings_per_peer` always hold the constants 4 and
+/// 48; decode refuses any other value with
+/// [`PersistError::Invalid`], so a payload cannot size the reference
+/// arena.
 ///
 /// Only the occupied prefix of each reference bucket is serialized — the
 /// arena beyond `ref_len` is lazy-eviction garbage; restore refills it
@@ -1494,8 +1479,8 @@ impl Persistable for PGrid {
         let d = self.cfg.max_depth as usize;
         w.put_u8(self.cfg.key_bits);
         w.put_u8(self.cfg.max_depth);
-        w.put_u64(self.cfg.max_refs as u64);
-        w.put_u64(self.cfg.meetings_per_peer as u64);
+        w.put_u64(MAX_REFS as u64);
+        w.put_u64(MEETINGS_PER_PEER as u64);
         w.put_u64(self.clock);
         w.put_len(self.paths.len());
         for (i, p) in self.paths.iter().enumerate() {
@@ -1537,9 +1522,17 @@ impl Persistable for PGrid {
         let cfg = PGridConfig {
             key_bits: r.take_u8()?,
             max_depth: r.take_u8()?,
-            max_refs: r.take_u64()? as usize,
-            meetings_per_peer: r.take_u64()? as usize,
         };
+        take_fixed_u64(
+            r,
+            MAX_REFS,
+            "max_refs differs from the reference-bucket capacity",
+        )?;
+        take_fixed_u64(
+            r,
+            MEETINGS_PER_PEER,
+            "meetings_per_peer differs from the bootstrap meeting count",
+        )?;
         cfg.validate()
             .map_err(|context| PersistError::Invalid { context })?;
         let d = cfg.max_depth as usize;
@@ -1566,18 +1559,18 @@ impl Persistable for PGrid {
                 context: "length prefix exceeds remaining input",
             });
         }
-        let mut refs = vec![RefEntry::VACANT; n * d * cfg.max_refs];
+        let mut refs = vec![RefEntry::VACANT; n * d * MAX_REFS];
         let mut ref_len = vec![0u8; n * d];
         for li in 0..n * d {
             let len = r.take_u8()?;
-            if len as usize > cfg.max_refs {
+            if len as usize > MAX_REFS {
                 return Err(PersistError::Invalid {
                     context: "reference bucket over capacity",
                 });
             }
             ref_len[li] = len;
             for k in 0..len as usize {
-                refs[li * cfg.max_refs + k] = RefEntry {
+                refs[li * MAX_REFS + k] = RefEntry {
                     peer: r.take_u32()?,
                     stamp: r.take_u32()?,
                 };
@@ -1683,15 +1676,15 @@ mod tests {
     #[test]
     fn bootstrap_reaches_full_depth() {
         let (g, _, _) = grid(128, 5, 1);
+        let depths: Vec<u8> = (0..g.len()).map(|i| g.path(i).len()).collect();
+        let full = depths.iter().filter(|&&len| len == 5).count();
         assert!(
-            g.maturity() > 0.85,
-            "bootstrap should mature: {:?}",
-            g.depth_histogram()
+            full as f64 / g.len() as f64 > 0.85,
+            "bootstrap should mature: {depths:?}"
         );
         // Residual shallow peers are tolerable (they hold larger
         // subspaces) but must be rare and near-full-depth.
-        let hist = g.depth_histogram();
-        assert_eq!(hist[..4].iter().sum::<usize>(), 0, "{hist:?}");
+        assert!(depths.iter().all(|&len| len >= 4), "{depths:?}");
     }
 
     #[test]
@@ -2243,6 +2236,9 @@ mod tests {
         assert_eq!(cfg.max_depth, 6); // 256/4 = 64 leaves = depth 6
         let cfg = PGridConfig::for_population(10, 100);
         assert_eq!(cfg.max_depth, 1); // clamped at 1
+        let cfg = PGridConfig::for_population(1 << 24, 1);
+        assert_eq!(cfg.max_depth, ARENA_DEPTH_LIMIT); // clamped at the arena limit
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -2282,8 +2278,7 @@ mod tests {
         let mut rng = SimRng::new(0);
         let cfg = PGridConfig {
             key_bits: 32,
-            max_depth: 24,
-            ..PGridConfig::default()
+            max_depth: ARENA_DEPTH_LIMIT + 1,
         };
         PGrid::build(4, cfg, &mut rng);
     }

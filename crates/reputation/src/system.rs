@@ -27,13 +27,6 @@ pub struct TallyReport {
     pub hops: u32,
 }
 
-/// Configuration of a [`ReputationSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReputationConfig {
-    /// P-Grid parameters.
-    pub grid: PGridConfig,
-}
-
 /// Decentralised complaint storage over P-Grid.
 #[derive(Debug, Clone)]
 pub struct ReputationSystem {
@@ -44,10 +37,11 @@ pub struct ReputationSystem {
 }
 
 impl ReputationSystem {
-    /// Builds the system for `n_peers` storage peers.
-    pub fn new(n_peers: usize, cfg: ReputationConfig, seed: u64) -> ReputationSystem {
+    /// Builds the system for `n_peers` storage peers over a grid of the
+    /// default configuration ([`PGridConfig::default`]).
+    pub fn new(n_peers: usize, seed: u64) -> ReputationSystem {
         let mut rng = SimRng::new(seed);
-        let grid = PGrid::build(n_peers, cfg.grid, &mut rng);
+        let grid = PGrid::build(n_peers, PGridConfig::default(), &mut rng);
         ReputationSystem {
             grid,
             net: Network::new(NetConfig::default()),
@@ -161,19 +155,9 @@ impl ReputationSystem {
 mod tests {
     use super::*;
 
-    fn system(n: usize, seed: u64) -> ReputationSystem {
-        let cfg = ReputationConfig {
-            grid: PGridConfig {
-                max_depth: 4,
-                ..PGridConfig::default()
-            },
-        };
-        ReputationSystem::new(n, cfg, seed)
-    }
-
     #[test]
     fn file_and_query_roundtrip() {
-        let mut sys = system(64, 1);
+        let mut sys = ReputationSystem::new(256, 1);
         let subject = PeerId(7);
         for v in 20..26 {
             let reached = sys.file_complaint(PeerId(v), subject, 0, None);
@@ -187,7 +171,7 @@ mod tests {
 
     #[test]
     fn filed_complaints_visible_under_filer_key() {
-        let mut sys = system(64, 2);
+        let mut sys = ReputationSystem::new(256, 2);
         let liar = PeerId(9);
         for v in 30..35 {
             sys.file_complaint(liar, PeerId(v), 0, None);
@@ -199,7 +183,7 @@ mod tests {
 
     #[test]
     fn minority_liars_filtered_by_majority() {
-        let mut sys = system(96, 3);
+        let mut sys = ReputationSystem::new(384, 3);
         let subject = PeerId(11);
         for v in 40..44 {
             sys.file_complaint(PeerId(v), subject, 0, None);
@@ -222,7 +206,7 @@ mod tests {
 
     #[test]
     fn heavy_corruption_breaks_tallies() {
-        let mut sys = system(96, 4);
+        let mut sys = ReputationSystem::new(384, 4);
         let subject = PeerId(11);
         for v in 40..44 {
             sys.file_complaint(PeerId(v), subject, 0, None);
@@ -242,7 +226,7 @@ mod tests {
 
     #[test]
     fn query_counts_messages() {
-        let mut sys = system(64, 5);
+        let mut sys = ReputationSystem::new(256, 5);
         sys.file_complaint(PeerId(1), PeerId(2), 0, None);
         let before = sys.network().total_sent();
         sys.query_tally(PeerId(3), PeerId(2), None);
@@ -251,10 +235,10 @@ mod tests {
 
     #[test]
     fn availability_mask_respected() {
-        let mut sys = system(64, 6);
+        let mut sys = ReputationSystem::new(256, 6);
         let subject = PeerId(5);
         sys.file_complaint(PeerId(1), subject, 0, None);
-        let alive = vec![false; 64];
+        let alive = vec![false; 256];
         // Everyone down: no origin can route.
         assert!(sys.query_tally(PeerId(2), subject, Some(&alive)).is_none());
     }

@@ -230,3 +230,37 @@ fn resealed_payload_tampering_never_yields_a_broken_grid() {
         payload.len()
     );
 }
+
+/// The bucket capacity and the bootstrap meeting count are constants,
+/// persisted in fixed slots: a re-sealed payload that carries any other
+/// value in either slot is refused, not restored with a different
+/// arena stride.
+#[test]
+fn resealed_config_slots_other_than_the_constants_are_refused() {
+    let (grid, _) = grid_with_history(16, 3, 5, &[true, false], None);
+    let mut payload = ByteWriter::new();
+    grid.encode_state(&mut payload);
+    let payload = payload.into_bytes();
+    // key_bits:u8 max_depth:u8, then max_refs:u64 and meetings_per_peer:u64.
+    let max_refs = 2..10;
+    let meetings = 10..18;
+    assert_eq!(payload[max_refs.clone()], 4u64.to_le_bytes());
+    assert_eq!(payload[meetings.clone()], 48u64.to_le_bytes());
+    let cases = [
+        (max_refs.clone(), 3u64),
+        (max_refs.clone(), 5),
+        (max_refs, 256),
+        (meetings, 47),
+    ];
+    for (slot, value) in cases {
+        let mut tampered = payload.clone();
+        tampered[slot.clone()].copy_from_slice(&value.to_le_bytes());
+        let mut w = SnapshotWriter::new(*b"TXPS");
+        w.raw_section(<PGrid as Persistable>::TAG, tampered);
+        let result = from_bytes::<PGrid>(&w.into_bytes());
+        assert!(
+            matches!(result, Err(PersistError::Invalid { .. })),
+            "slot {slot:?} = {value}: {result:?}"
+        );
+    }
+}

@@ -175,12 +175,6 @@ impl BetaTrust {
             / (PRIOR_HONEST + PRIOR_DISHONEST + slot.evidence.honest + slot.evidence.dishonest)
     }
 
-    /// Raw posterior parameters `(α, β)` for a subject (including priors).
-    pub fn posterior(&self, subject: PeerId) -> (f64, f64) {
-        let e = self.evidence.get(subject);
-        (PRIOR_HONEST + e.honest, PRIOR_DISHONEST + e.dishonest)
-    }
-
     fn estimate_of(e: Evidence) -> TrustEstimate {
         let alpha = PRIOR_HONEST + e.honest;
         let beta = PRIOR_DISHONEST + e.dishonest;
@@ -327,9 +321,10 @@ mod tests {
             m.record_direct(p, Conduct::Honest, R);
         }
         m.record_direct(p, Conduct::Dishonest, R);
-        let (a, b) = m.posterior(p);
-        assert_eq!((a, b), (4.0, 2.0));
-        assert!((m.predict(p).p_honest - 4.0 / 6.0).abs() < 1e-12);
+        // Beta(1 + 3, 1 + 1): mean 4/6, evidence mass 4.
+        let e = m.predict(p);
+        assert!((e.p_honest - 4.0 / 6.0).abs() < 1e-12);
+        assert_eq!(e.confidence, evidence_confidence(4.0));
     }
 
     #[test]
@@ -429,7 +424,11 @@ mod tests {
         let mut m = BetaTrust::new();
         m.record_direct(p, Conduct::Honest, 10);
         m.record_direct(p, Conduct::Honest, 3);
-        assert_eq!(m.posterior(p), (3.0, 1.0));
+        // Beta(1 + 2, 1): both observations at full weight.
+        assert_eq!(
+            m.predict(p),
+            TrustEstimate::new(0.75, evidence_confidence(2.0))
+        );
     }
 
     #[test]
@@ -463,8 +462,10 @@ mod tests {
             weighted.predict(subject).p_honest > plain.predict(subject).p_honest,
             "scorer weighting must deflate a cheater's slander"
         );
-        let (_, beta_w) = weighted.posterior(subject);
-        let (_, beta_p) = plain.posterior(subject);
+        // The subject has no honest evidence, so α stays at the prior 1
+        // and p_honest = 1 / (1 + β).
+        let beta_of = |m: &BetaTrust| 1.0 / m.predict(subject).p_honest - 1.0;
+        let (beta_w, beta_p) = (beta_of(&weighted), beta_of(&plain));
         assert!(
             (beta_p - beta_w) > 0.3,
             "weighted {beta_w} vs plain {beta_p}"

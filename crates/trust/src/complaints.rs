@@ -17,9 +17,10 @@
 //! observed sample — the decision rule the CIKM paper phrases as
 //! detecting outliers relative to the average behaviour.
 //!
-//! The module exposes both the paper-faithful binary decision
-//! ([`ComplaintTrust::assess`]) and a smooth probability mapping so the
-//! model can participate in the common [`TrustModel`] interface.
+//! The model maps the binary decision onto a smooth probability
+//! ([`complaint_estimate`]) so it can participate in the common
+//! [`TrustModel`] interface: a peer lies below ½ exactly when its
+//! product exceeds the outlier threshold.
 
 use crate::confidence::evidence_confidence;
 use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
@@ -35,22 +36,6 @@ pub const OUTLIER_FACTOR: f64 = 4.0;
 
 /// Weight of a witness-relayed complaint relative to a direct one.
 const WITNESS_WEIGHT: f64 = 0.5;
-
-/// Binary assessment in the style of the CIKM 2001 decision rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Assessment {
-    /// No evidence of misbehaviour beyond the population baseline.
-    Trustworthy,
-    /// Complaint product exceeds the outlier threshold.
-    Untrustworthy,
-}
-
-impl Assessment {
-    /// Whether the assessment is trustworthy.
-    pub fn is_trustworthy(self) -> bool {
-        matches!(self, Assessment::Trustworthy)
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Tally {
@@ -125,7 +110,7 @@ impl Bracket {
 /// # Examples
 ///
 /// ```
-/// use trustex_trust::complaints::{Assessment, ComplaintTrust};
+/// use trustex_trust::complaints::ComplaintTrust;
 /// use trustex_trust::model::{Conduct, PeerId, TrustModel};
 ///
 /// let mut model = ComplaintTrust::new();
@@ -134,9 +119,8 @@ impl Bracket {
 /// for victim in 0..8 {
 ///     model.file_complaint(PeerId(victim), cheater, 0);
 /// }
-/// assert_eq!(model.assess(cheater), Assessment::Untrustworthy);
 /// assert!(model.predict(cheater).p_honest < 0.5);
-/// assert_eq!(model.assess(PeerId(1)), Assessment::Trustworthy);
+/// assert!(model.predict(PeerId(1)).p_honest > 0.5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ComplaintTrust {
@@ -323,17 +307,6 @@ impl ComplaintTrust {
             equal: 1 + equal_left + copies(right),
         })
     }
-
-    /// The CIKM-style binary decision: untrustworthy when the complaint
-    /// product exceeds [`OUTLIER_FACTOR`] × the population median.
-    pub fn assess(&self, peer: PeerId) -> Assessment {
-        let threshold = OUTLIER_FACTOR * self.median_product();
-        if self.complaint_product(peer) > threshold {
-            Assessment::Untrustworthy
-        } else {
-            Assessment::Trustworthy
-        }
-    }
 }
 
 /// The complaint rule: the honesty estimate of a peer that received
@@ -508,10 +481,17 @@ impl Persistable for ComplaintTrust {
 mod tests {
     use super::*;
 
+    /// The CIKM outlier decision, read through the estimate: a peer is
+    /// flagged when its complaint product exceeds the threshold, which
+    /// is where its honesty estimate drops below ½.
+    fn flagged(m: &ComplaintTrust, peer: PeerId) -> bool {
+        m.predict(peer).p_honest < 0.5
+    }
+
     #[test]
     fn no_data_is_trustworthy() {
         let m = ComplaintTrust::new();
-        assert!(m.assess(PeerId(1)).is_trustworthy());
+        assert!(!flagged(&m, PeerId(1)));
         assert_eq!(m.complaint_product(PeerId(1)), 1.0);
         assert_eq!(m.median_product(), 1.0);
         let e = m.predict(PeerId(1));
@@ -526,10 +506,10 @@ mod tests {
         for v in 0..8 {
             m.file_complaint(PeerId(v), cheater, 0);
         }
-        assert_eq!(m.assess(cheater), Assessment::Untrustworthy);
+        assert!(flagged(&m, cheater));
         // Victims each filed one complaint: product (0+1)(1+1)=2, median
         // stays low, so victims remain trustworthy.
-        assert!(m.assess(PeerId(0)).is_trustworthy());
+        assert!(!flagged(&m, PeerId(0)));
         assert!(m.predict(cheater).p_honest < m.predict(PeerId(0)).p_honest);
     }
 
@@ -542,10 +522,10 @@ mod tests {
             m.file_complaint(liar, PeerId(v), 0);
         }
         m.file_complaint(PeerId(1), PeerId(2), 0);
-        assert_eq!(m.assess(liar), Assessment::Untrustworthy);
+        assert!(flagged(&m, liar));
         // Slander victims each received one complaint; with the median at
         // (1+1)(0+1) = 2 they stay below the outlier threshold.
-        assert!(m.assess(PeerId(3)).is_trustworthy());
+        assert!(!flagged(&m, PeerId(3)));
     }
 
     #[test]
@@ -646,10 +626,10 @@ mod tests {
         for v in 0..8 {
             m.file_complaint(PeerId(v), cheater, 0);
         }
-        assert_eq!(m.assess(cheater), Assessment::Untrustworthy);
+        assert!(flagged(&m, cheater));
         let bystander_before = m.tally(PeerId(3));
         m.forget_peer(cheater);
-        assert!(m.assess(cheater).is_trustworthy(), "whitewashed record");
+        assert!(!flagged(&m, cheater), "whitewashed record");
         assert_eq!(m.tally(cheater), (0.0, 0.0));
         assert_eq!(m.tally(PeerId(3)), bystander_before);
         // Double-forget and out-of-table ids are no-ops.
@@ -670,7 +650,7 @@ mod tests {
         // Everyone has 3 received: products equal, nobody untrustworthy.
         for p in 0..10u32 {
             assert!(
-                m.assess(PeerId(p)).is_trustworthy(),
+                !flagged(&m, PeerId(p)),
                 "uniform noise must not flag anyone"
             );
         }

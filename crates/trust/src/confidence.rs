@@ -3,46 +3,8 @@
 //! Mui et al. (the paper's reference \[3\]) quantify the reliability of a
 //! reputation estimate through the Chernoff bound: how many samples are
 //! needed so that the empirical mean is within `ε` of the true Bernoulli
-//! parameter with probability `1 − δ`. This module provides that sample
-//! size and the inverse mapping from evidence mass to a `[0, 1)`
-//! confidence score used by the models.
-
-/// Number of i.i.d. samples sufficient for `P(|θ̂ − θ| > eps) ≤ delta`
-/// by the (additive) Chernoff–Hoeffding bound:
-/// `m ≥ ln(2/δ) / (2 ε²)`.
-///
-/// # Panics
-///
-/// Panics unless `0 < eps < 1` and `0 < delta < 1`.
-///
-/// # Examples
-///
-/// ```
-/// use trustex_trust::confidence::chernoff_sample_size;
-/// // ±0.1 at 95%: 185 samples.
-/// assert_eq!(chernoff_sample_size(0.1, 0.05), 185);
-/// ```
-pub fn chernoff_sample_size(eps: f64, delta: f64) -> u64 {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as u64
-}
-
-/// Half-width of the Chernoff–Hoeffding confidence interval after `m`
-/// samples at confidence `1 − delta`: `ε = sqrt(ln(2/δ) / (2 m))`.
-///
-/// Returns `1.0` (vacuous) for `m == 0`.
-///
-/// # Panics
-///
-/// Panics unless `0 < delta < 1`.
-pub fn chernoff_half_width(m: f64, delta: f64) -> f64 {
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-    if m <= 0.0 {
-        return 1.0;
-    }
-    ((2.0 / delta).ln() / (2.0 * m)).sqrt().min(1.0)
-}
+//! parameter with probability `1 − δ`. This module provides the mapping
+//! from evidence mass to a `[0, 1)` confidence score used by the models.
 
 /// Pseudo-count of evidence at which confidence reaches ½.
 pub const CONFIDENCE_HALF_MASS: f64 = 2.0;
@@ -50,13 +12,13 @@ pub const CONFIDENCE_HALF_MASS: f64 = 2.0;
 /// Maps a (possibly fractional) evidence mass to a confidence score in
 /// `[0, 1)` via the saturating ratio `m / (m + 2)`.
 ///
-/// The strict Chernoff complement (`1 − ε(m)`) stays at zero until
-/// several observations and needs ~185 for 0.9 — far too conservative
-/// for communities whose members meet tens of times. The saturating
-/// ratio preserves the same qualitative behaviour (0 with no evidence,
-/// monotone, → 1) with a practical ramp: 1 observation → ⅓,
-/// 5 → ~0.71, 20 → ~0.91. Callers needing the rigorous bound use
-/// [`chernoff_half_width`] directly.
+/// The strict Chernoff complement (`1 − ε(m)` with
+/// `ε(m) = sqrt(ln(2/δ) / 2m)`) stays at zero until several
+/// observations and needs ~185 for 0.9 at δ = 0.05 — far too
+/// conservative for communities whose members meet tens of times. The
+/// saturating ratio preserves the same qualitative behaviour (0 with no
+/// evidence, monotone, → 1) with a practical ramp: 1 observation → ⅓,
+/// 5 → ~0.71, 20 → ~0.91.
 pub fn evidence_confidence(mass: f64) -> f64 {
     let m = mass.max(0.0);
     m / (m + CONFIDENCE_HALF_MASS)
@@ -65,45 +27,6 @@ pub fn evidence_confidence(mass: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sample_size_monotone_in_precision() {
-        assert!(chernoff_sample_size(0.05, 0.05) > chernoff_sample_size(0.1, 0.05));
-        assert!(chernoff_sample_size(0.1, 0.01) > chernoff_sample_size(0.1, 0.05));
-    }
-
-    #[test]
-    fn sample_size_known_value() {
-        // ln(40)/(2·0.01) = 184.44… -> 185.
-        assert_eq!(chernoff_sample_size(0.1, 0.05), 185);
-    }
-
-    #[test]
-    #[should_panic(expected = "eps")]
-    fn sample_size_rejects_bad_eps() {
-        chernoff_sample_size(0.0, 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "delta")]
-    fn sample_size_rejects_bad_delta() {
-        chernoff_sample_size(0.1, 1.0);
-    }
-
-    #[test]
-    fn half_width_shrinks_with_samples() {
-        let w10 = chernoff_half_width(10.0, 0.05);
-        let w100 = chernoff_half_width(100.0, 0.05);
-        assert!(w100 < w10);
-        assert_eq!(chernoff_half_width(0.0, 0.05), 1.0);
-    }
-
-    #[test]
-    fn half_width_inverse_of_sample_size() {
-        // At the sample size for (eps, delta), the half width is ≤ eps.
-        let m = chernoff_sample_size(0.1, 0.05);
-        assert!(chernoff_half_width(m as f64, 0.05) <= 0.1 + 1e-9);
-    }
 
     #[test]
     fn confidence_bounds_and_monotonicity() {

@@ -25,8 +25,9 @@
 //!
 //! All models implement [`model::TrustModel`] and return
 //! [`model::TrustEstimate`]s (probability + confidence); the
-//! [`confidence`] module carries the Chernoff-bound machinery Mui et al.
-//! use to quantify estimate reliability.
+//! [`confidence`] module maps evidence mass to the confidence score,
+//! a practical stand-in for the Chernoff bound Mui et al. use to
+//! quantify estimate reliability.
 //!
 //! ```
 //! use trustex_trust::prelude::*;
@@ -57,8 +58,7 @@ use trustex_persist::PersistError;
 pub mod prelude {
     pub use crate::baselines::{EwmaTrust, MeanTrust};
     pub use crate::beta::BetaTrust;
-    pub use crate::complaints::{Assessment, ComplaintTrust, OUTLIER_FACTOR};
-    pub use crate::confidence::{chernoff_half_width, chernoff_sample_size};
+    pub use crate::complaints::{ComplaintTrust, OUTLIER_FACTOR};
     pub use crate::engine::{TrustEngine, TrustEvent, TrustSnapshot};
     pub use crate::evidence_log::{EvidenceLog, EvidenceRecord, LogReplay};
     pub use crate::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};

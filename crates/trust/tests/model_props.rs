@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use trustex_trust::baselines::{EwmaTrust, MeanTrust};
 use trustex_trust::beta::BetaTrust;
 use trustex_trust::complaints::{ComplaintTrust, OUTLIER_FACTOR};
+use trustex_trust::confidence::evidence_confidence;
 use trustex_trust::model::{Conduct, PeerId, TrustEstimate, TrustModel, WitnessReport};
 
 /// One step of a random model workout. Ids are drawn from a small range
@@ -151,6 +152,12 @@ impl RefBeta {
         let (alpha, beta) = self.posterior(subject);
         alpha / (alpha + beta)
     }
+
+    /// Confidence from the evidence mass beyond the Beta(1, 1) prior.
+    fn confidence(&self, subject: PeerId) -> f64 {
+        let (alpha, beta) = self.posterior(subject);
+        evidence_confidence((alpha + beta) - 2.0)
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -259,9 +266,9 @@ proptest! {
             }
         }
         for p in probes() {
-            prop_assert_eq!(dense.posterior(p), reference.posterior(p));
             prop_assert_eq!(dense.witness_reliability(p), reference.witness_reliability(p));
             prop_assert_eq!(dense.predict(p).p_honest, reference.predict(p));
+            prop_assert_eq!(dense.predict(p).confidence, reference.confidence(p));
         }
         assert_rows_match(&dense, 1024);
     }

@@ -13,7 +13,7 @@ use trustex_trust::model::PeerId;
 fn main() {
     // A direct look at the storage layer first: build a grid, file a few
     // complaints, query them back.
-    let mut system = ReputationSystem::new(128, ReputationConfig::default(), 7);
+    let mut system = ReputationSystem::new(128, 7);
     let cheater = PeerId(17);
     for victim in [2u32, 5, 9, 30, 44] {
         system.file_complaint(PeerId(victim), cheater, 0, None);

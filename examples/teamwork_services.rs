@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs = PartyInputs {
         trust_in_opponent: trustex_trust::model::TrustEstimate::new(0.97, 0.9),
         exposure: policy,
-        engagement: EngagementRule::default(),
     };
     let nx = plan_exchange(&deal, inputs, inputs, PaymentPolicy::Balanced)?;
     println!(

@@ -13,7 +13,7 @@ use trust_aware_cooperation::trust::prelude::*;
 #[test]
 fn figure_one_loop_assembled_manually() {
     let mut rng = SimRng::new(99);
-    let mut reputation = ReputationSystem::new(64, ReputationConfig::default(), 99);
+    let mut reputation = ReputationSystem::new(64, 99);
     let mut model = BetaTrust::new();
 
     let supplier = PeerId(3);
@@ -28,7 +28,6 @@ fn figure_one_loop_assembled_manually() {
     let inputs = |est: TrustEstimate, deal: &Deal| PartyInputs {
         trust_in_opponent: est,
         exposure: ExposurePolicy::with_cap(deal.price()),
-        engagement: EngagementRule::default(),
     };
     let nx = plan_exchange(
         &deal,

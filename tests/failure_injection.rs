@@ -15,7 +15,7 @@ use trust_aware_cooperation::trust::prelude::*;
 /// flap, thanks to replication.
 #[test]
 fn reputation_survives_churn_timeline() {
-    let mut sys = ReputationSystem::new(128, ReputationConfig::default(), 31);
+    let mut sys = ReputationSystem::new(128, 31);
     let offender = PeerId(5);
     for v in 50..56 {
         sys.file_complaint(PeerId(v), offender, 0, None);
@@ -58,7 +58,7 @@ fn reputation_survives_churn_timeline() {
 fn corruption_sweep_degrades_gracefully() {
     let mut exact_by_level = Vec::new();
     for (i, fraction) in [0.0, 0.2, 0.8].into_iter().enumerate() {
-        let mut sys = ReputationSystem::new(96, ReputationConfig::default(), 77 + i as u64);
+        let mut sys = ReputationSystem::new(96, 77 + i as u64);
         let subject = PeerId(11);
         for v in 40..45 {
             sys.file_complaint(PeerId(v), subject, 0, None);
