@@ -1,39 +1,49 @@
 //! Accuracy and welfare metrics for the experiment suite.
 //!
-//! # Batched evaluation
+//! # The sparse row kernel
 //!
-//! All three accuracy metrics walk every ordered (evaluator, subject)
+//! All three accuracy metrics score every ordered (evaluator, subject)
 //! pair, and all of them run through one private row kernel. It fans
-//! chunks of consecutive evaluators across [`parallel_fold`]; each
-//! chunk asks every evaluator's model for its whole prediction row at
-//! once
-//! ([`TrustModel::predict_row_into`][trustex_trust::model::TrustModel::predict_row_into]
-//! — a single table sweep that hoists per-call work, notably the
-//! complaint model's population median, out of the loop) and reduces
-//! the row:
+//! chunks of consecutive evaluators across [`parallel_fold`]. Each
+//! chunk reads every evaluator's row sparsely
+//! (`Community::predict_row_sparse`, built on
+//! [`TrustModel::predict_row_sparse`][trustex_trust::model::TrustModel::predict_row_sparse]):
+//! the few subjects with written evidence are listed, and every other
+//! subject gets one *cold* estimate. At n = 10³ an evaluator has
+//! written about 41 of its subjects by the end of a 10-round market,
+//! so the kernel reduces each row in three ways:
 //!
-//! - `|p − truth|` goes into the chunk's error buffer, in pair order;
-//! - two subject-id lists built once per call, one per class, gather
-//!   the row's predictions into an honest and a dishonest key buffer
-//!   (an order-preserving integer key of `p`) and tally the thresholded
-//!   predictions each class gets right.
+//! - **Decision accuracy** scores the listed subjects one by one and
+//!   counts each class's cold subjects by subtraction from the class
+//!   size, so the cold estimate is thresholded once per row.
+//! - **Rank accuracy** sorts only the listed predictions of each class
+//!   (an order-preserving integer key of `p`), and one merge walk
+//!   counts their Mann–Whitney wins and ties. The cold subjects of each
+//!   class enter as one weighted key, compared with every listed key
+//!   and with the other class's cold subjects, so a listed prediction
+//!   equal to the cold one ties with them.
+//! - **MAE** stays dense. Its sum is kept in pair order, because
+//!   regrouping the float additions would change its bits. The chunk's
+//!   error buffer gets `|cold − truth[s]|` for every subject (copied
+//!   from one row of cold errors, computed once per distinct cold
+//!   estimate), and the listed subjects' errors are then written over
+//!   theirs, so no row of estimates is built.
 //!
-//! Sorting both key buffers and merging them once counts the row's
-//! Mann–Whitney wins and ties. Every buffer is reused across the
-//! chunk's rows, so the kernel allocates nothing per row.
-//!
-//! Chunks are sized to about 64 KiB of errors (8 rows at n = 10³), so
-//! a chunk's error buffer stays cache-resident and nothing of size n²
-//! is ever allocated. The caller folds each chunk
-//! into one running MAE accumulator as soon as that chunk's turn comes,
-//! in evaluator order, replaying the float association of the naive
-//! pair walk exactly; rank and decision accuracy fold exact integer
-//! tallies. Every metric is therefore bit-identical to the unbatched
-//! sequential walk for any thread count.
+//! Every buffer is reused across the chunk's rows, so the kernel
+//! allocates nothing per row. Chunks are sized to about 64 KiB of
+//! errors (8 rows at n = 10³), so a chunk's error buffer stays
+//! cache-resident and nothing of size n² is ever allocated. The caller
+//! folds each chunk into one running MAE accumulator as soon as that
+//! chunk's turn comes, in evaluator order, replaying the float
+//! association of the naive pair walk exactly; rank and decision
+//! accuracy fold exact integer tallies. Every metric is therefore
+//! bit-identical to the unbatched sequential walk for any thread
+//! count. That serial sum, n² additions, is the kernel's floor.
 
 use crate::population::Community;
+use std::cmp::Ordering;
 use trustex_netsim::pool::{parallel_fold, resolve_threads};
-use trustex_trust::model::{PeerId, TrustEstimate};
+use trustex_trust::model::PeerId;
 
 /// The ground-truth cooperation probability of every agent, in id order.
 ///
@@ -79,10 +89,11 @@ struct ChunkTally {
     correct: u64,
 }
 
-/// The subject ids of each ground-truth class, ascending.
+/// The ground-truth class of every subject, and each class's size.
 struct Classes {
-    honest: Vec<usize>,
-    dishonest: Vec<usize>,
+    is_honest: Vec<bool>,
+    honest: u64,
+    dishonest: u64,
 }
 
 /// A `u64` whose unsigned order is [`f64::total_cmp`]'s order: the
@@ -94,28 +105,45 @@ fn total_order_key(p: f64) -> u64 {
     (signed as u64) ^ (1 << 63)
 }
 
-/// Mann–Whitney U of one row in half-units: for every dishonest key,
-/// 2 per honest key above it and 1 per honest key equal to it. Both
-/// slices must be sorted ascending.
-fn mann_whitney_half_units(honest: &[u64], dishonest: &[u64]) -> u64 {
-    let (mut below, mut below_or_tied) = (0, 0);
+/// Mann–Whitney U of one row in half-units: for every dishonest
+/// subject, 2 per honest subject keyed above it and 1 per honest
+/// subject keyed equal to it. The listed subjects' keys of each class
+/// come sorted ascending; the cold subjects of the row, `cold.1` honest
+/// and `cold.2` dishonest, share the key `cold.0`, so a listed key
+/// equal to it ties with them.
+fn mann_whitney_half_units(honest: &[u64], dishonest: &[u64], cold: (u64, u64, u64)) -> u64 {
+    let (cold_key, cold_honest, cold_dishonest) = cold;
+    // The half-units of one dishonest key `d`, given the listed honest
+    // keys below it (`below`) and at most it (`upto`).
+    let half_units = |d: u64, below: usize, upto: usize| {
+        let (cold_above, cold_tied) = match cold_key.cmp(&d) {
+            Ordering::Greater => (cold_honest, 0),
+            Ordering::Equal => (0, cold_honest),
+            Ordering::Less => (0, 0),
+        };
+        2 * ((honest.len() - upto) as u64 + cold_above) + (upto - below) as u64 + cold_tied
+    };
+    let (mut below, mut upto) = (0, 0);
     let mut total = 0;
     for &d in dishonest {
         while below < honest.len() && honest[below] < d {
             below += 1;
         }
-        below_or_tied = below_or_tied.max(below);
-        while below_or_tied < honest.len() && honest[below_or_tied] == d {
-            below_or_tied += 1;
+        upto = upto.max(below);
+        while upto < honest.len() && honest[upto] == d {
+            upto += 1;
         }
-        total += 2 * (honest.len() - below_or_tied) as u64 + (below_or_tied - below) as u64;
+        total += half_units(d, below, upto);
     }
-    total
+    let below = honest.partition_point(|&h| h < cold_key);
+    let upto = honest.partition_point(|&h| h <= cold_key);
+    total + cold_dishonest * half_units(cold_key, below, upto)
 }
 
 /// The row kernel behind every accuracy metric (see the module docs):
-/// reduces the evaluator rows `start..end` with one row buffer and two
-/// key buffers reused across rows, and one pre-sized error buffer.
+/// reduces the evaluator rows `start..end` with buffers reused across
+/// rows (the listed subjects, each class's keys, the cold errors) and
+/// one pre-sized error buffer.
 fn chunk_tally(
     community: &Community,
     truth: &[f64],
@@ -123,9 +151,13 @@ fn chunk_tally(
     (start, end): (usize, usize),
 ) -> ChunkTally {
     let n = community.len();
-    let mut row = vec![TrustEstimate::UNKNOWN; n];
-    let mut honest_keys = Vec::with_capacity(classes.honest.len());
-    let mut dishonest_keys = Vec::with_capacity(classes.dishonest.len());
+    let mut listed = Vec::new();
+    let mut honest_keys = Vec::new();
+    let mut dishonest_keys = Vec::new();
+    // `|cold − truth[s]|` for every subject, and the bits of the cold
+    // estimate it was computed for: rows almost always share one.
+    let mut cold_errors = Vec::with_capacity(n);
+    let mut cold_errors_of = None;
     let mut tally = ChunkTally {
         abs_err: Vec::with_capacity((end - start) * n.saturating_sub(1)),
         rank_half_units: 0,
@@ -133,39 +165,64 @@ fn chunk_tally(
         correct: 0,
     };
     for evaluator in start..end {
-        community.predict_row_into(PeerId(evaluator as u32), &mut row);
-        for half in [0..evaluator, evaluator + 1..n] {
-            let errors = row[half.clone()].iter().zip(&truth[half]);
-            tally
-                .abs_err
-                .extend(errors.map(|(est, &t)| (est.p_honest - t).abs()));
+        let cold = community.predict_row_sparse(PeerId(evaluator as u32), &mut listed);
+        // Only subjects of the population other than the evaluator are
+        // scored.
+        listed.retain(|&(s, _)| s.index() < n && s.index() != evaluator);
+
+        if cold_errors_of != Some(cold.p_honest.to_bits()) {
+            cold_errors.clear();
+            cold_errors.extend(truth.iter().map(|&t| (cold.p_honest - t).abs()));
+            cold_errors_of = Some(cold.p_honest.to_bits());
         }
+        let row = tally.abs_err.len();
+        tally.abs_err.extend_from_slice(&cold_errors[..evaluator]);
+        tally
+            .abs_err
+            .extend_from_slice(&cold_errors[evaluator + 1..]);
+        for &(s, estimate) in &listed {
+            let s = s.index();
+            let pair = row + s - usize::from(s > evaluator);
+            tally.abs_err[pair] = (estimate.p_honest - truth[s]).abs();
+        }
+
+        let evaluator_honest = classes.is_honest[evaluator];
+        let honest = classes.honest - u64::from(evaluator_honest);
+        let dishonest = classes.dishonest - u64::from(!evaluator_honest);
+        let (mut cold_honest, mut cold_dishonest) = (honest, dishonest);
         honest_keys.clear();
         dishonest_keys.clear();
-        for &s in classes.honest.iter().filter(|&&s| s != evaluator) {
-            let p = row[s].p_honest;
-            tally.correct += u64::from(p >= 0.5);
-            honest_keys.push(total_order_key(p));
-        }
-        for &s in classes.dishonest.iter().filter(|&&s| s != evaluator) {
-            let p = row[s].p_honest;
+        for &(s, estimate) in &listed {
+            let p = estimate.p_honest;
             // A NaN prediction is not `>= 0.5`: it reads as dishonest.
-            tally.correct += u64::from(p < 0.5 || p.is_nan());
-            dishonest_keys.push(total_order_key(p));
+            let is_honest = classes.is_honest[s.index()];
+            tally.correct += u64::from((p >= 0.5) == is_honest);
+            if is_honest {
+                cold_honest -= 1;
+                honest_keys.push(total_order_key(p));
+            } else {
+                cold_dishonest -= 1;
+                dishonest_keys.push(total_order_key(p));
+            }
         }
-        if !honest_keys.is_empty() && !dishonest_keys.is_empty() {
+        tally.correct += if cold.p_honest >= 0.5 {
+            cold_honest
+        } else {
+            cold_dishonest
+        };
+        if honest > 0 && dishonest > 0 {
             honest_keys.sort_unstable();
             dishonest_keys.sort_unstable();
-            tally.rank_half_units += mann_whitney_half_units(&honest_keys, &dishonest_keys);
-            tally.rank_pairs += (honest_keys.len() * dishonest_keys.len()) as u64;
+            let cold = (total_order_key(cold.p_honest), cold_honest, cold_dishonest);
+            tally.rank_half_units += mann_whitney_half_units(&honest_keys, &dishonest_keys, cold);
+            tally.rank_pairs += honest * dishonest;
         }
     }
     tally
 }
 
 /// Computes MAE, ranking accuracy and decision accuracy from **one**
-/// batch of evaluator prediction rows — each (evaluator, subject) pair
-/// is predicted exactly once.
+/// sparse read of each evaluator's row (see the module docs).
 ///
 /// `threads` resolves as in
 /// [`resolve_threads`] (0 = the
@@ -177,8 +234,16 @@ fn chunk_tally(
 pub fn accuracy_metrics(community: &Community, truth: &[f64], threads: usize) -> AccuracyMetrics {
     assert_eq!(truth.len(), community.len(), "truth buffer size mismatch");
     let n = community.len();
-    let (honest, dishonest) = (0..n).partition(|&a| community.is_honest(PeerId(a as u32)));
-    let classes = Classes { honest, dishonest };
+    let is_honest: Vec<bool> = community
+        .agent_ids()
+        .map(|a| community.is_honest(a))
+        .collect();
+    let honest = is_honest.iter().filter(|&&h| h).count() as u64;
+    let classes = Classes {
+        dishonest: n as u64 - honest,
+        honest,
+        is_honest,
+    };
     let workers = resolve_threads(threads);
     // About CHUNK_ERROR_BYTES of errors per chunk, and at least ~4
     // chunks per worker so uneven row costs balance.
@@ -336,18 +401,15 @@ mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::ModelKind;
+    use crate::population::{DefenseConfig, ModelKind};
     use trustex_agents::profile::PopulationMix;
     use trustex_netsim::rng::SimRng;
-    use trustex_trust::model::Conduct;
+    use trustex_trust::model::{Conduct, WitnessReport};
 
     fn community(dishonest: f64) -> Community {
-        community_with(dishonest, ModelKind::Beta, 10)
-    }
-
-    fn community_with(dishonest: f64, kind: ModelKind, n: usize) -> Community {
         let mut rng = SimRng::new(1);
-        Community::new(n, &PopulationMix::standard(dishonest, 0.0), kind, &mut rng)
+        let mix = PopulationMix::standard(dishonest, 0.0);
+        Community::new(10, &mix, ModelKind::Beta, &mut rng)
     }
 
     /// Feed every evaluator perfect direct experience about everyone.
@@ -449,17 +511,25 @@ mod tests {
 
     /// Batched metrics must agree bit-for-bit with the retained naive
     /// walks (and rank with the O(n³) pair walk) on cold, partially
-    /// educated, noisily educated, fully educated, whitewashed and
-    /// degraded communities, for every model kind, for sizes that cut
-    /// the evaluator chunks unevenly, and for several thread counts.
+    /// educated, cold-tied, noisily educated, gossiped, fully educated,
+    /// whitewashed and degraded communities, for every model kind, for
+    /// sizes that cut the evaluator chunks unevenly, and for several
+    /// thread counts. The communities weigh witness reports by the
+    /// reporter's standing, which only the gossip stage exercises.
     #[test]
     fn batched_metrics_match_naive_reference() {
         for kind in ModelKind::ALL {
             for n in [2, 3, 12, 37, 130] {
                 for dishonest_frac in [0.3, 0.5, 0.7] {
-                    let mut c = community_with(dishonest_frac, kind, n);
+                    let mut rng = SimRng::new(1);
+                    let mix = PopulationMix::standard(dishonest_frac, 0.0);
+                    let defense = DefenseConfig {
+                        scorer_weighted: true,
+                        report_rate_cap: None,
+                    };
+                    let mut c = Community::with_defense(n, &mix, kind, defense, &mut rng);
                     c.enable_direct_ledger();
-                    let stages: [&dyn Fn(&mut Community); 6] = [
+                    let stages: [&dyn Fn(&mut Community); 8] = [
                         &|_| {},
                         &|c| {
                             // Partial education: some evaluators learn,
@@ -470,6 +540,21 @@ mod tests {
                                     if e != s {
                                         let conduct = Conduct::from_honest(c.is_honest(s));
                                         c.record_direct(e, s, conduct, 0);
+                                    }
+                                }
+                            }
+                        },
+                        &|c| {
+                            // Cold ties: one honest and one dishonest
+                            // experience with two subjects give Beta
+                            // and mean an estimate of exactly 0.5, the
+                            // cold one, on a written slot.
+                            let n = c.len() as u32;
+                            for e in c.agent_ids() {
+                                for s in [(e.0 + 1) % n, (e.0 + 2) % n].map(PeerId) {
+                                    if s != e {
+                                        c.record_direct(e, s, Conduct::Honest, 1);
+                                        c.record_direct(e, s, Conduct::Dishonest, 1);
                                     }
                                 }
                             }
@@ -492,11 +577,32 @@ mod tests {
                                 }
                             }
                         },
+                        &|c| {
+                            // Gossip: reports weighted by the receiver's
+                            // view of each reporter give fractional
+                            // evidence and many distinct values per row.
+                            let n = c.len() as u32;
+                            for e in c.agent_ids() {
+                                for k in 0..6 {
+                                    let subject = PeerId((e.0 * 5 + k * 7) % n);
+                                    let witness = PeerId((e.0 + k * 3 + 1) % n);
+                                    let lie = (e.0 + k) % 3 == 0;
+                                    let honest = c.is_honest(subject) != lie;
+                                    let report = WitnessReport {
+                                        witness,
+                                        subject,
+                                        conduct: Conduct::from_honest(honest),
+                                        round: u64::from(k),
+                                    };
+                                    c.deliver_witness_report(e, report);
+                                }
+                            }
+                        },
                         &|c| educate(c, 7),
                         &|c| c.whitewash(PeerId(1)),
                         &|c| c.set_degraded(true),
                     ];
-                    for stage in stages {
+                    for (step, stage) in stages.into_iter().enumerate() {
                         stage(&mut c);
                         // The naive walks read pair by pair: sealing
                         // settles each complaint median once for them.
@@ -505,7 +611,7 @@ mod tests {
                         let expected_mae = naive::trust_mae_with_truth(&c, &truth);
                         let expected_rank = naive::rank_accuracy(&c);
                         let expected_decision = naive::decision_accuracy(&c);
-                        let at = format!("{kind:?} n={n} frac={dishonest_frac}");
+                        let at = format!("{kind:?} n={n} frac={dishonest_frac} stage {step}");
                         if n <= 37 {
                             assert_eq!(expected_rank, rank_accuracy_pair_walk(&c), "{at}");
                         }

@@ -138,12 +138,21 @@ impl TrustModel for AnyModel {
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
         // One dispatch per row (not per cell) into the models' table
-        // sweeps.
+        // sweeps: the dense read of e12's replay.
         match self {
             AnyModel::Beta(m) => m.predict_row_into(out),
             AnyModel::Complaints(m) => m.predict_row_into(out),
             AnyModel::Mean(m) => m.predict_row_into(out),
             AnyModel::Ewma(m) => m.predict_row_into(out),
+        }
+    }
+
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+        match self {
+            AnyModel::Beta(m) => m.predict_row_sparse(out),
+            AnyModel::Complaints(m) => m.predict_row_sparse(out),
+            AnyModel::Mean(m) => m.predict_row_sparse(out),
+            AnyModel::Ewma(m) => m.predict_row_sparse(out),
         }
     }
 
@@ -315,16 +324,20 @@ impl DirectLedger {
         slot.1 += 1;
     }
 
-    /// Laplace-smoothed direct-only estimate, or `None` when the
-    /// evaluator has never interacted with the subject.
-    fn estimate(&self, evaluator: PeerId, subject: PeerId) -> Option<TrustEstimate> {
-        let (honest, total) = self.rows[evaluator.index()].get(subject);
+    /// The Laplace-smoothed direct-only estimate of `(honest, total)`
+    /// counts: maximum ignorance for a pair that never interacted.
+    fn estimate_of((honest, total): (u32, u32)) -> TrustEstimate {
         if total == 0 {
-            return None;
+            return TrustEstimate::UNKNOWN;
         }
         let p = (f64::from(honest) + 1.0) / (f64::from(total) + 2.0);
         let confidence = f64::from(total) / (f64::from(total) + 4.0);
-        Some(TrustEstimate::new(p, confidence))
+        TrustEstimate::new(p, confidence)
+    }
+
+    /// `evaluator`'s direct-only estimate of `subject`.
+    fn estimate(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
+        Self::estimate_of(self.rows[evaluator.index()].get(subject))
     }
 }
 
@@ -347,12 +360,6 @@ impl CommunitySnapshot<'_> {
     /// [`Community::predict`]).
     pub fn predict(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
         self.community.predict(evaluator, subject)
-    }
-
-    /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
-    /// in one table sweep (see [`Community::predict_row_into`]).
-    pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        self.community.predict_row_into(evaluator, out);
     }
 
     /// The profile of an agent (see [`Community::profile`]).
@@ -469,28 +476,36 @@ impl Community {
             return self
                 .direct
                 .as_ref()
-                .and_then(|l| l.estimate(evaluator, subject))
-                .unwrap_or(TrustEstimate::UNKNOWN);
+                .map_or(TrustEstimate::UNKNOWN, |l| l.estimate(evaluator, subject));
         }
         self.models[evaluator.index()].predict(subject)
     }
 
-    /// Fills `out[i]` with `evaluator`'s estimate of subject `PeerId(i)`
-    /// in one table sweep — bit-identical to calling
-    /// [`Community::predict`] per subject, and the read path the batched
-    /// accuracy metrics are built on.
+    /// `evaluator`'s whole row as a sparse read (see
+    /// [`TrustModel::predict_row_sparse`]): lists the subjects with
+    /// written evidence in `out` and returns the estimate of every
+    /// other subject — the read path the accuracy metrics are built on.
+    /// While degraded, the listed subjects are the evaluator's
+    /// direct-ledger row and the rest are [`TrustEstimate::UNKNOWN`].
     ///
     /// # Panics
     ///
     /// Panics if `evaluator` is out of range.
-    pub fn predict_row_into(&self, evaluator: PeerId, out: &mut [TrustEstimate]) {
-        if self.degraded {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.predict(evaluator, PeerId(i as u32));
-            }
-            return;
+    pub(crate) fn predict_row_sparse(
+        &self,
+        evaluator: PeerId,
+        out: &mut Vec<(PeerId, TrustEstimate)>,
+    ) -> TrustEstimate {
+        let model = &self.models[evaluator.index()];
+        if !self.degraded {
+            return model.predict_row_sparse(out);
         }
-        self.models[evaluator.index()].predict_row_into(out);
+        out.clear();
+        self.direct
+            .as_ref()
+            .map_or(TrustEstimate::UNKNOWN, |ledger| {
+                ledger.rows[evaluator.index()].map_sparse_into(out, DirectLedger::estimate_of)
+            })
     }
 
     /// Ground truth cooperation probability of an agent.
@@ -659,19 +674,32 @@ mod tests {
         assert!((degraded.p_honest - 7.0 / 8.0).abs() < 1e-12);
         // Subjects never met directly degrade to maximum ignorance.
         assert_eq!(c.predict(eval, PeerId(7)), TrustEstimate::UNKNOWN);
-        // The row sweep agrees bit-for-bit with per-cell predictions.
-        let mut row = vec![TrustEstimate::UNKNOWN; c.len()];
-        c.predict_row_into(eval, &mut row);
+        // The sparse read lists the ledger row, and a row filled from it
+        // agrees bit for bit with per-cell predictions.
+        let mut listed = Vec::new();
+        let cold = c.predict_row_sparse(eval, &mut listed);
+        assert_eq!(cold, TrustEstimate::UNKNOWN);
+        assert_eq!(listed, [(subject, degraded)]);
+        let mut row = vec![cold; c.len()];
+        for &(s, estimate) in &listed {
+            row[s.index()] = estimate;
+        }
         for (i, got) in row.iter().enumerate() {
             assert_eq!(*got, c.predict(eval, PeerId(i as u32)));
         }
+        // Without a ledger, a degraded row lists nothing.
+        let mut bare = community(ModelKind::Mean);
+        bare.record_direct(eval, subject, Conduct::Honest, 0);
+        bare.set_degraded(true);
+        assert_eq!(
+            bare.predict_row_sparse(eval, &mut listed),
+            TrustEstimate::UNKNOWN
+        );
+        assert!(listed.is_empty());
         // Snapshots carry the degraded view; healing restores the
         // full-evidence prediction untouched.
-        let mut snap_row = vec![TrustEstimate::UNKNOWN; c.len()];
         let snap = c.snapshot();
         assert_eq!(snap.predict(eval, subject), degraded);
-        snap.predict_row_into(eval, &mut snap_row);
-        assert_eq!(snap_row, row);
         c.set_degraded(false);
         assert_eq!(c.predict(eval, subject), normal);
     }

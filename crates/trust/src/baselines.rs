@@ -100,6 +100,10 @@ impl TrustModel for MeanTrust {
         self.counts.map_row_into(out, Self::estimate_of);
     }
 
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+        self.counts.map_sparse_into(out, Self::estimate_of)
+    }
+
     fn forget_peer(&mut self, peer: PeerId) {
         self.counts.forget(peer);
     }
@@ -204,6 +208,10 @@ impl TrustModel for EwmaTrust {
 
     fn predict_row_into(&self, out: &mut [TrustEstimate]) {
         self.scores.map_row_into(out, Self::estimate_of);
+    }
+
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+        self.scores.map_sparse_into(out, Self::estimate_of)
     }
 
     fn forget_peer(&mut self, peer: PeerId) {

@@ -219,6 +219,10 @@ impl TrustModel for BetaTrust {
         self.evidence.map_row_into(out, Self::estimate_of);
     }
 
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+        self.evidence.map_sparse_into(out, Self::estimate_of)
+    }
+
     fn forget_peer(&mut self, peer: PeerId) {
         // Drop both roles: evidence about the peer as a subject and its
         // accumulated witness standing. Estimates for other subjects keep

@@ -52,6 +52,12 @@ impl Tally {
     fn product(&self) -> f64 {
         (self.received + 1.0) * (self.filed + 1.0)
     }
+
+    /// Whether the tally is bit-identical to the default one. A decoded
+    /// unseen tally may hold `-0.0` counts, which are not cold.
+    fn is_cold(&self) -> bool {
+        !self.seen && self.received.to_bits() == 0 && self.filed.to_bits() == 0
+    }
 }
 
 /// The median's rank bracket: a value `m` of the median multiset (the
@@ -372,6 +378,19 @@ impl TrustModel for ComplaintTrust {
             let cold = complaint_estimate(0.0, 0.0, threshold);
             out[covered..].fill(cold);
         }
+    }
+
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+        let threshold = OUTLIER_FACTOR * self.median_product();
+        let estimate = |t: &Tally| complaint_estimate(t.received, t.filed, threshold);
+        let written = (0..=u32::MAX).map(PeerId).zip(&self.tallies);
+        out.clear();
+        out.extend(
+            written
+                .filter(|(_, t)| !t.is_cold())
+                .map(|(peer, t)| (peer, estimate(t))),
+        );
+        estimate(&Tally::default())
     }
 
     fn forget_peer(&mut self, peer: PeerId) {

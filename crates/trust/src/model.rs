@@ -136,7 +136,9 @@ pub trait TrustModel {
     fn predict(&self, subject: PeerId) -> TrustEstimate;
 
     /// Fills `out[i]` with the estimate for subject `PeerId(i)` — the
-    /// batched read path of the accuracy metrics.
+    /// dense row read of the trust engine's snapshots, which serve
+    /// whole pages of estimates (the e12 replay, the service), and of
+    /// the persistence checks.
     ///
     /// Must be bit-identical to calling [`TrustModel::predict`] per
     /// subject; models with per-peer evidence tables override it with a
@@ -147,6 +149,23 @@ pub trait TrustModel {
             *slot = self.predict(PeerId(i as u32));
         }
     }
+
+    /// The sparse read of the whole row — the read path of the accuracy
+    /// metrics, which score every subject but find only a few dozen of
+    /// each evaluator's slots written.
+    ///
+    /// Clears `out`, lists in it each subject whose evidence slot is
+    /// written (at most once, in no particular order, ids beyond any
+    /// population included) with its estimate, and returns the *cold*
+    /// estimate, which every subject not listed gets. A listed estimate
+    /// may equal the cold one, say for a slot `forget_peer` reset.
+    ///
+    /// Filling a row with the cold estimate and then writing the listed
+    /// ids must be bit-identical to calling [`TrustModel::predict`] per
+    /// subject. Like [`TrustModel::predict_row_into`], the read hoists
+    /// per-call work (the complaint median) out of the walk. There is no
+    /// default: only the model knows which slots it wrote.
+    fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate;
 
     /// Erases every trace of `peer` from the evaluator's state —
     /// evidence about it as a subject *and* any reporter standing it

@@ -225,6 +225,17 @@ impl<T: Copy> PeerTable<T> {
         }
     }
 
+    /// Lists `map` of every written slot in `out` (cleared first), in
+    /// first-write order, and returns `map` of the cold value, which
+    /// every id not listed reads as. Forgotten slots stay listed with
+    /// the cold image; ids beyond any row the caller fills are listed
+    /// too.
+    pub fn map_sparse_into<E>(&self, out: &mut Vec<(PeerId, E)>, map: impl Fn(T) -> E) -> E {
+        out.clear();
+        out.extend(self.entries.iter().map(|&(peer, value)| (peer, map(value))));
+        map(self.cold)
+    }
+
     /// Rebuilds a table of dense length `n` from the values of ids
     /// `0..n` in order (the sequence [`PeerTable::iter`] yields), storing
     /// a slot only for values that `is_cold` rejects. `is_cold` should
@@ -424,6 +435,14 @@ mod tests {
                         prop_assert_eq!(*got, oracle.get(id).copied().unwrap_or_default());
                     }
                 }
+                let mut listed = vec![(PeerId(7), Slot(-1.0, 9))];
+                let cold = table.map_sparse_into(&mut listed, |(x, n)| Slot(x, n));
+                let mut sparse = vec![cold; len];
+                for &(peer, slot) in &listed {
+                    sparse[peer.index()] = slot;
+                }
+                prop_assert_eq!(&sparse, &oracle);
+                prop_assert_eq!(listed.len(), table.entries.len());
             }
             let len = oracle.len();
             assert_model_rows(&beta, len);

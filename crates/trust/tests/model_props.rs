@@ -9,8 +9,9 @@
 //! * dense storage ≡ the map semantics on random operation streams with
 //!   sparse ids and cold probes (including the map-presence subtlety
 //!   of ungraded witnesses);
-//! * `predict_row_into` ≡ per-subject `predict`, bit for bit, for all
-//!   four models, for rows shorter and longer than the table;
+//! * `predict_row_into` and the sparse `predict_row_sparse` ≡
+//!   per-subject `predict`, bit for bit, for all four models, for rows
+//!   shorter and longer than the table, before and after `forget_peer`;
 //! * the median ≡ a from-scratch sort oracle under random
 //!   mutate/seal/predict interleavings.
 
@@ -64,11 +65,36 @@ fn probes() -> impl Iterator<Item = PeerId> {
     (0u32..26).chain([100, 999, 1000, 1023, 5000]).map(PeerId)
 }
 
+fn bits(estimate: TrustEstimate) -> (u64, u64) {
+    (estimate.p_honest.to_bits(), estimate.confidence.to_bits())
+}
+
+/// Both row reads agree with per-subject `predict`: the dense row, and
+/// a row filled with the sparse read's cold estimate and then the
+/// listed ids (bit for bit), at five lengths; and every probe id reads
+/// as listed, or as cold when not listed.
 fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
+    let mut listed = Vec::new();
+    let cold = model.predict_row_sparse(&mut listed);
+    let mut ids: Vec<PeerId> = listed.iter().map(|&(id, _)| id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(
+        ids.len(),
+        listed.len(),
+        "{} lists an id twice",
+        model.name()
+    );
     for len in [0usize, 1, table_hint / 2, table_hint, table_hint + 7] {
         let mut row = vec![TrustEstimate::UNKNOWN; len];
         model.predict_row_into(&mut row);
-        for (i, got) in row.iter().enumerate() {
+        let mut sparse_row = vec![cold; len];
+        for &(id, estimate) in &listed {
+            if let Some(slot) = sparse_row.get_mut(id.index()) {
+                *slot = estimate;
+            }
+        }
+        for (i, (got, sparse)) in row.iter().zip(&sparse_row).enumerate() {
             let want = model.predict(PeerId(i as u32));
             assert_eq!(
                 (want.p_honest, want.confidence),
@@ -76,8 +102,36 @@ fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
                 "{} row[{i}] of len {len} diverged from predict",
                 model.name()
             );
+            assert_eq!(
+                bits(*sparse),
+                bits(want),
+                "{} sparse row[{i}] of len {len} diverged from predict",
+                model.name()
+            );
         }
     }
+    for p in probes() {
+        let read = listed
+            .iter()
+            .find(|&&(id, _)| id == p)
+            .map_or(cold, |&(_, estimate)| estimate);
+        assert_eq!(
+            bits(read),
+            bits(model.predict(p)),
+            "{} sparse {p}",
+            model.name()
+        );
+    }
+}
+
+/// [`assert_rows_match`], before and after the model forgets a few
+/// probe ids: written ones, unwritten ones and one beyond the table.
+fn assert_rows_match_across_forget(model: &mut dyn TrustModel, table_hint: usize) {
+    assert_rows_match(model, table_hint);
+    for p in [0, 3, 25, 1000, 5000].map(PeerId) {
+        model.forget_peer(p);
+    }
+    assert_rows_match(model, table_hint);
 }
 
 // ---------------------------------------------------------------------
@@ -270,7 +324,7 @@ proptest! {
             prop_assert_eq!(dense.predict(p).p_honest, reference.predict(p));
             prop_assert_eq!(dense.predict(p).confidence, reference.confidence(p));
         }
-        assert_rows_match(&dense, 1024);
+        assert_rows_match_across_forget(&mut dense, 1024);
     }
 
     /// Dense complaint storage (tallies, products, median, predictions,
@@ -311,7 +365,7 @@ proptest! {
             prop_assert_eq!(dense.complaint_product(p), reference.complaint_product(p));
             prop_assert_eq!(dense.predict(p).p_honest, reference.predict(p));
         }
-        assert_rows_match(&dense, 1024);
+        assert_rows_match_across_forget(&mut dense, 1024);
     }
 
     /// The median equals the from-scratch sort oracle after *every*
@@ -399,8 +453,8 @@ proptest! {
                 Some((score, _)) => prop_assert_eq!(ewma.predict(p).p_honest, score.clamp(0.0, 1.0)),
             }
         }
-        assert_rows_match(&mean, 1024);
-        assert_rows_match(&ewma, 1024);
+        assert_rows_match_across_forget(&mut mean, 1024);
+        assert_rows_match_across_forget(&mut ewma, 1024);
     }
 }
 
@@ -432,6 +486,9 @@ fn default_row_impl_agrees_with_overrides() {
         }
         fn predict(&self, subject: PeerId) -> TrustEstimate {
             self.0.predict(subject)
+        }
+        fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
+            self.0.predict_row_sparse(out)
         }
         fn name(&self) -> &'static str {
             self.0.name()
