@@ -139,8 +139,7 @@ pub fn generate(
     Goods::new(
         pairs
             .into_iter()
-            .map(|(c, v)| (Money::from_f64(c.max(0.0)), Money::from_f64(v.max(0.0))))
-            .collect(),
+            .map(|(c, v)| (Money::from_f64(c.max(0.0)), Money::from_f64(v.max(0.0)))),
     )
 }
 

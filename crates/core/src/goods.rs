@@ -116,15 +116,29 @@ pub struct Goods {
 }
 
 impl Goods {
-    /// Builds a goods set from `(supplier_cost, consumer_value)` pairs.
+    /// Builds a goods set from `(supplier_cost, consumer_value)` pairs,
+    /// taken in order: the `i`-th pair becomes the item with id `i`.
+    ///
+    /// Any exact-size iterator works, a `Vec` as well as a generator's
+    /// `map` over a range: the items are built straight from it into
+    /// the one `Vec<Item>` the set keeps, with no intermediate list of
+    /// pairs. A lazy input is consumed in order and stops at the first
+    /// negative pair.
     ///
     /// # Errors
     ///
-    /// Returns [`GoodsError::Empty`] for an empty list,
-    /// [`GoodsError::NegativeValuation`] if any cost or value is negative,
-    /// and [`GoodsError::TooManyItems`] beyond `u32::MAX` items.
-    pub fn new(valuations: Vec<(Money, Money)>) -> Result<Goods, GoodsError> {
-        if valuations.is_empty() {
+    /// Returns [`GoodsError::Empty`] for an empty input,
+    /// [`GoodsError::TooManyItems`] beyond `u32::MAX` items (both read
+    /// from the input's length, before any pair is consumed), and
+    /// [`GoodsError::NegativeValuation`] if any cost or value is
+    /// negative.
+    pub fn new<I>(valuations: I) -> Result<Goods, GoodsError>
+    where
+        I: IntoIterator<Item = (Money, Money)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let valuations = valuations.into_iter();
+        if valuations.len() == 0 {
             return Err(GoodsError::Empty);
         }
         if valuations.len() > u32::MAX as usize {
@@ -133,7 +147,7 @@ impl Goods {
         let mut items = Vec::with_capacity(valuations.len());
         let mut total_cost = Money::ZERO;
         let mut total_value = Money::ZERO;
-        for (i, (cost, value)) in valuations.into_iter().enumerate() {
+        for (i, (cost, value)) in valuations.enumerate() {
             if cost.is_negative() || value.is_negative() {
                 return Err(GoodsError::NegativeValuation { index: i });
             }
@@ -162,8 +176,7 @@ impl Goods {
         Goods::new(
             pairs
                 .iter()
-                .map(|&(c, v)| (Money::from_f64(c), Money::from_f64(v)))
-                .collect(),
+                .map(|&(c, v)| (Money::from_f64(c), Money::from_f64(v))),
         )
     }
 

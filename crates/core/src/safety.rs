@@ -166,13 +166,6 @@ pub enum SafetyCheck {
     },
 }
 
-impl SafetyCheck {
-    /// Whether the check passed.
-    pub fn is_safe(self) -> bool {
-        matches!(self, SafetyCheck::Safe)
-    }
-}
-
 /// Checks the state in `view` against the margins.
 ///
 /// When both temptations are violated (possible only for inconsistent
@@ -236,7 +229,10 @@ mod tests {
     fn initial_state_is_safe_for_rational_deal() {
         let d = deal();
         let p = Progress::new(&d);
-        assert!(check(&p.view(), SafetyMargins::fully_safe()).is_safe());
+        assert_eq!(
+            check(&p.view(), SafetyMargins::fully_safe()),
+            SafetyCheck::Safe
+        );
     }
 
     #[test]
@@ -257,7 +253,7 @@ mod tests {
         }
         // A margin of 9 makes it admissible again.
         let wide = SafetyMargins::new(Money::from_units(9), Money::ZERO).unwrap();
-        assert!(check(&p.view(), wide).is_safe());
+        assert_eq!(check(&p.view(), wide), SafetyCheck::Safe);
     }
 
     #[test]
@@ -275,7 +271,7 @@ mod tests {
             SafetyCheck::Safe => panic!("expected violation"),
         }
         let wide = SafetyMargins::new(Money::ZERO, Money::from_units(6)).unwrap();
-        assert!(check(&p.view(), wide).is_safe());
+        assert_eq!(check(&p.view(), wide), SafetyCheck::Safe);
     }
 
     /// `check` agrees with the module's window inequality
@@ -293,7 +289,7 @@ mod tests {
             let remaining_value = d.goods().total_consumer_value() - v.state().delivered_value();
             let in_window =
                 remaining_cost - m.eps_consumer() <= r && r <= remaining_value + m.eps_supplier();
-            assert_eq!(in_window, check(&v, m).is_safe(), "eps={eps}");
+            assert_eq!(in_window, check(&v, m) == SafetyCheck::Safe, "eps={eps}");
         }
     }
 
@@ -306,8 +302,8 @@ mod tests {
         let v = p.view();
         assert_eq!(v.consumer_temptation(), Money::from_units(2));
         let exact = SafetyMargins::new(Money::from_units(2), Money::ZERO).unwrap();
-        assert!(check(&v, exact).is_safe(), "bound is inclusive");
+        assert_eq!(check(&v, exact), SafetyCheck::Safe, "bound is inclusive");
         let below = SafetyMargins::new(Money::from_f64(1.999999), Money::ZERO).unwrap();
-        assert!(!check(&v, below).is_safe());
+        assert_ne!(check(&v, below), SafetyCheck::Safe);
     }
 }

@@ -74,17 +74,6 @@ impl ExchangeSequence {
             .filter(|a| matches!(a, Action::Deliver(_)))
             .count()
     }
-
-    /// Sum of all payments in the sequence.
-    pub fn total_paid(&self) -> Money {
-        self.actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Pay(m) => Some(*m),
-                Action::Deliver(_) => None,
-            })
-            .sum()
-    }
 }
 
 impl FromIterator<Action> for ExchangeSequence {
@@ -237,6 +226,10 @@ impl VerifiedSequence {
 /// conditions after the initial state and every action, plus structural
 /// validity and completeness.
 ///
+/// Takes the sequence by value: a sequence that passes moves into the
+/// returned [`VerifiedSequence`] without a copy, and one that fails is
+/// dropped with its error.
+///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] encountered, or the verified
@@ -244,7 +237,7 @@ impl VerifiedSequence {
 pub fn verify(
     deal: &Deal,
     margins: SafetyMargins,
-    sequence: &ExchangeSequence,
+    sequence: ExchangeSequence,
 ) -> Result<VerifiedSequence, VerifyError> {
     let mut progress = Progress::new(deal);
     let mut max_tc = Money::MIN;
@@ -300,7 +293,7 @@ pub fn verify(
     }
 
     Ok(VerifiedSequence {
-        sequence: sequence.clone(),
+        sequence,
         max_consumer_temptation: max_tc,
         max_supplier_temptation: max_ts,
     })
@@ -330,7 +323,15 @@ mod tests {
         assert_eq!(seq.len(), 2);
         assert!(!seq.is_empty());
         assert_eq!(seq.delivery_count(), 1);
-        assert_eq!(seq.total_paid(), Money::from_units(3));
+        let paid: Money = seq
+            .actions()
+            .iter()
+            .map(|a| match a {
+                Action::Pay(m) => *m,
+                Action::Deliver(_) => Money::ZERO,
+            })
+            .sum();
+        assert_eq!(paid, Money::from_units(3));
         assert_eq!(seq.actions()[1], Action::Deliver(id));
         let collected: ExchangeSequence = seq.actions().iter().copied().collect();
         assert_eq!(collected, seq);
@@ -358,7 +359,7 @@ mod tests {
     fn verifier_accepts_relaxed_sequence() {
         let d = deal();
         let margins = SafetyMargins::symmetric(Money::from_units(3)).unwrap();
-        let verified = verify(&d, margins, &relaxed_sequence(&d)).unwrap();
+        let verified = verify(&d, margins, relaxed_sequence(&d)).unwrap();
         // The final delivery leaves the consumer holding all goods owing 3:
         // T_c = 3 at that point; the supplier was at most owed cost 3.
         assert_eq!(verified.max_consumer_temptation(), Money::from_units(3));
@@ -370,7 +371,7 @@ mod tests {
     #[test]
     fn verifier_rejects_same_sequence_fully_safe() {
         let d = deal();
-        let err = verify(&d, SafetyMargins::fully_safe(), &relaxed_sequence(&d)).unwrap_err();
+        let err = verify(&d, SafetyMargins::fully_safe(), relaxed_sequence(&d)).unwrap_err();
         match err {
             VerifyError::UnsafePrefix {
                 step,
@@ -394,7 +395,7 @@ mod tests {
         let d = deal();
         let margins = SafetyMargins::symmetric(Money::from_units(12)).unwrap();
         let seq = ExchangeSequence::new(vec![Action::Pay(Money::from_units(1))]);
-        let err = verify(&d, margins, &seq).unwrap_err();
+        let err = verify(&d, margins, seq).unwrap_err();
         assert!(matches!(err, VerifyError::Incomplete { delivered: 0, .. }));
         assert!(err.to_string().contains("incomplete"));
     }
@@ -405,7 +406,7 @@ mod tests {
         let margins = SafetyMargins::symmetric(Money::from_units(20)).unwrap();
         let id = ids(&d)[0];
         let seq = ExchangeSequence::new(vec![Action::Deliver(id), Action::Deliver(id)]);
-        let err = verify(&d, margins, &seq).unwrap_err();
+        let err = verify(&d, margins, seq).unwrap_err();
         assert!(matches!(
             err,
             VerifyError::InvalidAction {
@@ -424,7 +425,7 @@ mod tests {
             Action::Pay(Money::from_units(9)),
             Action::Pay(Money::from_units(1)),
         ]);
-        let err = verify(&d, margins, &seq).unwrap_err();
+        let err = verify(&d, margins, seq).unwrap_err();
         assert!(matches!(err, VerifyError::Overpayment { step: 1, .. }));
     }
 
@@ -442,7 +443,7 @@ mod tests {
         let err = verify(
             &deal,
             SafetyMargins::fully_safe(),
-            &ExchangeSequence::new(vec![
+            ExchangeSequence::new(vec![
                 Action::Pay(Money::from_units(1)),
                 Action::Deliver(deal.goods().ids().next().unwrap()),
                 Action::Pay(Money::from_units(1)),
@@ -463,7 +464,7 @@ mod tests {
         let d = deal();
         let margins = SafetyMargins::symmetric(Money::from_units(20)).unwrap();
         let seq = ExchangeSequence::new(vec![Action::Deliver(ItemId(42))]);
-        let err = verify(&d, margins, &seq).unwrap_err();
+        let err = verify(&d, margins, seq).unwrap_err();
         assert!(matches!(
             err,
             VerifyError::InvalidAction {
@@ -482,7 +483,7 @@ mod tests {
         let id = deal.goods().ids().next().unwrap();
         let seq =
             ExchangeSequence::new(vec![Action::Pay(Money::from_units(4)), Action::Deliver(id)]);
-        let v = verify(&deal, SafetyMargins::fully_safe(), &seq).unwrap();
+        let v = verify(&deal, SafetyMargins::fully_safe(), seq).unwrap();
         assert_eq!(v.max_consumer_temptation(), Money::ZERO);
         assert_eq!(v.max_supplier_temptation(), Money::ZERO);
     }
@@ -492,7 +493,7 @@ mod tests {
         let d = deal();
         let margins = SafetyMargins::symmetric(Money::from_units(20)).unwrap();
         let seq = ExchangeSequence::new(vec![Action::Pay(Money::ZERO)]);
-        let err = verify(&d, margins, &seq).unwrap_err();
+        let err = verify(&d, margins, seq).unwrap_err();
         assert!(matches!(err, VerifyError::InvalidAction { .. }));
     }
 }

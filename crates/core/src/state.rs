@@ -133,16 +133,6 @@ impl ExchangeState {
         self.delivered_count
     }
 
-    /// Whether the given item has been delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range for the deal this state was
-    /// created from.
-    pub fn is_delivered(&self, id: ItemId) -> bool {
-        self.delivered[id.index()]
-    }
-
     /// Money paid so far (`m`).
     pub fn paid(&self) -> Money {
         self.paid
@@ -406,8 +396,8 @@ mod tests {
         p.deliver(ids[1]).unwrap();
         assert_eq!(p.state().delivered_cost(), Money::from_units(1));
         assert_eq!(p.state().delivered_value(), Money::from_units(4));
-        assert!(p.state().is_delivered(ids[1]));
-        assert!(!p.state().is_delivered(ids[0]));
+        assert!(p.state().delivered[ids[1].index()]);
+        assert!(!p.state().delivered[ids[0].index()]);
         assert_eq!(p.state().delivered_count(), 1);
     }
 

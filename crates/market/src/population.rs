@@ -339,6 +339,16 @@ impl DirectLedger {
     fn estimate(&self, evaluator: PeerId, subject: PeerId) -> TrustEstimate {
         Self::estimate_of(self.rows[evaluator.index()].get(subject))
     }
+
+    /// Resets every other evaluator's counts of `agent` to the cold
+    /// `(0, 0)`; `agent`'s own row stays.
+    fn forget(&mut self, agent: PeerId) {
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if i != agent.index() {
+                row.forget(agent);
+            }
+        }
+    }
 }
 
 /// A read-only view of a sealed [`Community`], taken with
@@ -568,8 +578,9 @@ impl Community {
     }
 
     /// Executes a whitewash of `agent`: every *other* evaluator forgets
-    /// it (both as a subject and as a witness), its queued reports are
-    /// purged, and its rate-cap budget resets. The agent's own model is
+    /// it (both as a subject and as a witness) in its model and in its
+    /// direct-ledger row, its queued reports are purged, and its
+    /// rate-cap budget resets. The agent's own model and ledger row are
     /// untouched — the operator behind the identity keeps what it knows
     /// about the rest of the community.
     pub fn whitewash(&mut self, agent: PeerId) {
@@ -577,6 +588,9 @@ impl Community {
             if i != agent.index() {
                 model.forget_peer(agent);
             }
+        }
+        if let Some(ledger) = &mut self.direct {
+            ledger.forget(agent);
         }
         self.pending.purge(agent);
         if let Some(filed) = self.witness_filed.get_mut(agent.index()) {
@@ -942,6 +956,32 @@ mod tests {
             // The operator keeps its own knowledge of others.
             assert_eq!(c.predict(churner, PeerId(7)), own_view, "{kind:?}");
         }
+    }
+
+    /// A degraded community reads the direct ledger, so a whitewash must
+    /// reset the ledger too: the new identity starts cold there as well.
+    #[test]
+    fn whitewash_clears_the_direct_ledger() {
+        let mut c = community(ModelKind::Beta);
+        c.enable_direct_ledger();
+        let (observer, churner) = (PeerId(0), PeerId(1));
+        for r in 0..5 {
+            c.record_direct(observer, churner, Conduct::Dishonest, r);
+            c.record_direct(churner, PeerId(7), Conduct::Dishonest, r);
+        }
+        c.set_degraded(true);
+        // Laplace (0+1)/(5+2) before the whitewash.
+        assert!((c.predict(observer, churner).p_honest - 1.0 / 7.0).abs() < 1e-12);
+        let own_view = c.predict(churner, PeerId(7));
+        c.whitewash(churner);
+        assert_eq!(c.predict(observer, churner), TrustEstimate::UNKNOWN);
+        // The sparse read agrees: a listed churner reads cold.
+        let mut listed = Vec::new();
+        let cold = c.predict_row_sparse(observer, &mut listed);
+        assert_eq!(cold, TrustEstimate::UNKNOWN);
+        assert!(listed.iter().all(|&(_, e)| e == TrustEstimate::UNKNOWN));
+        // The operator keeps its own ledger row.
+        assert_eq!(c.predict(churner, PeerId(7)), own_view);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! per-model table sized to the population (a dense index of n entries
 //! per model, n models) grows it as n² instead.
 //!
-//! This binary counts live heap bytes with its own global allocator and
-//! runs Beta, mean and EWMA sims at n = 500 and at n = 2000 (4× the
-//! agents), one thread, n sessions per round. Each model's peak live
-//! heap may grow at most [`MAX_GROWTH`]× from the small run to the large
-//! one; n² tables give about 16×.
+//! This binary counts live heap bytes with the shared counting
+//! allocator (`tests/support/counting_alloc.rs`) and runs Beta, mean
+//! and EWMA sims at n = 500 and at n = 2000 (4× the agents), one
+//! thread, n sessions per round. Each model's peak live heap may grow
+//! at most [`MAX_GROWTH`]× from the small run to the large one; n²
+//! tables give about 16×.
 //!
 //! The complaint model is the known exception and is not run here: its
 //! population median ranges over every slot, so it keeps a dense
@@ -20,75 +21,19 @@
 //! The binary holds a single test, so no other test's allocations fall
 //! into a measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use trustex_market::prelude::*;
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The largest allowed ratio of peak live heap at n = 2000 to peak live
 /// heap at n = 500.
 const MAX_GROWTH: f64 = 6.0;
 
-/// The system allocator plus a live-byte count and its high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        shrink(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new = System.realloc(ptr, layout, new_size);
-        if !new.is_null() {
-            if new_size > layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                shrink(layout.size() - new_size);
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
 /// Peak live heap, in bytes above the live heap at the start, of
 /// building and running one sim of `n` agents.
 fn peak_heap(model: ModelKind, n: usize) -> usize {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = counting_alloc::reset_peak();
     let report = MarketSim::new(MarketConfig {
         n_agents: n,
         rounds: 3,
@@ -105,7 +50,7 @@ fn peak_heap(model: ModelKind, n: usize) -> usize {
         "{} at n = {n}",
         model.label()
     );
-    PEAK.load(Ordering::Relaxed) - base
+    counting_alloc::peak() - base
 }
 
 #[test]

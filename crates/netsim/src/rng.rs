@@ -182,24 +182,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Draws from a bounded Pareto-like heavy-tailed distribution.
-    ///
-    /// Used by workload generators for item valuations; `alpha` controls
-    /// tail weight (smaller = heavier), output lies in `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha <= 0` or `lo <= 0` or `lo >= hi`.
-    pub fn pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        assert!(alpha > 0.0 && lo > 0.0 && lo < hi);
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the bounded Pareto distribution.
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
-        x.clamp(lo, hi)
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -270,6 +252,76 @@ impl SimRng {
                 displaced[i] = (j, value_at_i);
             }
         }
+    }
+}
+
+/// A bounded Pareto distribution on `[lo, hi]`: heavy-tailed, with
+/// `alpha` setting the tail weight (smaller = heavier). The workload
+/// generators draw item valuations from it.
+///
+/// [`BoundedPareto::new`] checks the parameters once and precomputes
+/// `lo^α`, `hi^α`, their product and `−1/α`, so a draw costs one
+/// uniform and one `powf`. [`BoundedPareto::sample`] evaluates the
+/// inverse CDF in one fixed order of operations: a draw's bits depend
+/// only on the parameters and the generator's state, and a rewrite that
+/// reorders or approximates the expression fails the crate's
+/// known-answer tests.
+///
+/// # Examples
+///
+/// ```
+/// use trustex_netsim::rng::{BoundedPareto, SimRng};
+/// let costs = BoundedPareto::new(1.5, 2.0, 60.0);
+/// let mut rng = SimRng::new(7);
+/// let x = costs.sample(&mut rng);
+/// assert!((2.0..=60.0).contains(&x));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedPareto {
+    lo: f64,
+    hi: f64,
+    /// `lo^α`.
+    lo_a: f64,
+    /// `hi^α`.
+    hi_a: f64,
+    /// `hi^α · lo^α`.
+    hi_lo_a: f64,
+    /// `−1/α`.
+    neg_inv_alpha: f64,
+}
+
+impl BoundedPareto {
+    /// The bounded Pareto distribution with tail index `alpha` on
+    /// `[lo, hi]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `alpha > 0`, `lo > 0` and `lo < hi` (so any NaN
+    /// parameter panics too).
+    pub fn new(alpha: f64, lo: f64, hi: f64) -> BoundedPareto {
+        assert!(
+            alpha > 0.0 && lo > 0.0 && lo < hi,
+            "bounded Pareto needs alpha > 0 and 0 < lo < hi"
+        );
+        let lo_a = lo.powf(alpha);
+        let hi_a = hi.powf(alpha);
+        BoundedPareto {
+            lo,
+            hi,
+            lo_a,
+            hi_a,
+            hi_lo_a: hi_a * lo_a,
+            neg_inv_alpha: -1.0 / alpha,
+        }
+    }
+
+    /// Draws one value in `[lo, hi]`, consuming one [`SimRng::f64`].
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        let u = rng.f64();
+        let (la, ha) = (self.lo_a, self.hi_a);
+        // Inverse CDF of the bounded Pareto distribution.
+        let x = (-(u * ha - u * la - ha) / self.hi_lo_a).powf(self.neg_inv_alpha);
+        x.clamp(self.lo, self.hi)
     }
 }
 
@@ -485,9 +537,75 @@ mod tests {
     #[test]
     fn pareto_bounded() {
         let mut rng = SimRng::new(41);
+        let dist = BoundedPareto::new(1.2, 1.0, 100.0);
         for _ in 0..10_000 {
-            let x = rng.pareto(1.2, 1.0, 100.0);
+            let x = dist.sample(&mut rng);
             assert!((1.0..=100.0).contains(&x));
+        }
+    }
+
+    /// The bounded-Pareto inverse CDF written out in full, recomputing
+    /// every power per draw: the reference the precomputing sampler must
+    /// match bit for bit.
+    fn pareto_reference(rng: &mut SimRng, alpha: f64, lo: f64, hi: f64) -> f64 {
+        let u = rng.f64();
+        let la = lo.powf(alpha);
+        let ha = hi.powf(alpha);
+        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+        x.clamp(lo, hi)
+    }
+
+    #[test]
+    fn pareto_matches_the_inline_formula_bit_for_bit() {
+        for (seed, (alpha, lo, hi)) in [(5u64, (1.5, 2.0, 60.0)), (6, (1.2, 1.0, 100.0))] {
+            let dist = BoundedPareto::new(alpha, lo, hi);
+            let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+            for i in 0..10_000 {
+                let got = dist.sample(&mut a);
+                let want = pareto_reference(&mut b, alpha, lo, hi);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "draw {i} at ({alpha}, {lo}, {hi}): {got} vs {want}"
+                );
+            }
+            assert_eq!(a, b, "one uniform per draw");
+        }
+    }
+
+    /// The first eight eBay item-cost draws from seed `0xEBA7`, as bits.
+    /// Deal-level known answers round to the micro-unit, which hides a
+    /// one-ulp change; these do not.
+    #[test]
+    fn pareto_known_answers() {
+        const BITS: [u64; 8] = [
+            0x4012_8f73_ee11_3ddf,
+            0x4002_3f3c_4ae5_e0d3,
+            0x4004_603b_7522_4b1a,
+            0x4001_7658_b477_406b,
+            0x4006_9a49_cbdf_d1fb,
+            0x4020_f51b_c16d_8d8a,
+            0x4006_faa2_a6fb_9267,
+            0x4004_1b9f_baf9_18ea,
+        ];
+        let dist = BoundedPareto::new(1.5, 2.0, 60.0);
+        let mut rng = SimRng::new(0xEBA7);
+        for (i, want) in BITS.into_iter().enumerate() {
+            let got = dist.sample(&mut rng);
+            assert_eq!(got.to_bits(), want, "draw {i}: {got}");
+        }
+    }
+
+    #[test]
+    fn pareto_rejects_bad_parameters() {
+        for (alpha, lo, hi) in [
+            (0.0, 1.0, 2.0),
+            (1.0, 0.0, 2.0),
+            (1.0, 2.0, 2.0),
+            (f64::NAN, 1.0, 2.0),
+        ] {
+            let built = std::panic::catch_unwind(|| BoundedPareto::new(alpha, lo, hi));
+            assert!(built.is_err(), "({alpha}, {lo}, {hi}) accepted");
         }
     }
 

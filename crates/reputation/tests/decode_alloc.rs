@@ -20,12 +20,9 @@
 //!    a configuration may ask for, and it fits the constant term.
 //! 3. A real grid of 4096 peers at replication 4 (depth 10).
 //!
-//! This binary counts live heap with its own global allocator and holds
-//! a single test, so no other test's allocations fall into a measured
-//! window.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! This binary counts live heap with the shared counting allocator
+//! (`tests/support/counting_alloc.rs`) and holds a single test, so no
+//! other test's allocations fall into a measured window.
 
 use trustex_netsim::rng::SimRng;
 use trustex_persist::codec::ByteWriter;
@@ -33,74 +30,21 @@ use trustex_persist::snapshot::{from_bytes, to_bytes, Persistable, SnapshotWrite
 use trustex_persist::PersistError;
 use trustex_reputation::pgrid::{PGrid, PGridConfig};
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 /// Live heap allowed per input byte.
 const PER_BYTE: usize = 64;
 
 /// Live heap allowed regardless of the input size.
 const FIXED: usize = 4 << 20;
 
-/// The system allocator plus a live-byte count and its high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        shrink(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new = System.realloc(ptr, layout, new_size);
-        if !new.is_null() {
-            if new_size > layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                shrink(layout.size() - new_size);
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Decodes `blob`, checks the peak live heap above the starting level
 /// against the bound, and returns the decode result.
 fn decode_within_bound(case: &str, blob: &[u8]) -> Result<PGrid, PersistError> {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = counting_alloc::reset_peak();
     let result = from_bytes::<PGrid>(blob);
-    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let peak = counting_alloc::peak() - base;
     let bound = PER_BYTE * blob.len() + FIXED;
     assert!(
         peak <= bound,

@@ -142,7 +142,7 @@ fn verifier_rejects_adversarial_schedules() {
         Action::Deliver(ids[0]),
         Action::Deliver(ids[1]),
     ]);
-    assert!(verify(&deal, margins, &scam).is_err());
+    assert!(verify(&deal, margins, scam).is_err());
 
     // Consumer-favouring scam: everything delivered up front.
     let scam = ExchangeSequence::new(vec![
@@ -150,7 +150,7 @@ fn verifier_rejects_adversarial_schedules() {
         Action::Deliver(ids[0]),
         Action::Pay(deal.price()),
     ]);
-    assert!(verify(&deal, margins, &scam).is_err());
+    assert!(verify(&deal, margins, scam).is_err());
 
     // The legitimate schedule for the same margins passes.
     assert!(schedule(&deal, margins, PaymentPolicy::Lazy).is_ok());
