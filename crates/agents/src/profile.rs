@@ -253,9 +253,15 @@ mod tests {
     fn profile_constructors() {
         let h = AgentProfile::honest();
         assert!(h.exchange.is_fundamentally_honest());
-        assert!(h.reporting.is_truthful());
+        assert!(matches!(
+            h.reporting,
+            ReportingBehavior::Truthful | ReportingBehavior::Slanderer { .. }
+        ));
         let m = AgentProfile::malicious(0.9);
         assert!(!m.exchange.is_fundamentally_honest());
-        assert!(!m.reporting.is_truthful());
+        assert!(!matches!(
+            m.reporting,
+            ReportingBehavior::Truthful | ReportingBehavior::Slanderer { .. }
+        ));
     }
 }

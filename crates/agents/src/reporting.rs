@@ -122,14 +122,6 @@ impl ReportingBehavior {
         }
     }
 
-    /// Whether reports from this behaviour are truthful.
-    pub fn is_truthful(self) -> bool {
-        matches!(
-            self,
-            ReportingBehavior::Truthful | ReportingBehavior::Slanderer { .. }
-        )
-    }
-
     /// Stable label for report tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -271,10 +263,16 @@ mod tests {
 
     #[test]
     fn truthfulness_classification() {
-        assert!(ReportingBehavior::Truthful.is_truthful());
-        assert!(ReportingBehavior::Slanderer { slander_prob: 0.1 }.is_truthful());
-        assert!(!ReportingBehavior::Liar.is_truthful());
-        assert!(!ReportingBehavior::Silent.is_truthful());
+        // Truthful: a provoked report states the observed conduct.
+        let truthful = |b: ReportingBehavior| {
+            [Conduct::Honest, Conduct::Dishonest]
+                .into_iter()
+                .all(|c| b.report(c) == Some(c))
+        };
+        assert!(truthful(ReportingBehavior::Truthful));
+        assert!(truthful(ReportingBehavior::Slanderer { slander_prob: 0.1 }));
+        assert!(!truthful(ReportingBehavior::Liar));
+        assert!(!truthful(ReportingBehavior::Silent));
     }
 
     #[test]

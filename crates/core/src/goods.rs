@@ -38,23 +38,30 @@ pub struct Item {
     consumer_value: Money,
 }
 
+// The getters, `Goods::item` and `Money`'s add and subtract are
+// `#[inline]` so that callers in other crates can inline them: E2's
+// reference orders in the market crate run them in their hottest loops.
 impl Item {
     /// This item's identifier.
+    #[inline]
     pub fn id(&self) -> ItemId {
         self.id
     }
 
     /// `Vs(x)`: the supplier's cost of generating and delivering the item.
+    #[inline]
     pub fn supplier_cost(&self) -> Money {
         self.supplier_cost
     }
 
     /// `Vc(x)`: the item's worth to the consumer.
+    #[inline]
     pub fn consumer_value(&self) -> Money {
         self.consumer_value
     }
 
     /// The item's surplus `s(x) = Vc(x) − Vs(x)` (may be negative).
+    #[inline]
     pub fn surplus(&self) -> Money {
         self.consumer_value - self.supplier_cost
     }
@@ -195,6 +202,7 @@ impl Goods {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this goods set.
+    #[inline]
     pub fn item(&self, id: ItemId) -> &Item {
         &self.items[id.index()]
     }

@@ -175,12 +175,14 @@ impl Add for Money {
     /// # Panics
     ///
     /// Panics on overflow (always checked, also in release builds).
+    #[inline]
     fn add(self, rhs: Money) -> Money {
         self.checked_add(rhs).expect("money addition overflow")
     }
 }
 
 impl AddAssign for Money {
+    #[inline]
     fn add_assign(&mut self, rhs: Money) {
         *self = *self + rhs;
     }
@@ -191,12 +193,14 @@ impl Sub for Money {
     /// # Panics
     ///
     /// Panics on overflow (always checked, also in release builds).
+    #[inline]
     fn sub(self, rhs: Money) -> Money {
         self.checked_sub(rhs).expect("money subtraction overflow")
     }
 }
 
 impl SubAssign for Money {
+    #[inline]
     fn sub_assign(&mut self, rhs: Money) {
         *self = *self - rhs;
     }

@@ -4,23 +4,22 @@
 //!
 //! 1. The greedy scheduler and the subset-DP ground truth agree on
 //!    feasibility for every instance and margin.
-//! 2. Every order source's delivery order, under every payment policy,
-//!    yields a sequence that passes the independent verifier, and its
-//!    realized exposure stays within the margins.
+//! 2. The greedy delivery order, under every payment policy, yields a
+//!    sequence that passes the independent verifier, and its realized
+//!    exposure stays within the margins.
 //! 3. `min_required_margin` is exact: scheduling succeeds at the reported
 //!    margin and fails one micro-unit below it.
 //! 4. Feasibility is monotone in the margin.
 //! 5. Honest execution of a scheduled sequence realizes exactly the
 //!    deal's gains.
 
-mod oracle;
+#[path = "../../../tests/support/subset_dp.rs"]
+mod subset_dp;
 
-use oracle::{order_sources, subset_dp_order};
 use proptest::prelude::*;
+use subset_dp::subset_dp_order;
 use trustex_core::prelude::*;
-use trustex_core::scheduler::{
-    greedy_order, interleave_payments, required_margin_of_order, sandholm_order,
-};
+use trustex_core::scheduler::{greedy_order, interleave_payments, required_margin_of_order};
 
 /// Strategy: a goods set of 1..=8 items with costs/values in 0..=10 units
 /// (micro-precision comes from the i64 micros range).
@@ -58,25 +57,14 @@ proptest! {
     #[test]
     fn greedy_agrees_with_subset_dp(goods in goods_strategy(), margins in margins_strategy()) {
         let greedy_feasible = feasible(&goods, margins);
-        let dp = subset_dp_order(&goods, margins).expect("within size limit");
+        let dp = subset_dp_order(&goods, margins);
         prop_assert_eq!(greedy_feasible, dp.is_some(),
             "greedy and DP disagree: margin={:?} goods={:?}", margins, goods);
     }
 
     #[test]
-    fn sandholm_agrees_with_subset_dp(goods in goods_strategy(), margins in margins_strategy()) {
-        let sandholm = sandholm_order(&goods, margins);
-        let dp = subset_dp_order(&goods, margins).expect("within size limit");
-        prop_assert_eq!(sandholm.is_ok(), dp.is_some());
-        if let Ok(order) = sandholm {
-            // The produced order itself satisfies the margin.
-            prop_assert!(required_margin_of_order(&goods, &order) <= margins.total());
-        }
-    }
-
-    #[test]
     fn dp_order_respects_margin(goods in goods_strategy(), margins in margins_strategy()) {
-        if let Some(order) = subset_dp_order(&goods, margins).expect("size ok") {
+        if let Some(order) = subset_dp_order(&goods, margins) {
             prop_assert!(required_margin_of_order(&goods, &order) <= margins.total());
         }
     }
@@ -86,12 +74,12 @@ proptest! {
         // No order can require less than the greedy order.
         let greedy_req = min_required_margin(&goods);
         let m = SafetyMargins::new(greedy_req, Money::ZERO).expect("non-negative");
-        prop_assert!(subset_dp_order(&goods, m).expect("size ok").is_some(),
+        prop_assert!(subset_dp_order(&goods, m).is_some(),
             "DP infeasible at the greedy margin — greedy not optimal");
         if greedy_req > Money::ZERO {
             let below = SafetyMargins::new(greedy_req - Money::from_micros(1), Money::ZERO)
                 .expect("non-negative");
-            prop_assert!(subset_dp_order(&goods, below).expect("size ok").is_none(),
+            prop_assert!(subset_dp_order(&goods, below).is_none(),
                 "DP feasible below the greedy margin — min margin not tight");
         }
     }
@@ -104,29 +92,27 @@ proptest! {
     ) {
         prop_assume!(feasible(&goods, margins));
         let Some(deal) = deal_for(goods, t) else { return Ok(()); };
-        for (source, order) in order_sources(deal.goods(), margins) {
-            let order = order.expect("feasible instance must yield an order");
-            for policy in PaymentPolicy::ALL {
-                let seq = interleave_payments(&deal, margins, &order, policy)
-                    .expect("feasible order must interleave");
-                let v = verify(&deal, margins, seq)
-                    .unwrap_or_else(|e| panic!("{source}/{policy:?}: {e}"));
-                // Exposure bounded by the margins.
-                prop_assert!(v.max_consumer_temptation() <= margins.eps_supplier());
-                prop_assert!(v.max_supplier_temptation() <= margins.eps_consumer());
-                // Structure: every item delivered once, full price paid.
-                prop_assert_eq!(v.sequence().delivery_count(), deal.goods().len());
-                let paid: Money = v
-                    .sequence()
-                    .actions()
-                    .iter()
-                    .map(|a| match a {
-                        Action::Pay(m) => *m,
-                        Action::Deliver(_) => Money::ZERO,
-                    })
-                    .sum();
-                prop_assert_eq!(paid, deal.price());
-            }
+        let order = greedy_order(deal.goods());
+        for policy in PaymentPolicy::ALL {
+            let seq = interleave_payments(&deal, margins, &order, policy)
+                .expect("feasible order must interleave");
+            let v = verify(&deal, margins, seq)
+                .unwrap_or_else(|e| panic!("greedy/{policy:?}: {e}"));
+            // Exposure bounded by the margins.
+            prop_assert!(v.max_consumer_temptation() <= margins.eps_supplier());
+            prop_assert!(v.max_supplier_temptation() <= margins.eps_consumer());
+            // Structure: every item delivered once, full price paid.
+            prop_assert_eq!(v.sequence().delivery_count(), deal.goods().len());
+            let paid: Money = v
+                .sequence()
+                .actions()
+                .iter()
+                .map(|a| match a {
+                    Action::Pay(m) => *m,
+                    Action::Deliver(_) => Money::ZERO,
+                })
+                .sum();
+            prop_assert_eq!(paid, deal.price());
         }
         for policy in PaymentPolicy::ALL {
             let v = schedule(&deal, margins, policy).expect("feasible instance must schedule");

@@ -1,6 +1,7 @@
 //! Core-theory experiments: existence (E1), scaling (E2), relaxation
 //! (E3) and exposure bounds (E7).
 
+use super::reference_orders::{branch_and_bound_order, sandholm_order, sandholm_order_scan};
 use super::Scale;
 use crate::table::Table;
 use crate::workload::Workload;
@@ -11,9 +12,7 @@ use trustex_core::goods::Goods;
 use trustex_core::money::Money;
 use trustex_core::policy::PaymentPolicy;
 use trustex_core::safety::SafetyMargins;
-use trustex_core::scheduler::{
-    branch_and_bound_order, min_required_margin, sandholm_order, sandholm_order_scan, schedule,
-};
+use trustex_core::scheduler::{min_required_margin, schedule};
 use trustex_decision::exposure::{exposure_bound, ExposurePolicy};
 use trustex_decision::risk::RiskProfile;
 use trustex_netsim::rng::SimRng;

@@ -15,6 +15,7 @@ mod chaos;
 mod community;
 mod exchange;
 mod pipeline;
+mod reference_orders;
 mod service;
 pub(crate) mod storage;
 

@@ -156,15 +156,6 @@ impl TrustModel for AnyModel {
         }
     }
 
-    fn name(&self) -> &'static str {
-        match self {
-            AnyModel::Beta(m) => m.name(),
-            AnyModel::Complaints(m) => m.name(),
-            AnyModel::Mean(m) => m.name(),
-            AnyModel::Ewma(m) => m.name(),
-        }
-    }
-
     fn forget_peer(&mut self, peer: PeerId) {
         match self {
             AnyModel::Beta(m) => m.forget_peer(peer),
@@ -210,22 +201,18 @@ struct PendingIndex {
     /// Per-evaluator `(subject, witness, conduct)` reports, in delivery
     /// order.
     queues: Vec<Vec<(PeerId, PeerId, Conduct)>>,
-    /// Total queued reports across all evaluators.
-    count: usize,
 }
 
 impl PendingIndex {
     fn new(n: usize) -> PendingIndex {
         PendingIndex {
             queues: (0..n).map(|_| Vec::new()).collect(),
-            count: 0,
         }
     }
 
     /// Queues one report from `witness` about `subject` for `evaluator`.
     fn push(&mut self, evaluator: PeerId, subject: PeerId, witness: PeerId, conduct: Conduct) {
         self.queues[evaluator.index()].push((subject, witness, conduct));
-        self.count += 1;
     }
 
     /// Removes `evaluator`'s queued reports about `subject`, handing
@@ -236,16 +223,13 @@ impl PendingIndex {
         subject: PeerId,
         mut grade: impl FnMut(PeerId, Conduct),
     ) {
-        let queue = &mut self.queues[evaluator.index()];
-        let before = queue.len();
         // `retain` visits every entry once, in order.
-        queue.retain(|&(about, witness, conduct)| {
+        self.queues[evaluator.index()].retain(|&(about, witness, conduct)| {
             if about == subject {
                 grade(witness, conduct);
             }
             about != subject
         });
-        self.count -= before - queue.len();
     }
 
     /// Drops every queued report *about* `peer` and every report *filed
@@ -257,14 +241,14 @@ impl PendingIndex {
             if evaluator == peer.index() {
                 continue;
             }
-            let before = queue.len();
             queue.retain(|&(subject, witness, _)| subject != peer && witness != peer);
-            self.count -= before - queue.len();
         }
     }
 
+    /// Total queued reports across all evaluators.
+    #[cfg(test)]
     fn len(&self) -> usize {
-        self.count
+        self.queues.iter().map(Vec::len).sum()
     }
 }
 
@@ -603,9 +587,10 @@ impl Community {
         (0..self.profiles.len() as u32).map(PeerId)
     }
 
-    /// Total witness reports queued for corroboration — an observable
-    /// delivery count for gossip fan-out tests.
-    pub fn pending_report_count(&self) -> usize {
+    /// Total witness reports queued for corroboration, the delivery
+    /// count the gossip fan-out tests observe.
+    #[cfg(test)]
+    pub(crate) fn pending_report_count(&self) -> usize {
         self.pending.len()
     }
 }
@@ -864,7 +849,13 @@ mod tests {
     fn model_kind_labels_and_names() {
         for kind in ModelKind::ALL {
             let c = community(kind);
-            assert_eq!(c.model(PeerId(0)).name(), kind.label());
+            let (built, label) = match c.model(PeerId(0)) {
+                AnyModel::Beta(_) => (ModelKind::Beta, "beta"),
+                AnyModel::Complaints(_) => (ModelKind::Complaints, "complaints"),
+                AnyModel::Mean(_) => (ModelKind::Mean, "mean"),
+                AnyModel::Ewma(_) => (ModelKind::Ewma, "ewma"),
+            };
+            assert_eq!((built, kind.label()), (kind, label));
         }
     }
 

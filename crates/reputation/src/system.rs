@@ -2,10 +2,10 @@
 //!
 //! [`ReputationSystem`] wires the P-Grid storage, the network model and
 //! the replica-resolution logic into the interface the market simulation
-//! consumes: *file a complaint*, *fetch a peer's complaint tally*. A
-//! fraction of storage peers can be configured to lie
-//! ([`StorageBehavior`]), and availability can be driven by a churn
-//! timeline.
+//! consumes: *file a complaint*, *fetch a peer's complaint tally*. Each
+//! storage peer shapes its answers through a [`StorageBehavior`]; the
+//! system starts every peer faithful, and its tests turn a fraction of
+//! them into liars. Availability can be driven by a churn timeline.
 
 use crate::pgrid::{PGrid, PGridConfig};
 use crate::record::{key_for_peer, Complaint};
@@ -47,21 +47,6 @@ impl ReputationSystem {
             net: Network::new(NetConfig::default()),
             rng,
             behavior: vec![StorageBehavior::Faithful; n_peers],
-        }
-    }
-
-    /// Makes a random `fraction` of storage peers liars (half
-    /// suppressors, half fabricators).
-    pub fn corrupt_fraction(&mut self, fraction: f64) {
-        let n = self.grid.len();
-        let k = ((n as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-        let chosen = self.rng.sample_indices(n, k);
-        for (j, i) in chosen.into_iter().enumerate() {
-            self.behavior[i] = if j % 2 == 0 {
-                StorageBehavior::Suppressor
-            } else {
-                StorageBehavior::Fabricator(2)
-            };
         }
     }
 
@@ -155,6 +140,21 @@ impl ReputationSystem {
 mod tests {
     use super::*;
 
+    /// Makes a random `fraction` of storage peers liars (half
+    /// suppressors, half fabricators).
+    fn corrupt_fraction(sys: &mut ReputationSystem, fraction: f64) {
+        let n = sys.grid.len();
+        let k = ((n as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
+        let chosen = sys.rng.sample_indices(n, k);
+        for (j, i) in chosen.into_iter().enumerate() {
+            sys.behavior[i] = if j % 2 == 0 {
+                StorageBehavior::Suppressor
+            } else {
+                StorageBehavior::Fabricator(2)
+            };
+        }
+    }
+
     #[test]
     fn file_and_query_roundtrip() {
         let mut sys = ReputationSystem::new(256, 1);
@@ -189,7 +189,7 @@ mod tests {
             sys.file_complaint(PeerId(v), subject, 0, None);
         }
         // Corrupt 20% of storage peers: answers still resolve correctly.
-        sys.corrupt_fraction(0.20);
+        corrupt_fraction(&mut sys, 0.20);
         let mut exact = 0;
         for q in 0..10u32 {
             if let Some(t) = sys.query_tally(PeerId(50 + q), subject, None) {
@@ -211,7 +211,7 @@ mod tests {
         for v in 40..44 {
             sys.file_complaint(PeerId(v), subject, 0, None);
         }
-        sys.corrupt_fraction(1.0);
+        corrupt_fraction(&mut sys, 1.0);
         // With every storage peer lying, no query returns the true tally.
         let mut exact = 0;
         for q in 0..10u32 {
@@ -241,5 +241,38 @@ mod tests {
         let alive = vec![false; 256];
         // Everyone down: no origin can route.
         assert!(sys.query_tally(PeerId(2), subject, Some(&alive)).is_none());
+    }
+
+    /// Sweep storage corruption: tallies stay exact through minority
+    /// corruption and only break down when liars dominate replica groups.
+    #[test]
+    fn corruption_sweep_degrades_gracefully() {
+        let mut exact_by_level = Vec::new();
+        for (i, fraction) in [0.0, 0.2, 0.8].into_iter().enumerate() {
+            let mut sys = ReputationSystem::new(96, 77 + i as u64);
+            let subject = PeerId(11);
+            for v in 40..45 {
+                sys.file_complaint(PeerId(v), subject, 0, None);
+            }
+            corrupt_fraction(&mut sys, fraction);
+            let mut exact = 0;
+            for q in 0..20u32 {
+                if let Some(t) = sys.query_tally(PeerId(60 + q), subject, None) {
+                    if t.received == 5 && t.filed == 0 {
+                        exact += 1;
+                    }
+                }
+            }
+            exact_by_level.push(exact);
+        }
+        assert_eq!(exact_by_level[0], 20, "clean storage must be exact");
+        assert!(
+            exact_by_level[1] >= 14,
+            "20% corruption should be mostly voted out: {exact_by_level:?}"
+        );
+        assert!(
+            exact_by_level[2] <= exact_by_level[1],
+            "heavy corruption cannot beat light: {exact_by_level:?}"
+        );
     }
 }

@@ -107,10 +107,6 @@ impl TrustModel for MeanTrust {
     fn forget_peer(&mut self, peer: PeerId) {
         self.counts.forget(peer);
     }
-
-    fn name(&self) -> &'static str {
-        "mean"
-    }
 }
 
 /// Exponentially weighted moving average trust.
@@ -216,10 +212,6 @@ impl TrustModel for EwmaTrust {
 
     fn forget_peer(&mut self, peer: PeerId) {
         self.scores.forget(peer);
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
     }
 }
 
@@ -446,11 +438,5 @@ mod tests {
         assert_eq!(e.predict(p), TrustEstimate::UNKNOWN);
         assert_eq!(e.predict(other), other_est);
         e.forget_peer(PeerId(999));
-    }
-
-    #[test]
-    fn names_and_defaults() {
-        assert_eq!(MeanTrust::new().name(), "mean");
-        assert_eq!(EwmaTrust::default().name(), "ewma");
     }
 }

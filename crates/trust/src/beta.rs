@@ -231,10 +231,6 @@ impl TrustModel for BetaTrust {
         self.evidence.forget(peer);
         self.witness_evidence.forget(peer);
     }
-
-    fn name(&self) -> &'static str {
-        "beta"
-    }
 }
 
 impl Persistable for BetaTrust {
@@ -413,11 +409,6 @@ mod tests {
             round: R,
         });
         assert_eq!(m.predict(subject).p_honest, 0.5, "slander ignored");
-    }
-
-    #[test]
-    fn name_is_stable() {
-        assert_eq!(BetaTrust::new().name(), "beta");
     }
 
     /// Evidence never decays, so a late observation enters at full

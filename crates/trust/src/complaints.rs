@@ -13,9 +13,12 @@
 //!
 //! (complaints received × complaints filed, Laplace-shifted) is small for
 //! honest peers and large for misbehaving ones. A peer is assessed
-//! dishonest when its product exceeds a dispersion-based threshold of the
-//! observed sample — the decision rule the CIKM paper phrases as
-//! detecting outliers relative to the average behaviour.
+//! dishonest when its product exceeds [`OUTLIER_FACTOR`] (4) times the
+//! median product over the recorded peers (plus a baseline 1.0 for each
+//! silent peer when a population size is declared). The CIKM paper
+//! phrases its rule as detecting outliers relative to the average
+//! behaviour; this fixed multiple of the median stands in for it, and no
+//! dispersion of the sample enters.
 //!
 //! The model maps the binary decision onto a smooth probability
 //! ([`complaint_estimate`]) so it can participate in the common
@@ -235,15 +238,6 @@ impl ComplaintTrust {
         self.update_tally(by, |t| t.filed += weight);
     }
 
-    /// The Laplace-shifted complaint product `T(q)`.
-    pub fn complaint_product(&self, peer: PeerId) -> f64 {
-        self.tallies
-            .get(peer.index())
-            .copied()
-            .unwrap_or_default()
-            .product()
-    }
-
     /// Complaints received / filed by a peer (direct + discounted).
     pub fn tally(&self, peer: PeerId) -> (f64, f64) {
         let t = self.tallies.get(peer.index()).copied().unwrap_or_default();
@@ -414,10 +408,6 @@ impl TrustModel for ComplaintTrust {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "complaints"
-    }
-
     fn seal(&mut self) {
         if self.median.is_none() {
             let located = self.locate_median();
@@ -507,11 +497,20 @@ mod tests {
         m.predict(peer).p_honest < 0.5
     }
 
+    /// The Laplace-shifted complaint product `T(q)` of a peer.
+    fn product(m: &ComplaintTrust, peer: PeerId) -> f64 {
+        m.tallies
+            .get(peer.index())
+            .copied()
+            .unwrap_or_default()
+            .product()
+    }
+
     #[test]
     fn no_data_is_trustworthy() {
         let m = ComplaintTrust::new();
         assert!(!flagged(&m, PeerId(1)));
-        assert_eq!(m.complaint_product(PeerId(1)), 1.0);
+        assert_eq!(product(&m, PeerId(1)), 1.0);
         assert_eq!(m.median_product(), 1.0);
         let e = m.predict(PeerId(1));
         assert!(e.p_honest > 0.9, "clean record should look honest");
@@ -555,7 +554,7 @@ mod tests {
         m.file_complaint(PeerId(3), PeerId(1), 0);
         let (recv, filed) = m.tally(PeerId(1));
         assert_eq!((recv, filed), (2.0, 1.0));
-        assert_eq!(m.complaint_product(PeerId(1)), 6.0);
+        assert_eq!(product(&m, PeerId(1)), 6.0);
     }
 
     #[test]
@@ -673,6 +672,5 @@ mod tests {
                 "uniform noise must not flag anyone"
             );
         }
-        assert_eq!(m.name(), "complaints");
     }
 }

@@ -3,9 +3,13 @@
 //! A [`TrustModel`] is held by one evaluating agent. It ingests *direct
 //! experiences* (outcomes of the evaluator's own exchanges) and *witness
 //! reports* (second-hand outcomes relayed by other community members,
-//! possibly lies), and produces [`TrustEstimate`]s: calibrated
-//! probabilities that a subject will behave honestly in the next
-//! interaction, with an attached confidence.
+//! possibly lies), and produces [`TrustEstimate`]s: a score in `[0, 1]`
+//! that each model derives from its own evidence (a posterior mean, an
+//! average, a smoothed score or a complaint rule) and reads as the
+//! chance that a subject behaves honestly in the next interaction, with
+//! an attached confidence. The scores are not calibrated: among the
+//! subjects a model rates near some `p`, the honest share need not be
+//! `p`.
 
 use std::fmt;
 
@@ -182,9 +186,6 @@ pub trait TrustModel {
     fn forget_peer(&mut self, peer: PeerId) {
         let _ = peer;
     }
-
-    /// Stable model name for experiment tables.
-    fn name(&self) -> &'static str;
 
     /// Settles derived state before the model is shared with readers
     /// (see [`crate::engine`]).

@@ -337,7 +337,7 @@ mod tests {
         [0, len / 2, len.saturating_sub(1), len, len + 3]
     }
 
-    fn assert_model_rows(model: &dyn TrustModel, len: usize) {
+    fn assert_model_rows(label: &str, model: &dyn TrustModel, len: usize) {
         for row_len in row_lens(len) {
             let mut row = vec![TrustEstimate::new(0.0, 1.0); row_len];
             model.predict_row_into(&mut row);
@@ -346,8 +346,7 @@ mod tests {
                 assert_eq!(
                     (got.p_honest.to_bits(), got.confidence.to_bits()),
                     (want.p_honest.to_bits(), want.confidence.to_bits()),
-                    "{} row[{i}] of len {row_len} (table {len})",
-                    model.name()
+                    "{label} row[{i}] of len {row_len} (table {len})"
                 );
             }
         }
@@ -445,9 +444,9 @@ mod tests {
                 prop_assert_eq!(listed.len(), table.entries.len());
             }
             let len = oracle.len();
-            assert_model_rows(&beta, len);
-            assert_model_rows(&mean, len);
-            assert_model_rows(&ewma, len);
+            assert_model_rows("beta", &beta, len);
+            assert_model_rows("mean", &mean, len);
+            assert_model_rows("ewma", &ewma, len);
         }
     }
 

@@ -70,7 +70,10 @@ fn naive_median(
     }
     let mut products: Vec<f64> = recorded
         .iter()
-        .map(|&p| model.complaint_product(PeerId(p)))
+        .map(|&p| {
+            let (received, filed) = model.tally(PeerId(p));
+            (received + 1.0) * (filed + 1.0)
+        })
         .collect();
     if let Some(n) = population {
         products.resize(n.max(recorded.len()), 1.0);

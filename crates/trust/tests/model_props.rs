@@ -73,18 +73,13 @@ fn bits(estimate: TrustEstimate) -> (u64, u64) {
 /// a row filled with the sparse read's cold estimate and then the
 /// listed ids (bit for bit), at five lengths; and every probe id reads
 /// as listed, or as cold when not listed.
-fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
+fn assert_rows_match(label: &str, model: &dyn TrustModel, table_hint: usize) {
     let mut listed = Vec::new();
     let cold = model.predict_row_sparse(&mut listed);
     let mut ids: Vec<PeerId> = listed.iter().map(|&(id, _)| id).collect();
     ids.sort_unstable();
     ids.dedup();
-    assert_eq!(
-        ids.len(),
-        listed.len(),
-        "{} lists an id twice",
-        model.name()
-    );
+    assert_eq!(ids.len(), listed.len(), "{label} lists an id twice");
     for len in [0usize, 1, table_hint / 2, table_hint, table_hint + 7] {
         let mut row = vec![TrustEstimate::UNKNOWN; len];
         model.predict_row_into(&mut row);
@@ -99,14 +94,12 @@ fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
             assert_eq!(
                 (want.p_honest, want.confidence),
                 (got.p_honest, got.confidence),
-                "{} row[{i}] of len {len} diverged from predict",
-                model.name()
+                "{label} row[{i}] of len {len} diverged from predict"
             );
             assert_eq!(
                 bits(*sparse),
                 bits(want),
-                "{} sparse row[{i}] of len {len} diverged from predict",
-                model.name()
+                "{label} sparse row[{i}] of len {len} diverged from predict"
             );
         }
     }
@@ -115,23 +108,18 @@ fn assert_rows_match(model: &dyn TrustModel, table_hint: usize) {
             .iter()
             .find(|&&(id, _)| id == p)
             .map_or(cold, |&(_, estimate)| estimate);
-        assert_eq!(
-            bits(read),
-            bits(model.predict(p)),
-            "{} sparse {p}",
-            model.name()
-        );
+        assert_eq!(bits(read), bits(model.predict(p)), "{label} sparse {p}");
     }
 }
 
 /// [`assert_rows_match`], before and after the model forgets a few
 /// probe ids: written ones, unwritten ones and one beyond the table.
-fn assert_rows_match_across_forget(model: &mut dyn TrustModel, table_hint: usize) {
-    assert_rows_match(model, table_hint);
+fn assert_rows_match_across_forget(label: &str, model: &mut dyn TrustModel, table_hint: usize) {
+    assert_rows_match(label, model, table_hint);
     for p in [0, 3, 25, 1000, 5000].map(PeerId) {
         model.forget_peer(p);
     }
-    assert_rows_match(model, table_hint);
+    assert_rows_match(label, model, table_hint);
 }
 
 // ---------------------------------------------------------------------
@@ -324,7 +312,7 @@ proptest! {
             prop_assert_eq!(dense.predict(p).p_honest, reference.predict(p));
             prop_assert_eq!(dense.predict(p).confidence, reference.confidence(p));
         }
-        assert_rows_match_across_forget(&mut dense, 1024);
+        assert_rows_match_across_forget("beta", &mut dense, 1024);
     }
 
     /// Dense complaint storage (tallies, products, median, predictions,
@@ -362,10 +350,11 @@ proptest! {
         prop_assert_eq!(dense.median_product(), reference.median_product());
         for p in probes() {
             prop_assert_eq!(dense.tally(p), reference.tally(p));
-            prop_assert_eq!(dense.complaint_product(p), reference.complaint_product(p));
+            let (received, filed) = dense.tally(p);
+            prop_assert_eq!((received + 1.0) * (filed + 1.0), reference.complaint_product(p));
             prop_assert_eq!(dense.predict(p).p_honest, reference.predict(p));
         }
-        assert_rows_match_across_forget(&mut dense, 1024);
+        assert_rows_match_across_forget("complaints", &mut dense, 1024);
     }
 
     /// The median equals the from-scratch sort oracle after *every*
@@ -453,8 +442,8 @@ proptest! {
                 Some((score, _)) => prop_assert_eq!(ewma.predict(p).p_honest, score.clamp(0.0, 1.0)),
             }
         }
-        assert_rows_match_across_forget(&mut mean, 1024);
-        assert_rows_match_across_forget(&mut ewma, 1024);
+        assert_rows_match_across_forget("mean", &mut mean, 1024);
+        assert_rows_match_across_forget("ewma", &mut ewma, 1024);
     }
 }
 
@@ -490,9 +479,6 @@ fn default_row_impl_agrees_with_overrides() {
         fn predict_row_sparse(&self, out: &mut Vec<(PeerId, TrustEstimate)>) -> TrustEstimate {
             self.0.predict_row_sparse(out)
         }
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
     }
 
     let mut beta = BetaTrust::new();
@@ -506,12 +492,17 @@ fn default_row_impl_agrees_with_overrides() {
         mean.record_direct(PeerId(i), conduct, i as u64);
         ewma.record_direct(PeerId(i), conduct, i as u64);
     }
-    let models: [&dyn TrustModel; 4] = [&beta, &complaints, &mean, &ewma];
-    for model in models {
+    let models: [(&str, &dyn TrustModel); 4] = [
+        ("beta", &beta),
+        ("complaints", &complaints),
+        ("mean", &mean),
+        ("ewma", &ewma),
+    ];
+    for (label, model) in models {
         let mut via_override = vec![TrustEstimate::UNKNOWN; 16];
         let mut via_default = vec![TrustEstimate::UNKNOWN; 16];
         model.predict_row_into(&mut via_override);
         ViaDefault(model).predict_row_into(&mut via_default);
-        assert_eq!(via_override, via_default, "{}", model.name());
+        assert_eq!(via_override, via_default, "{label}");
     }
 }

@@ -18,19 +18,19 @@ proptest! {
     #[test]
     fn estimates_always_in_range(history in conducts(), probe in 0u32..5) {
         let subject = PeerId(1);
-        let mut models: Vec<Box<dyn TrustModel>> = vec![
-            Box::new(BetaTrust::new()),
-            Box::new(ComplaintTrust::new()),
-            Box::new(MeanTrust::new()),
-            Box::new(EwmaTrust::default()),
+        let mut models: Vec<(&str, Box<dyn TrustModel>)> = vec![
+            ("beta", Box::new(BetaTrust::new())),
+            ("complaints", Box::new(ComplaintTrust::new())),
+            ("mean", Box::new(MeanTrust::new())),
+            ("ewma", Box::new(EwmaTrust::default())),
         ];
-        for model in &mut models {
+        for (label, model) in &mut models {
             for (round, honest) in history.iter().enumerate() {
                 model.record_direct(subject, Conduct::from_honest(*honest), round as u64);
             }
             let est = model.predict(PeerId(probe));
-            prop_assert!((0.0..=1.0).contains(&est.p_honest), "{}", model.name());
-            prop_assert!((0.0..=1.0).contains(&est.confidence), "{}", model.name());
+            prop_assert!((0.0..=1.0).contains(&est.p_honest), "{}", label);
+            prop_assert!((0.0..=1.0).contains(&est.confidence), "{}", label);
         }
     }
 
@@ -126,7 +126,9 @@ proptest! {
             m.file_complaint(subject, PeerId(200 + v), 0);
         }
         let expected = (recv as f64 + 1.0) * (filed as f64 + 1.0);
-        prop_assert!((m.complaint_product(subject) - expected).abs() < 1e-9);
+        let (received, filed) = m.tally(subject);
+        let product = (received + 1.0) * (filed + 1.0);
+        prop_assert!((product - expected).abs() < 1e-9);
     }
 
     /// EWMA stays inside the convex hull of {initial, observations}.

@@ -1,68 +1,48 @@
-//! The subset-DP feasibility oracle and the order-source sweep shared by
-//! the scheduler property suites.
+//! The subset-DP feasibility oracle shared by the scheduler suites.
+//!
+//! Include it with `#[path]`, from a test binary or a `#[cfg(test)]`
+//! module:
+//!
+//! ```ignore
+//! #[path = "../../../tests/support/subset_dp.rs"]
+//! mod subset_dp;
+//! ```
 //!
 //! The DP is exponential in time and memory, so no production path runs
-//! it; it stays here as an exact cross-check for branch-and-bound, greedy
-//! and Sandholm on small instances (`n ≤ 16` in the proptests, `n = 18`
+//! it; it stays here as an exact cross-check for greedy (the core's
+//! suites), and for branch-and-bound and Sandholm (beside E2 in the
+//! market crate) on small instances (`n ≤ 16` in the proptests, `n = 18`
 //! at the boundary probe, and the cap itself).
+
+#![allow(dead_code)]
 
 use trustex_core::goods::{Goods, ItemId};
 use trustex_core::money::Money;
 use trustex_core::safety::SafetyMargins;
-use trustex_core::scheduler::{
-    branch_and_bound_order, greedy_order, required_margin_of_order, sandholm_order, TooManyItems,
-};
-
-/// Each order source's delivery order under `margins`, `None` where it
-/// finds none: the greedy order when its requirement fits, the Sandholm
-/// construction, and branch-and-bound.
-///
-/// # Panics
-///
-/// Panics beyond `BRANCH_AND_BOUND_MAX_ITEMS` items.
-pub fn order_sources(
-    goods: &Goods,
-    margins: SafetyMargins,
-) -> [(&'static str, Option<Vec<ItemId>>); 3] {
-    let greedy = greedy_order(goods);
-    let greedy_fits = required_margin_of_order(goods, &greedy) <= margins.total();
-    [
-        ("greedy", greedy_fits.then_some(greedy)),
-        ("sandholm", sandholm_order(goods, margins).ok()),
-        (
-            "bnb",
-            branch_and_bound_order(goods, margins).expect("within the bnb cap"),
-        ),
-    ]
-}
 
 /// Largest item count accepted by [`subset_dp_order`].
 pub const SUBSET_DP_MAX_ITEMS: usize = 24;
 
 /// Exact feasibility by subset DP, returning a feasible delivery order if
-/// one exists (`Ok(None)` when infeasible).
+/// one exists (`None` when infeasible).
 ///
 /// State: set `T` of still-undelivered items. `T` is reachable iff the
 /// full set can be reduced to `T` respecting (†) at every step; an item
 /// `x ∈ T` can be delivered from `T` iff `Vs(x) − (s(T) − s(x)) ≤ ε`.
 /// The DP explores reachable states breadth-first. Superseded as the
-/// primary ground truth by `branch_and_bound_order`; kept as an
-/// independent cross-check oracle for small instances.
+/// primary ground truth by branch-and-bound; kept as an independent
+/// cross-check oracle for small instances.
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`TooManyItems`] beyond [`SUBSET_DP_MAX_ITEMS`] items.
-pub fn subset_dp_order(
-    goods: &Goods,
-    margins: SafetyMargins,
-) -> Result<Option<Vec<ItemId>>, TooManyItems> {
+/// Panics beyond [`SUBSET_DP_MAX_ITEMS`] items, before allocating the
+/// `2^n` state tables.
+pub fn subset_dp_order(goods: &Goods, margins: SafetyMargins) -> Option<Vec<ItemId>> {
     let n = goods.len();
-    if n > SUBSET_DP_MAX_ITEMS {
-        return Err(TooManyItems {
-            n_items: n,
-            limit: SUBSET_DP_MAX_ITEMS,
-        });
-    }
+    assert!(
+        n <= SUBSET_DP_MAX_ITEMS,
+        "subset DP limited to {SUBSET_DP_MAX_ITEMS} items, got {n}"
+    );
     let eps = margins.total();
     let ids: Vec<ItemId> = goods.ids().collect();
     let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
@@ -103,7 +83,7 @@ pub fn subset_dp_order(
     }
 
     if !visited[0] {
-        return Ok(None);
+        return None;
     }
     // Reconstruct the order by walking predecessors from the empty set up.
     let mut order_rev: Vec<ItemId> = Vec::with_capacity(n);
@@ -115,5 +95,5 @@ pub fn subset_dp_order(
         mask |= 1u32 << i;
     }
     order_rev.reverse();
-    Ok(Some(order_rev))
+    Some(order_rev)
 }
