@@ -6,11 +6,15 @@
 //! the cell (`f64` bits for numbers, the bytes for labels), so a change
 //! that moves a single cell by one ulp fails here.
 //!
-//! The pinned experiments are the seed-pinned tables the exchange and
-//! decision layers feed: e1 and e3 (required margins from the greedy
-//! scheduler), e7 (`schedule` under trust-derived exposure bounds), e4
-//! (the market strategies' `plan`) and e14 (the market under fault
-//! injection). Wall-clock tables (e2, e12, e13) are not pinned.
+//! Every experiment whose table has no wall-clock cell is pinned (12 of
+//! 15): e0 (the reference pipeline, the one table that reads replica
+//! votes from the P-Grid store), e1 and e3 (required margins from the
+//! greedy scheduler), e4 (the market strategies' `plan`), e5 (trust
+//! accuracy), e6 (P-Grid routing and churn), e7 (`schedule` under
+//! trust-derived exposure bounds), e8 (the end-to-end marketplace), e9
+//! (trust convergence), e10 (ablations), e11 (the adversary zoo) and
+//! e14 (the market under fault injection). Wall-clock tables (e2, e12,
+//! e13) are not pinned.
 //!
 //! The constants must never change by accident. A change that moves
 //! them on purpose updates them in the same commit and says so in
@@ -21,11 +25,18 @@ use trustex_market::prelude::*;
 use trustex_netsim::crc::Crc32;
 
 /// Expected CRC-32C per experiment id.
-const GOLDEN: [(&str, u32); 5] = [
+const GOLDEN: [(&str, u32); 12] = [
+    ("e0", 0xf96963fd),
     ("e1", 0x0c88d4ee),
     ("e3", 0xf9acfe5b),
     ("e4", 0x5eb9ed29),
+    ("e5", 0x23608520),
+    ("e6", 0x86ca752e),
     ("e7", 0xc3fa4609),
+    ("e8", 0x33e01210),
+    ("e9", 0x2c5f7d88),
+    ("e10", 0x7fb5f8e9),
+    ("e11", 0x388614a6),
     ("e14", 0x1ab29acf),
 ];
 
