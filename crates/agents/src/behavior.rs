@@ -7,7 +7,7 @@
 use trustex_core::execute::{max_future_temptation, DefectionOracle};
 use trustex_core::money::Money;
 use trustex_core::sequence::Action;
-use trustex_core::state::{Role, StateView};
+use trustex_core::state::{Progress, Role};
 use trustex_netsim::rng::SimRng;
 
 /// How an agent behaves inside exchanges.
@@ -116,19 +116,14 @@ pub struct BehaviorOracle<'a> {
 }
 
 impl DefectionOracle for BehaviorOracle<'_> {
-    fn defects(
-        &mut self,
-        role: Role,
-        temptation: Money,
-        view: &StateView<'_>,
-        upcoming: &[Action],
-    ) -> bool {
+    fn defects(&mut self, role: Role, progress: &Progress<'_>, upcoming: &[Action]) -> bool {
+        let temptation = progress.temptation(role);
         match self.behavior {
             ExchangeBehavior::Honest => false,
             ExchangeBehavior::Rational { stake_micros } => {
                 // Schedule-aware: strike only at the temptation peak.
                 temptation > Money::from_micros(stake_micros)
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
             ExchangeBehavior::Stochastic { defect_prob } => {
                 // Myopic: flips a coin at every profitable opportunity.
@@ -137,7 +132,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
             ExchangeBehavior::ExitScam { honest_rounds } => {
                 self.round >= honest_rounds
                     && temptation.is_positive()
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
             ExchangeBehavior::Oscillating {
                 period,
@@ -147,7 +142,7 @@ impl DefectionOracle for BehaviorOracle<'_> {
                 let in_defect_phase = self.round % period >= period - defect_rounds.min(period);
                 in_defect_phase
                     && temptation.is_positive()
-                    && temptation >= max_future_temptation(role, view, upcoming)
+                    && temptation >= max_future_temptation(role, progress, upcoming)
             }
         }
     }

@@ -114,22 +114,30 @@ impl Deal {
         Deal::new(goods, price)
     }
 
+    // The accessors below are `#[inline]`: exchange oracles in other
+    // crates read `Progress::temptation`, which reads them, at every
+    // step of every executed exchange.
+
     /// The goods being exchanged.
+    #[inline]
     pub fn goods(&self) -> &Goods {
         &self.goods
     }
 
     /// The agreed total price `P`.
+    #[inline]
     pub fn price(&self) -> Money {
         self.price
     }
 
     /// The supplier's profit on completion: `P − Vs(G)` (≥ 0).
+    #[inline]
     pub fn supplier_profit(&self) -> Money {
         self.price - self.goods.total_supplier_cost()
     }
 
     /// The consumer's surplus on completion: `Vc(G) − P` (≥ 0).
+    #[inline]
     pub fn consumer_surplus(&self) -> Money {
         self.goods.total_consumer_value() - self.price
     }

@@ -14,28 +14,23 @@
 use crate::deal::Deal;
 use crate::money::Money;
 use crate::sequence::{Action, ExchangeSequence};
-use crate::state::{Progress, Role, StateView};
+use crate::state::{self, Progress, Role};
 
 /// Decides whether a party walks away at the current state.
 ///
-/// Implementations receive the party's current *temptation* (defection
-/// gain minus completion gain, positive when defecting is profitable
-/// right now), full state access, and the schedule's remaining actions —
-/// both parties know the agreed sequence, so a rational agent can reason
-/// about where its temptation peaks. The oracle is consulted once per
-/// party per state.
+/// Implementations receive the exchange in progress, read-only, and the
+/// schedule's remaining actions. The party's current *temptation*
+/// (defection gain minus completion gain, positive when defecting is
+/// profitable right now) is `progress.temptation(role)`. Both parties
+/// know the agreed sequence, so a rational agent can reason about where
+/// its temptation peaks ([`max_future_temptation`]). The oracle is
+/// consulted once per party per state.
 pub trait DefectionOracle {
     /// Returns `true` if the party defects at this state.
     ///
     /// `upcoming` holds the actions not yet executed (empty at the final
     /// consultation).
-    fn defects(
-        &mut self,
-        role: Role,
-        temptation: Money,
-        view: &StateView<'_>,
-        upcoming: &[Action],
-    ) -> bool;
+    fn defects(&mut self, role: Role, progress: &Progress<'_>, upcoming: &[Action]) -> bool;
 }
 
 /// The largest temptation the given role will experience from the
@@ -45,30 +40,22 @@ pub trait DefectionOracle {
 /// This is the quantity a schedule-aware rational agent compares its
 /// outside stake against: defecting before the peak leaves money on the
 /// table.
-pub fn max_future_temptation(role: Role, view: &StateView<'_>, upcoming: &[Action]) -> Money {
-    let deal = view.deal();
-    let mut paid = view.state().paid();
-    let mut delivered_value = view.state().delivered_value();
-    let mut delivered_cost = view.state().delivered_cost();
-    let temptation = |paid: Money, dv: Money, dc: Money| -> Money {
-        match role {
-            // (Vc(D) − m) − (Vc(G) − P)
-            Role::Consumer => (dv - paid) - deal.consumer_surplus(),
-            // (m − Vs(D)) − (P − Vs(G))
-            Role::Supplier => (paid - dc) - deal.supplier_profit(),
-        }
-    };
-    let mut best = temptation(paid, delivered_value, delivered_cost);
+pub fn max_future_temptation(role: Role, progress: &Progress<'_>, upcoming: &[Action]) -> Money {
+    let deal = progress.deal();
+    let mut paid = progress.paid();
+    let mut value = progress.delivered_value();
+    let mut cost = progress.delivered_cost();
+    let mut best = progress.temptation(role);
     for action in upcoming {
         match action {
             Action::Pay(amount) => paid += *amount,
             Action::Deliver(id) => {
                 let item = deal.goods().item(*id);
-                delivered_value += item.consumer_value();
-                delivered_cost += item.supplier_cost();
+                value += item.consumer_value();
+                cost += item.supplier_cost();
             }
         }
-        best = best.max(temptation(paid, delivered_value, delivered_cost));
+        best = best.max(state::temptation(deal, role, paid, value, cost));
     }
     best
 }
@@ -78,13 +65,7 @@ pub fn max_future_temptation(role: Role, view: &StateView<'_>, upcoming: &[Actio
 pub struct Honest;
 
 impl DefectionOracle for Honest {
-    fn defects(
-        &mut self,
-        _role: Role,
-        _temptation: Money,
-        _view: &StateView<'_>,
-        _upcoming: &[Action],
-    ) -> bool {
+    fn defects(&mut self, _role: Role, _progress: &Progress<'_>, _upcoming: &[Action]) -> bool {
         false
     }
 }
@@ -101,18 +82,13 @@ pub struct RationalDefector {
 }
 
 impl DefectionOracle for RationalDefector {
-    fn defects(
-        &mut self,
-        role: Role,
-        temptation: Money,
-        view: &StateView<'_>,
-        upcoming: &[Action],
-    ) -> bool {
+    fn defects(&mut self, role: Role, progress: &Progress<'_>, upcoming: &[Action]) -> bool {
+        let temptation = progress.temptation(role);
         if temptation <= self.stake {
             return false;
         }
         // Worth defecting eventually — but only strike at the peak.
-        temptation >= max_future_temptation(role, view, upcoming)
+        temptation >= max_future_temptation(role, progress, upcoming)
     }
 }
 
@@ -229,21 +205,18 @@ fn consult(
     consumer: &mut dyn DefectionOracle,
     upcoming: &[Action],
 ) -> Option<Role> {
-    let view = progress.view();
-    let ts = view.supplier_temptation();
-    let tc = view.consumer_temptation();
-    let first_supplier = ts >= tc;
+    let first_supplier = progress.temptation(Role::Supplier) >= progress.temptation(Role::Consumer);
     let order: [Role; 2] = if first_supplier {
         [Role::Supplier, Role::Consumer]
     } else {
         [Role::Consumer, Role::Supplier]
     };
     for role in order {
-        let (oracle, temptation): (&mut dyn DefectionOracle, Money) = match role {
-            Role::Supplier => (supplier, ts),
-            Role::Consumer => (consumer, tc),
+        let oracle: &mut dyn DefectionOracle = match role {
+            Role::Supplier => supplier,
+            Role::Consumer => consumer,
         };
-        if oracle.defects(role, temptation, &view, upcoming) {
+        if oracle.defects(role, progress, upcoming) {
             return Some(role);
         }
     }
@@ -251,13 +224,12 @@ fn consult(
 }
 
 fn outcome_at(progress: &Progress<'_>, status: ExchangeStatus) -> ExchangeOutcome {
-    let view = progress.view();
     ExchangeOutcome {
         status,
-        supplier_gain: view.supplier_defect_gain(),
-        consumer_gain: view.consumer_defect_gain(),
-        items_delivered: progress.state().delivered_count(),
-        amount_paid: progress.state().paid(),
+        supplier_gain: progress.defect_gain(Role::Supplier),
+        consumer_gain: progress.defect_gain(Role::Consumer),
+        items_delivered: progress.delivered_count(),
+        amount_paid: progress.paid(),
     }
 }
 
@@ -371,7 +343,7 @@ mod tests {
         /// Never defects; counts how often it was asked.
         struct Counting(usize);
         impl DefectionOracle for Counting {
-            fn defects(&mut self, _: Role, _: Money, _: &StateView<'_>, _: &[Action]) -> bool {
+            fn defects(&mut self, _: Role, _: &Progress<'_>, _: &[Action]) -> bool {
                 self.0 += 1;
                 false
             }

@@ -89,15 +89,15 @@ pub fn analyze(deal: &Deal, sequence: &ExchangeSequence, stakes: Stakes) -> Equi
     let mut defect_gain_s = Vec::with_capacity(n + 1);
     let mut defect_gain_c = Vec::with_capacity(n + 1);
     let mut progress = Progress::new(deal);
-    defect_gain_s.push(progress.view().supplier_defect_gain());
-    defect_gain_c.push(progress.view().consumer_defect_gain());
+    defect_gain_s.push(progress.defect_gain(Role::Supplier));
+    defect_gain_c.push(progress.defect_gain(Role::Consumer));
     for action in sequence.actions() {
         match action {
             Action::Deliver(id) => progress.deliver(*id).expect("valid sequence"),
             Action::Pay(amount) => progress.pay(*amount).expect("valid sequence"),
         }
-        defect_gain_s.push(progress.view().supplier_defect_gain());
-        defect_gain_c.push(progress.view().consumer_defect_gain());
+        defect_gain_s.push(progress.defect_gain(Role::Supplier));
+        defect_gain_c.push(progress.defect_gain(Role::Consumer));
     }
     // Terminal values: the realized end-state gains (for a complete
     // sequence these are the deal's profit/surplus; for a partial one,

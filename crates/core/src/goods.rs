@@ -231,11 +231,13 @@ impl Goods {
     }
 
     /// `Vs(G)`: total supplier cost of the whole set.
+    #[inline]
     pub fn total_supplier_cost(&self) -> Money {
         self.total_cost
     }
 
     /// `Vc(G)`: total consumer value of the whole set.
+    #[inline]
     pub fn total_consumer_value(&self) -> Money {
         self.total_value
     }

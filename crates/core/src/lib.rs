@@ -79,5 +79,5 @@ pub mod prelude {
     pub use crate::safety::{SafetyCheck, SafetyMargins};
     pub use crate::scheduler::{feasible, min_required_margin, schedule, ScheduleError};
     pub use crate::sequence::{verify, Action, ExchangeSequence, VerifiedSequence, VerifyError};
-    pub use crate::state::{ExchangeState, Progress, Role, StateView};
+    pub use crate::state::{Progress, Role};
 }

@@ -29,7 +29,7 @@
 //! With `ε_s = ε_c = 0` this degenerates to the fully safe window.
 
 use crate::money::Money;
-use crate::state::{Role, StateView};
+use crate::state::{Progress, Role};
 use std::fmt;
 
 /// The exposure bounds each party accepts, derived from trust.
@@ -166,14 +166,14 @@ pub enum SafetyCheck {
     },
 }
 
-/// Checks the state in `view` against the margins.
+/// Checks the state of `progress` against the margins.
 ///
 /// When both temptations are violated (possible only for inconsistent
 /// deals, since the two bounds move in opposite directions with `R`), the
 /// larger excess is reported.
-pub fn check(view: &StateView<'_>, margins: SafetyMargins) -> SafetyCheck {
-    let tc = view.consumer_temptation() - margins.eps_supplier();
-    let ts = view.supplier_temptation() - margins.eps_consumer();
+pub fn check(progress: &Progress<'_>, margins: SafetyMargins) -> SafetyCheck {
+    let tc = progress.temptation(Role::Consumer) - margins.eps_supplier();
+    let ts = progress.temptation(Role::Supplier) - margins.eps_consumer();
     let worst = tc.max(ts);
     if !worst.is_positive() {
         SafetyCheck::Safe
@@ -229,10 +229,7 @@ mod tests {
     fn initial_state_is_safe_for_rational_deal() {
         let d = deal();
         let p = Progress::new(&d);
-        assert_eq!(
-            check(&p.view(), SafetyMargins::fully_safe()),
-            SafetyCheck::Safe
-        );
+        assert_eq!(check(&p, SafetyMargins::fully_safe()), SafetyCheck::Safe);
     }
 
     #[test]
@@ -244,7 +241,7 @@ mod tests {
         for id in d.goods().ids().collect::<Vec<_>>() {
             p.deliver(id).unwrap();
         }
-        match check(&p.view(), SafetyMargins::fully_safe()) {
+        match check(&p, SafetyMargins::fully_safe()) {
             SafetyCheck::Violated { tempted, excess } => {
                 assert_eq!(tempted, Role::Consumer);
                 assert_eq!(excess, Money::from_units(9));
@@ -253,7 +250,7 @@ mod tests {
         }
         // A margin of 9 makes it admissible again.
         let wide = SafetyMargins::new(Money::from_units(9), Money::ZERO).unwrap();
-        assert_eq!(check(&p.view(), wide), SafetyCheck::Safe);
+        assert_eq!(check(&p, wide), SafetyCheck::Safe);
     }
 
     #[test]
@@ -263,7 +260,7 @@ mod tests {
         // Pay everything upfront: supplier holds 9, delivered nothing ->
         // T_s = Vs(G) - R = 6 - 0 = 6 > 0.
         p.pay(Money::from_units(9)).unwrap();
-        match check(&p.view(), SafetyMargins::fully_safe()) {
+        match check(&p, SafetyMargins::fully_safe()) {
             SafetyCheck::Violated { tempted, excess } => {
                 assert_eq!(tempted, Role::Supplier);
                 assert_eq!(excess, Money::from_units(6));
@@ -271,7 +268,7 @@ mod tests {
             SafetyCheck::Safe => panic!("expected violation"),
         }
         let wide = SafetyMargins::new(Money::ZERO, Money::from_units(6)).unwrap();
-        assert_eq!(check(&p.view(), wide), SafetyCheck::Safe);
+        assert_eq!(check(&p, wide), SafetyCheck::Safe);
     }
 
     /// `check` agrees with the module's window inequality
@@ -281,15 +278,14 @@ mod tests {
         let d = deal();
         let mut p = Progress::new(&d);
         p.pay(Money::from_units(3)).unwrap();
-        let v = p.view();
         for eps in 0..4 {
             let m = SafetyMargins::symmetric(Money::from_units(eps)).unwrap();
-            let r = v.outstanding();
-            let remaining_cost = d.goods().total_supplier_cost() - v.state().delivered_cost();
-            let remaining_value = d.goods().total_consumer_value() - v.state().delivered_value();
+            let r = p.outstanding();
+            let remaining_cost = d.goods().total_supplier_cost() - p.delivered_cost();
+            let remaining_value = d.goods().total_consumer_value() - p.delivered_value();
             let in_window =
                 remaining_cost - m.eps_consumer() <= r && r <= remaining_value + m.eps_supplier();
-            assert_eq!(in_window, check(&v, m) == SafetyCheck::Safe, "eps={eps}");
+            assert_eq!(in_window, check(&p, m) == SafetyCheck::Safe, "eps={eps}");
         }
     }
 
@@ -299,11 +295,10 @@ mod tests {
         let mut p = Progress::new(&d);
         let ids: Vec<_> = d.goods().ids().collect();
         p.deliver(ids[0]).unwrap(); // Vc=5 delivered, T_c = 9 - 7 = 2
-        let v = p.view();
-        assert_eq!(v.consumer_temptation(), Money::from_units(2));
+        assert_eq!(p.temptation(Role::Consumer), Money::from_units(2));
         let exact = SafetyMargins::new(Money::from_units(2), Money::ZERO).unwrap();
-        assert_eq!(check(&v, exact), SafetyCheck::Safe, "bound is inclusive");
+        assert_eq!(check(&p, exact), SafetyCheck::Safe, "bound is inclusive");
         let below = SafetyMargins::new(Money::from_f64(1.999999), Money::ZERO).unwrap();
-        assert_ne!(check(&v, below), SafetyCheck::Safe);
+        assert_ne!(check(&p, below), SafetyCheck::Safe);
     }
 }

@@ -244,14 +244,14 @@ pub fn verify(
     let mut max_ts = Money::MIN;
 
     // Initial state check.
-    match check(&progress.view(), margins) {
+    match check(&progress, margins) {
         SafetyCheck::Safe => {}
         SafetyCheck::Violated { tempted, excess } => {
             return Err(VerifyError::UnsafeInitialState { tempted, excess });
         }
     }
-    max_tc = max_tc.max(progress.view().consumer_temptation());
-    max_ts = max_ts.max(progress.view().supplier_temptation());
+    max_tc = max_tc.max(progress.temptation(Role::Consumer));
+    max_ts = max_ts.max(progress.temptation(Role::Supplier));
 
     for (step, action) in sequence.actions().iter().enumerate() {
         let applied = match action {
@@ -261,14 +261,14 @@ pub fn verify(
         if let Err(source) = applied {
             return Err(VerifyError::InvalidAction { step, source });
         }
-        if progress.state().paid() > deal.price() {
+        if progress.paid() > deal.price() {
             return Err(VerifyError::Overpayment {
                 step,
-                paid: progress.state().paid(),
+                paid: progress.paid(),
                 price: deal.price(),
             });
         }
-        match check(&progress.view(), margins) {
+        match check(&progress, margins) {
             SafetyCheck::Safe => {}
             SafetyCheck::Violated { tempted, excess } => {
                 return Err(VerifyError::UnsafePrefix {
@@ -279,15 +279,15 @@ pub fn verify(
                 });
             }
         }
-        max_tc = max_tc.max(progress.view().consumer_temptation());
-        max_ts = max_ts.max(progress.view().supplier_temptation());
+        max_tc = max_tc.max(progress.temptation(Role::Consumer));
+        max_ts = max_ts.max(progress.temptation(Role::Supplier));
     }
 
     if !progress.is_complete() {
         return Err(VerifyError::Incomplete {
-            delivered: progress.state().delivered_count(),
+            delivered: progress.delivered_count(),
             total_items: deal.goods().len(),
-            paid: progress.state().paid(),
+            paid: progress.paid(),
             price: deal.price(),
         });
     }
