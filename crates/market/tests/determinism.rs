@@ -10,7 +10,7 @@ use proptest::{prop_assert_eq, proptest, ProptestConfig};
 use std::sync::Mutex;
 use trustex_agents::adversary::zoo_mix;
 use trustex_agents::profile::PopulationMix;
-use trustex_market::experiments::{find, Scale, ALL};
+use trustex_market::experiments::{Scale, ALL};
 use trustex_market::metrics::{accuracy_metrics, cooperation_truth};
 use trustex_market::prelude::*;
 use trustex_netsim::pool::set_default_threads;
@@ -89,51 +89,6 @@ fn every_experiment_table_identical_across_thread_counts() {
                 experiment.id
             );
         }
-    }
-    set_default_threads(0);
-}
-
-/// E6 fans its `measure_grid` arms (size × availability, including the
-/// churn-repair pass) across the worker pool; each arm owns a pinned
-/// seed, so the assembled table must be bit-identical for any thread
-/// count. Pinned separately from the all-experiment sweep because the
-/// arm fan-out is new and E6 is the one experiment whose arms mutate a
-/// shared-nothing `PGrid` rather than a `MarketSim`.
-#[test]
-fn e6_pgrid_table_identical_across_thread_counts() {
-    let _guard = THREAD_DEFAULT.lock().unwrap_or_else(|e| e.into_inner());
-    let e6 = find("e6").expect("e6 registered");
-    set_default_threads(1);
-    let reference = (e6.run)(Scale::Smoke);
-    for threads in [2usize, 8] {
-        set_default_threads(threads);
-        assert_eq!(
-            (e6.run)(Scale::Smoke),
-            reference,
-            "e6 diverged at threads={threads}"
-        );
-    }
-    set_default_threads(0);
-}
-
-/// E11 fans (model × defense × fraction × coordination) arms across the
-/// worker pool, and each arm exercises the full coordinated-attack
-/// machinery — ring vouches, targeted slander, Sybil echo fan-out and
-/// the post-merge whitewash sweep — plus both defense knobs. The
-/// assembled frontier table must be bit-identical for any thread count.
-#[test]
-fn e11_adversary_table_identical_across_thread_counts() {
-    let _guard = THREAD_DEFAULT.lock().unwrap_or_else(|e| e.into_inner());
-    let e11 = find("e11").expect("e11 registered");
-    set_default_threads(1);
-    let reference = (e11.run)(Scale::Smoke);
-    for threads in [2usize, 8] {
-        set_default_threads(threads);
-        assert_eq!(
-            (e11.run)(Scale::Smoke),
-            reference,
-            "e11 diverged at threads={threads}"
-        );
     }
     set_default_threads(0);
 }

@@ -101,36 +101,34 @@ impl ReputationSystem {
         if !result.is_resolved() {
             return None;
         }
-        // Apply storage behaviours to each replica's raw answer.
-        let mut shaped: Vec<Vec<Complaint>> = Vec::with_capacity(result.answers.len());
-        for (member, raw) in &result.answers {
-            match self.behavior[*member] {
-                StorageBehavior::Faithful => shaped.push(raw.clone()),
-                StorageBehavior::Suppressor => shaped.push(Vec::new()),
-                StorageBehavior::Fabricator(k) => {
+        // Shape each replica's answer in place by its storage behaviour.
+        let shaped: Vec<Vec<Complaint>> = result
+            .answers
+            .into_iter()
+            .map(|(member, mut answer)| {
+                match self.behavior[member] {
+                    StorageBehavior::Faithful => {}
+                    StorageBehavior::Suppressor => answer.clear(),
                     // Collusive fabrication: every fabricator invents the
                     // *same* fake complaints about the subject, so the
                     // fakes can reach quorum when liars dominate — the
                     // strongest attack majority voting must face.
-                    let mut v = raw.clone();
-                    for j in 0..k {
-                        v.push(Complaint {
-                            by: PeerId(3_000_000_000 + j as u32),
-                            about: subject,
-                            round: 0,
-                        });
-                    }
-                    shaped.push(v);
+                    StorageBehavior::Fabricator(k) => answer.extend((0..k).map(|j| Complaint {
+                        by: PeerId(3_000_000_000 + j as u32),
+                        about: subject,
+                        round: 0,
+                    })),
                 }
-            }
-        }
+                answer
+            })
+            .collect();
         let accepted = majority_vote(&shaped);
         let received = accepted.iter().filter(|c| c.about == subject).count() as u64;
         let filed = accepted.iter().filter(|c| c.by == subject).count() as u64;
         Some(TallyReport {
             received,
             filed,
-            replicas: result.answers.len(),
+            replicas: shaped.len(),
             hops: result.hops,
         })
     }

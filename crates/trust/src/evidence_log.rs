@@ -74,7 +74,6 @@ pub struct LogReplay {
 #[derive(Debug, Clone)]
 pub struct EvidenceLog {
     buf: Vec<u8>,
-    appended: usize,
 }
 
 impl Default for EvidenceLog {
@@ -91,19 +90,7 @@ impl EvidenceLog {
         w.put_u16(FORMAT_VERSION);
         EvidenceLog {
             buf: w.into_bytes(),
-            appended: 0,
         }
-    }
-
-    /// Re-opens an existing log for further appends, verifying every
-    /// frame first — appending after a truncated tail would bury the
-    /// corruption.
-    pub fn open(bytes: Vec<u8>) -> Result<EvidenceLog, PersistError> {
-        let replay = EvidenceLog::replay(&bytes)?;
-        Ok(EvidenceLog {
-            buf: bytes,
-            appended: replay.records.len() + replay.duplicates,
-        })
     }
 
     /// Appends one record as a checksummed frame.
@@ -118,12 +105,6 @@ impl EvidenceLog {
         w.put_bytes(&payload);
         w.put_u32(crc32c(&payload));
         self.buf.extend_from_slice(w.as_bytes());
-        self.appended += 1;
-    }
-
-    /// Frames appended so far (including any the log was opened with).
-    pub fn frames(&self) -> usize {
-        self.appended
     }
 
     /// The serialized log.
@@ -225,8 +206,8 @@ mod tests {
         for rec in &records {
             log.append(rec);
         }
-        assert_eq!(log.frames(), records.len());
         let replay = EvidenceLog::replay(log.as_bytes()).unwrap();
+        assert_eq!(replay.records.len(), records.len());
         assert_eq!(replay.records, records);
         assert_eq!(replay.duplicates, 0);
     }
@@ -303,27 +284,6 @@ mod tests {
                 "flip at byte {i} must be detected"
             );
         }
-    }
-
-    #[test]
-    fn open_validates_before_appending() {
-        let mut log = EvidenceLog::new();
-        let records = sample_records();
-        for rec in &records[..5] {
-            log.append(rec);
-        }
-        let mut reopened = EvidenceLog::open(log.into_bytes()).unwrap();
-        assert_eq!(reopened.frames(), 5);
-        for rec in &records[5..] {
-            reopened.append(rec);
-        }
-        let replay = EvidenceLog::replay(reopened.as_bytes()).unwrap();
-        assert_eq!(replay.records, records);
-        // A corrupt log refuses to open.
-        let mut bad = reopened.into_bytes();
-        let last = bad.len() - 1;
-        bad[last] ^= 1;
-        assert!(EvidenceLog::open(bad).is_err());
     }
 
     #[test]
